@@ -15,7 +15,8 @@ The package is organised in six layers:
 - ``charseries``: chain-counting series, transfer matrices, exact
   equivariant characters, and the Delannoy specialisation.
 - ``cli``: the ``spinlaw`` command-line interface with machine-readable
-  reports.
+  reports.  It is not imported here, so that ``python -m spinlaw.cli`` runs
+  it once, as ``__main__``; import ``spinlaw.cli`` to use it as a library.
 
 All arithmetic is exact (integers and ``fractions.Fraction``); no floating
 point is used anywhere in the computational core.
@@ -24,7 +25,6 @@ point is used anywhere in the computational core.
 __version__ = "0.1.0"
 
 from . import charseries  # noqa: F401
-from . import cli  # noqa: F401
 from . import polyring  # noqa: F401
 from . import richardson  # noqa: F401
 from . import spinalg  # noqa: F401

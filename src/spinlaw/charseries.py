@@ -306,6 +306,61 @@ def _div_one_minus(num: dict[Mono, Fraction], m: Mono) -> dict[Mono, Fraction] |
     return quot
 
 
+# The modular image that screens RationalChar.reduced()'s trial divisions: a
+# numerator N = Σ_j N_j t^j is kept as the list of N_j(pt) mod _P, lowest
+# t-degree first, at a fixed point pt of (s₁..s₅, q) with nonzero coordinates.
+
+_P = (1 << 61) - 1
+_PT = (3, 5, 7, 11, 13, 17)
+
+
+def _sq_value(m: Mono) -> int:
+    """``x^m`` at ``pt`` mod ``_P``, with the ``t``-exponent ignored."""
+    v = 1
+    for x, e in zip(_PT, m):
+        v = v * pow(x, e, _P) % _P
+    return v
+
+
+def _t_image(num: dict[Mono, Fraction]) -> list[int] | None:
+    """Images ``N_j(pt) mod _P`` for ``j`` from the lowest ``t``-degree up.
+
+    None when a coefficient's denominator is divisible by ``_P``, so that the
+    numerator has no image mod ``_P``.
+    """
+    if not num:
+        return []
+    lo = min(e[6] for e in num)
+    img = [0] * (max(e[6] for e in num) - lo + 1)
+    for e, c in num.items():
+        v = c.numerator * _sq_value(e)
+        if c.denominator != 1:
+            d = c.denominator % _P
+            if not d:
+                return None
+            v = v * pow(d, -1, _P)
+        img[e[6] - lo] = (img[e[6] - lo] + v) % _P
+    return img
+
+
+def _image_vanishes(img: list[int], m: Mono) -> bool:
+    """Whether the image vanishes at ``t₀ = x^m(pt)⁻¹`` (``m`` of t-degree 1)."""
+    t0 = pow(_sq_value(m), -1, _P)
+    v = 0
+    for a in reversed(img):
+        v = (v * t0 + a) % _P
+    return v == 0
+
+
+def _image_div(img: list[int], m: Mono) -> list[int]:
+    """Image of ``N / (1 − x^m)`` by synthetic division, given that it divides."""
+    c, k = _sq_value(m), m[6]
+    out: list[int] = []
+    for i in range(len(img) - k):
+        out.append((img[i] + c * out[i - k]) % _P if i >= k else img[i])
+    return out
+
+
 def _dict_shift(d: dict, m: Mono) -> dict:
     """Coefficient-dict product ``d · x^m``."""
     return {mono_mul(e, m): c for e, c in d.items()}
@@ -429,18 +484,41 @@ class RationalChar:
         return self + (-other)
 
     def reduced(self) -> "RationalChar":
-        """Cancel denominator factors that divide the numerator exactly."""
+        """Cancel denominator factors that divide the numerator exactly.
+
+        Exact division by ``(1 − x^m)`` is the only way a factor is
+        cancelled.  A failed trial scans the whole numerator, so a trial by a
+        factor of ``t``-degree 1 is first screened mod the prime
+        ``P = 2⁶¹ − 1``: with ``s₁..s₅, q`` at a fixed point ``pt`` and
+        ``t₀ = x^m(pt)⁻¹``, the trial is skipped when ``N(pt, t₀) ≢ 0``.
+
+        The skip is exact.  The quotient that ``_div_one_minus`` builds has
+        coefficients in the ℤ-span of the numerator's, so when no numerator
+        denominator is divisible by ``P``, a successful division gives
+        ``N ≡ (1 − x^m)·Q mod P`` as Laurent polynomials, and ``N`` vanishes
+        mod ``P`` wherever ``x^m = 1``.  A nonzero value therefore means the
+        trial would fail.  The image ``N_j(pt) mod P`` of each ``t``-coefficient
+        is taken in one pass and updated by synthetic division after each
+        cancellation.  Factors of higher ``t``-degree, and numerators with a
+        denominator divisible by ``P``, get the plain trial.  The same
+        factors are cancelled in the same order as by trial division alone.
+        """
         num = self.num
         den = Counter(self.den)
+        img = _t_image(num.coeffs)
         progress = True
         while progress and not num.is_zero():
             progress = False
             for m in sorted(den):
                 while den[m] > 0:
+                    if img is not None and m[6] == 1 and not _image_vanishes(img, m):
+                        break
                     q = _div_one_minus(num.coeffs, m)
                     if q is None:
                         break
                     num = LaurentPoly(q)
+                    if img is not None:
+                        img = _image_div(img, m)
                     den[m] -= 1
                     progress = True
                 if den[m] == 0:

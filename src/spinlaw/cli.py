@@ -249,8 +249,16 @@ def cmd_groebner_check(args):
 
 def cmd_fierz_check(args):
     window = parse_window(args.window)
-    span = window[1] - window[0]
-    modes = parse_modes(args.modes) or list(range(3 * span + 1))
+    # h_{α^n} pairs a variable of level l' with the quadric mode n − l', which
+    # is zero outside 2·lo..2·hi, so only modes 3·lo..3·hi have terms.
+    lo, hi = 3 * window[0], 3 * window[1]
+    modes = parse_modes(args.modes) or list(range(lo, hi + 1))
+    bad = [n for n in modes if not lo <= n <= hi]
+    if bad:
+        raise ValueError(
+            f"modes {bad} have no terms on window {args.window}: "
+            f"use modes in {lo}..{hi}"
+        )
     residues = {}
     for alpha in wl.TAGS:
         for n in modes:
@@ -271,6 +279,8 @@ def cmd_fierz_check(args):
 
 def cmd_straightened_check(args):
     iv = parse_interval(args)
+    if args.k_max < 0:
+        raise ValueError("--k-max must be >= 0")
     rels = rich.build_relations(iv)
     dims = []
     dims_ok = True

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinlaw import charseries as cs
@@ -82,6 +82,81 @@ def test_rational_char_sum_and_equality():
     assert a + b == c
     assert a != c
     assert (c + cs.RationalChar.zero()) == c
+
+
+def plain_reduced(c: cs.RationalChar) -> cs.RationalChar:
+    """Oracle for reduced(): trial-divide by every factor, no screening."""
+    num, den = c.num, Counter(c.den)
+    progress = True
+    while progress and not num.is_zero():
+        progress = False
+        for m in sorted(den):
+            while den[m] > 0:
+                q = cs._div_one_minus(num.coeffs, m)
+                if q is None:
+                    break
+                num = cs.LaurentPoly(q)
+                den[m] -= 1
+                progress = True
+            if den[m] == 0:
+                del den[m]
+    return cs.RationalChar(num, den)
+
+
+# s and q exponents in -1..1; t-exponents may be negative in numerators
+SQ_EXP = st.tuples(*[st.integers(-1, 1)] * 6)
+# 2^61 - 1 is the screening prime: a coefficient whose denominator it
+# divides has no image mod the prime, so reduced() must fall back to plain
+# trials
+P = 2**61 - 1
+COEFF = st.builds(
+    Fraction, st.integers(-3, 3).filter(bool),
+    st.sampled_from([1, 1, 1, 2, 3, P, 2 * P]),
+)
+# a small pool makes repeated factors and colliding terms common
+FACTOR = st.one_of(
+    st.sampled_from([
+        T, (1, 0, 0, 0, 0, 0, 1), (0, -1, 0, 0, 0, 1, 1),
+        cs.weight_mono(W("(12)@0")), (0, 0, 0, 0, 0, 1, 2), (-1, 0, 0, 0, 0, 0, 2),
+    ]),
+    st.builds(lambda sq, k: (*sq, k), SQ_EXP, st.sampled_from([1, 1, 1, 2])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.dictionaries(
+        st.builds(lambda sq, k: (*sq, k), SQ_EXP, st.integers(-1, 2)),
+        COEFF, min_size=1, max_size=4,
+    ),
+    planted=st.lists(FACTOR, max_size=4),
+    extra=st.lists(FACTOR, max_size=3),
+)
+# the numerator (1 - t)^2 / (2P) has the coefficients 1/(2P), -1/P, 1/(2P),
+# which have no image mod P: both factors cancel only through plain trials
+@example(base={cs.ONE_M: Fraction(1, 2 * P)}, planted=[T, T], extra=[])
+def test_reduced_matches_plain_trial_division(base, planted, extra):
+    num = cs.LaurentPoly(base)
+    for m in planted:
+        quot, num = num, num * (ONE - cs.LaurentPoly.monomial(m))
+        # the image of a quotient is the synthetic quotient of the image
+        img = cs._t_image(num.coeffs)
+        assert img is None or cs._image_div(img, m) == cs._t_image(quot.coeffs)
+    c = cs.RationalChar(num, Counter(planted + extra))
+    r = c.reduced()
+    want = plain_reduced(c)
+    assert r.num == want.num and r.den == want.den
+    assert r == c
+
+
+def test_full_character_reduction_pinned():
+    # the full character of [(0)@0,(1)@1]: 4 of its 36 factors cancel
+    iv = wl.interval(W("(0)@0"), W("(1)@1"))
+    c = cs.character(iv)
+    assert (len(c.num.coeffs), sum(c.den.values())) == (59036, 36)
+    r = c.reduced()
+    assert (len(r.num.coeffs), sum(r.den.values())) == (10518, 32)
+    assert r.series(3) == cs.chain_series_direct(iv, 3)
 
 
 # ------------------------------------------------------------- DP oracle

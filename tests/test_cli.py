@@ -16,6 +16,19 @@ GOLDEN = json.loads(
 )
 
 
+def checkout_env() -> dict:
+    """Environment whose PYTHONPATH puts this checkout's src first.
+
+    A spinlaw from another checkout on the path is then not the one run.
+    """
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def run(argv, tmp_path, capsys, name="out"):
     """Run the CLI in-process; return (exit_code, stdout_text, artifact_text)."""
     out = tmp_path / name
@@ -154,6 +167,16 @@ class TestChecks:
         assert report["identity_count"] == 16
         assert set(report["residues"].values()) == {"0"}
 
+    def test_fierz_shifted_window_default_modes(self, tmp_path, capsys):
+        # the default modes are the window's own, 3·lo..3·hi
+        code, text, _ = run(
+            ["fierz-check", "--window", "3..4"], tmp_path, capsys
+        )
+        assert code == 0
+        report = json.loads(text)
+        assert report["modes"] == [9, 10, 11, 12]
+        assert set(report["residues"].values()) == {"0"}
+
     def test_fierz_window_modes(self, tmp_path, capsys):
         code, text, _ = run(
             ["fierz-check", "--window", "0..1", "--modes", "0,1"],
@@ -214,6 +237,12 @@ class TestExitCodes:
             ["hasse", "--window", "1..0"],
             ["hasse", "--window", "01"],
             ["regseq-check", "--lo", "(0)@0", "--hi", "(5)@0", "--d-max", "1"],
+            # vacuous runs: no degree to check, or modes with no terms
+            ["straightened-check", "--lo", "(0)@0", "--hi", "(5)@0",
+             "--k-max", "-1"],
+            ["fierz-check", "--window", "0..0", "--modes", "99"],
+            ["fierz-check", "--window", "0..1", "--modes", "0,4"],
+            ["fierz-check", "--window", "3..4", "--modes", "0"],
         ],
     )
     def test_config_errors_exit_2(self, argv, tmp_path, capsys):
@@ -290,13 +319,6 @@ class TestDeterminismAndPlumbing:
             "import sys; from spinlaw.cli import main; "
             "sys.argv[0] = 'spinlaw'; sys.exit(main())"
         )
-        # the src this test imported goes first, so that a spinlaw from
-        # another checkout on the path is not the one run
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [
                 sys.executable, "-c", script, "character",
@@ -304,7 +326,7 @@ class TestDeterminismAndPlumbing:
                 "--specialize", "s=1,q=1",
                 "--out", str(tmp_path / "char.json"),
             ],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=checkout_env(),
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
@@ -324,3 +346,18 @@ class TestDeterminismAndPlumbing:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_python_dash_m_runs_cli_once(self, tmp_path):
+        # `python -m spinlaw.cli` must not find the module already imported
+        # by the package, which runs it twice and warns
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "spinlaw.cli",
+                "delannoy-check", "--r-max", "0", "--k-max", "2",
+                "--out", str(tmp_path / "d.json"),
+            ],
+            capture_output=True, text=True, env=checkout_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert (tmp_path / "d.json").read_text() == proc.stdout
