@@ -50,14 +50,25 @@ expand only the factors missing from the least common denominator, equality
 is decided by the cross-multiplied numerator identity (exact, zero
 tolerance), and :meth:`RationalChar.series` provides truncated expansions
 for oracle comparisons.
+
+The hot arithmetic (the climb, ``series()``, the DP oracle and the recursion
+convolutions) runs on dicts keyed by one int per monomial: seven 32-bit
+fields, ``s₁..s₅, q`` biased by 2³¹ and ``t`` signed on top.  A monomial
+product is one int addition, truncation at ``t^k`` one comparison, and
+coefficients stay ``int`` where the input is integral.  :class:`LaurentPoly`
+(tuple keys, ``Fraction`` coefficients) stays the public type; packing
+happens only at that boundary.  Keys cannot alias while every exponent
+formed has ``|e| < 2³¹``: each entry point bounds its exponents first and
+raises ValueError past that.  ``reduced()`` and LaurentPoly's own operators
+stay tuple-keyed, and serve the tests as the kernel's reference.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .spinalg import torus_weight
 from .weightlattice import (
@@ -256,25 +267,12 @@ class LaurentPoly:
         return "LaurentPoly(%d terms, t-deg %d)" % (len(self.coeffs), self.t_degree())
 
 
-def _lp_sum(parts) -> LaurentPoly:
-    out: dict[Mono, Fraction] = {}
-    for p in parts:
-        for m, c in p.coeffs.items():
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    res = LaurentPoly()
-    res.coeffs = out
-    return res
-
-
 def _div_one_minus(num: dict[Mono, Fraction], m: Mono) -> dict[Mono, Fraction] | None:
     """Exact quotient ``num / (1 - x^m)`` or None if not divisible.
 
-    Requires ``m`` to have positive ``t``-exponent; the division runs down
-    the ``t``-degree of the remainder, so it always terminates.
+    Requires ``m`` to have positive ``t``-exponent ``k``.  The quotient's
+    lowest ``t``-degree is the numerator's, ``lo``, so the division runs the
+    remainder's ``t``-degree down and fails on a term below ``lo + k``.
     """
     k = m[6]
     if k < 1:
@@ -282,13 +280,14 @@ def _div_one_minus(num: dict[Mono, Fraction], m: Mono) -> dict[Mono, Fraction] |
     by_deg: dict[int, dict[Mono, Fraction]] = {}
     for e, c in num.items():
         by_deg.setdefault(e[6], {})[e] = c
+    floor = min(by_deg, default=0) + k
     quot: dict[Mono, Fraction] = {}
     while by_deg:
         d = max(by_deg)
         bucket = by_deg.pop(d)
         if not bucket:
             continue
-        if d < k:
+        if d < floor:
             return None
         lower = by_deg.setdefault(d - k, {})
         for e, c in bucket.items():
@@ -361,32 +360,89 @@ def _image_div(img: list[int], m: Mono) -> list[int]:
     return out
 
 
-def _dict_shift(d: dict, m: Mono) -> dict:
-    """Coefficient-dict product ``d · x^m``."""
-    return {mono_mul(e, m): c for e, c in d.items()}
+# The packed kernel (see the module docstring).  Multiplying by x^m adds
+# _delta(m) to a key, and "t-degree ≤ k" is "key < (k + 1) << _T_SHIFT".
+
+_FIELDS = struct.Struct("<7i")
+_T_SHIFT = 6 * 32
+_ONE_KEY = sum(1 << (32 * i + 31) for i in range(6))  # the key of 1
 
 
-def _dict_iadd(acc: dict, d: dict) -> None:
-    """In-place coefficient-dict sum ``acc += d``."""
-    for e, c in d.items():
-        v = acc.get(e, 0) + c
-        if v:
-            acc[e] = v
-        else:
-            acc.pop(e, None)
+def _check_reach(reach: int) -> None:
+    """Refuse a computation whose exponents may leave the packed fields.
+
+    ``reach`` bounds ``|e|`` over every exponent, ``t`` included, of every
+    monomial the computation forms.  Keys cannot alias while
+    ``reach < 2³¹``, so at or past that bound ValueError is raised.
+    """
+    if reach >= 1 << 31:
+        raise ValueError(f"exponents up to {reach} exceed the packed range |e| < 2^31")
 
 
-def _dict_mul_one_minus(d: dict, m: Mono) -> dict:
-    """Coefficient-dict product ``d · (1 − x^m)``."""
-    out = dict(d)
-    for e, c in d.items():
-        e2 = mono_mul(e, m)
-        v = out.get(e2, 0) - c
-        if v:
-            out[e2] = v
-        else:
-            out.pop(e2, None)
+def _span(monos) -> int:
+    """Largest ``|e|`` over all exponents of ``monos``."""
+    return max(0, max(map(max, monos), default=0), -min(map(min, monos), default=0))
+
+
+def _pack(m: Mono) -> int:
+    """Key of ``x^m``.  A biased field is the int32 of ``e`` with its top bit
+    flipped, so packing is one flip of the int32 record.
+
+    >>> _unpack(_pack((1, -2, 0, 0, 3, -40000, -1)) + _delta(T_M))
+    (1, -2, 0, 0, 3, -40000, 0)
+    """
+    return int.from_bytes(_FIELDS.pack(*m), "little", signed=True) ^ _ONE_KEY
+
+
+def _unpack(key: int) -> Mono:
+    return _FIELDS.unpack((key ^ _ONE_KEY).to_bytes(28, "little", signed=True))
+
+
+def _delta(m: Mono) -> int:
+    """The offset that multiplies a key by ``x^m``."""
+    return _pack(m) - _ONE_KEY
+
+
+def _split(d: dict, k_max: int) -> list[LaurentPoly]:
+    """Coefficients of ``t⁰..t^k_max`` of a kernel dict, ``t`` cleared."""
+    out = [LaurentPoly() for _ in range(k_max + 1)]
+    sq_fields = (1 << _T_SHIFT) - 1
+    for key, c in d.items():
+        j = key >> _T_SHIFT
+        if c and 0 <= j <= k_max:
+            out[j].coeffs[_unpack(key & sq_fields)] = Fraction(c)
     return out
+
+
+def _pruned(d: dict) -> dict:
+    """``d`` with its zero coefficients deleted in place."""
+    for key in [key for key, c in d.items() if not c]:
+        del d[key]
+    return d
+
+
+def _add_into(acc: dict, src: dict, d: int, sign: int = 1) -> None:
+    """``acc += sign · x^d · src``; cancelled terms stay as zeros."""
+    get = acc.get
+    for key, c in src.items():
+        key += d
+        acc[key] = get(key, 0) + sign * c
+
+
+def _mul_into(acc: dict, a: tuple[dict, int], b: tuple[dict, int], cap: int) -> None:
+    """``acc += a · b`` over the product keys below ``cap``, for expansions
+    given as ``(dict, reach)`` pairs with no negative ``t``-degree."""
+    (a, reach_a), (b, reach_b) = a, b
+    _check_reach(reach_a + reach_b)
+    bs = sorted(b.items())
+    get = acc.get
+    for ka, ca in a.items():
+        da = ka - _ONE_KEY
+        for kb, cb in bs:
+            key = kb + da
+            if key >= cap:
+                break
+            acc[key] = get(key, 0) + ca * cb
 
 
 def _factors_poly(fac: Counter) -> LaurentPoly:
@@ -554,28 +610,34 @@ class RationalChar:
         The returned coefficients have their ``t``-exponent cleared, so they
         are directly comparable with :func:`chain_series_direct` output.
         """
+        return _split(self._expand(k_max)[0], k_max)
+
+    def _expand(self, k_max: int) -> tuple[dict, int]:
+        """Kernel dict of the expansion to ``t^k_max`` (``t`` kept in the
+        keys), and the ``reach`` of its exponents (see :func:`_check_reach`).
+
+        The terms are held in layers by ``t``-degree.  Taken upward, each
+        layer gains ``x^m`` times the layer ``g`` below it, already divided,
+        which divides by ``1 − x^m`` for ``m`` of ``t``-degree ``g``.  A term
+        of ``t``-degree ``j`` meets at most ``k_max − j`` factors.
+        """
         if k_max < 0:
             raise ValueError("k_max must be >= 0")
-        acc = {m: c for m, c in self.num.coeffs.items() if m[6] <= k_max}
+        low = min(0, min((m[6] for m in self.num.coeffs), default=0))
+        reach = _span(self.num.coeffs) + (k_max - low) * _span(self.den)
+        _check_reach(reach)
+        layers: list[dict] = [{} for _ in range(low, k_max + 1)]
+        for m, c in self.num.coeffs.items():
+            if m[6] <= k_max:
+                layers[m[6] - low][_pack(m)] = c.numerator if c.denominator == 1 else c
         for m in sorted(self.den.elements()):
-            new: dict[Mono, Fraction] = {}
-            for e, c in acc.items():
-                cur = e
-                while cur[6] <= k_max:
-                    v = new.get(cur, Fraction(0)) + c
-                    if v:
-                        new[cur] = v
-                    else:
-                        new.pop(cur, None)
-                    cur = mono_mul(cur, m)
-            acc = new
-        out: list[dict[Mono, Fraction]] = [{} for _ in range(k_max + 1)]
-        for e, c in acc.items():
-            j = e[6]
-            if 0 <= j <= k_max:
-                flat = (*e[:6], 0)
-                out[j][flat] = out[j].get(flat, Fraction(0)) + c
-        return [LaurentPoly(d) for d in out]
+            d, g = _delta(m), m[6]
+            for j in range(g, len(layers)):
+                _add_into(layers[j], layers[j - g], d)
+        out: dict = {}
+        for layer in layers:
+            out.update(layer)
+        return out, reach
 
     def series_equal(self, other: "RationalChar", k_max: int = 10) -> bool:
         """Compare truncated expansions to order ``k_max`` (default 10)."""
@@ -602,21 +664,40 @@ def chain_series_direct(iv: Interval, k_max: int) -> list[LaurentPoly]:
     ...     interval(("(0)", 0), ("(13)", 0)), 3)]
     [Fraction(1, 1), Fraction(3, 1), Fraction(6, 1), Fraction(10, 1)]
     """
+    return _split(_chain_series(iv, k_max)[0], k_max)
+
+
+def _chain_series(iv: Interval, k_max: int) -> tuple[dict, int]:
+    """:func:`chain_series_direct` as a kernel dict with ``t`` in the keys,
+    and the ``reach`` of its exponents (see :func:`_check_reach`)."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     els = iv.elements
-    wm = {x: LaurentPoly.monomial(weight_mono(x, 0)) for x in els}
+    reach = k_max * _span([weight_mono(x) for x in els])
+    _check_reach(reach)
+    shift = {x: _delta(weight_mono(x)) for x in els}
     below = {x: [y for y in els if leq(y, x)] for x in els}
-    out = [LaurentPoly.one()]
-    prev: dict[Weight, LaurentPoly] | None = None
-    for _k in range(1, k_max + 1):
-        if prev is None:
-            cur = dict(wm)
-        else:
-            cur = {x: wm[x] * _lp_sum(prev[y] for y in below[x]) for x in els}
-        out.append(_lp_sum(cur.values()))
-        prev = cur
-    return out
+    # cur[x]: Σ e_{α₁} ⋯ e_{α_k} t^k over the multichains ending at x; the
+    # loops are the oracle's own, sharing no arithmetic with the climb
+    cur = {x: {_ONE_KEY + shift[x]: 1} for x in els}
+    total = {_ONE_KEY: 1}
+    for k in range(1, k_max + 1):
+        if k > 1:
+            nxt = {}
+            for x in els:
+                acc: dict = {}
+                get, d = acc.get, shift[x]
+                for y in below[x]:
+                    for key, c in cur[y].items():
+                        key += d
+                        acc[key] = get(key, 0) + c
+                nxt[x] = acc
+            cur = nxt
+        get = total.get
+        for acc in cur.values():
+            for key, c in acc.items():
+                total[key] = get(key, 0) + c
+    return total, reach
 
 
 # -------------------------------------------------------- transfer matrices
@@ -830,33 +911,35 @@ def _character(lo: Weight, hi: Weight, s_one: bool, q_one: bool) -> RationalChar
     def wm(w: Weight) -> Mono:
         return _mono_spec(weight_mono(w), s_one, q_one)
 
-    # The climb keeps both row entries over one common denominator (the
-    # Counter ``den``); each step multiplies in both column factors and no
-    # intermediate reduction is ever attempted.
-    first = ht_pair(h0 + 1)
+    # The climb keeps both row entries, as kernel dicts, over one common
+    # denominator (the Counter ``den``); each step multiplies in both column
+    # factors and no intermediate reduction is ever attempted.  A term is a
+    # product of at most 2·(h1 − h0) − 1 weight monomials.
+    pairs = [ht_pair(l) for l in range(h0 + 1, h1 + 1)]
+    _check_reach(2 * (h1 - h0) * _span([wm(lo)] + [wm(w) for p in pairs for w in p]))
     ups = set(covers_up(lo))
     den: Counter = Counter((wm(lo),))
-    fac = [wm(first[j]) if first[j] in ups else None for j in (0, 1)]
+    fac = [wm(w) if w in ups else None for w in pairs[0]]
     row: list[dict] = [{}, {}]
     for j in (0, 1):
         if fac[j] is None:
             continue
         den[fac[j]] += 1
-        d = {ONE_M: 1}
+        row[j] = {_ONE_KEY: 1}
         if fac[1 - j] is not None:
-            d = _dict_mul_one_minus(d, fac[1 - j])
-        row[j] = d
-    for l in range(h0 + 2, h1 + 1):
+            row[j][_ONE_KEY + _delta(fac[1 - j])] = -1
+    for l, pair_l in zip(range(h0 + 2, h1 + 1), pairs[1:]):
         spec = _matrix_spec(l, False)
         if 1 <= l <= 8 and spec != _U_REFERENCE[l]:
             raise RuntimeError(
                 f"transfer-matrix pattern disagrees with the frozen table at l={l}"
             )
-        pair_l = ht_pair(l)
         facs = (wm(pair_l[0]), wm(pair_l[1]))
         new_row: list[dict] = []
         for j in (0, 1):
+            # column j is Σ_i x^tc · row_i · (1 − x^fac), fac the other column's
             acc: dict = {}
+            d_fac = _delta(facs[1 - j])
             for i in (0, 1):
                 ent = spec[i][j]
                 if ent is None or not row[i]:
@@ -866,14 +949,16 @@ def _character(lo: Weight, hi: Weight, s_one: bool, q_one: bool) -> RationalChar
                     raise RuntimeError(
                         f"matrix column denominator misplaced at l={l}"
                     )
-                _dict_iadd(acc, row[i] if tc is None else _dict_shift(row[i], wm(tc)))
-            if acc:
-                acc = _dict_mul_one_minus(acc, facs[1 - j])
-            new_row.append(acc)
+                d = 0 if tc is None else _delta(wm(tc))
+                _add_into(acc, row[i], d)
+                _add_into(acc, row[i], d + d_fac, -1)
+            new_row.append(_pruned(acc))
         den[facs[0]] += 1
         den[facs[1]] += 1
         row = new_row
-    result = RationalChar(LaurentPoly(row[col]), den)
+    num = row[col]
+    row.clear()  # free the other column before unpacking this one
+    result = RationalChar(LaurentPoly({_unpack(key): c for key, c in num.items()}), den)
     # Fully specialized characters are small; return those in lowest terms.
     return result.reduced() if (s_one and q_one) else result
 
@@ -923,15 +1008,20 @@ def pole_order(c: RationalChar) -> int:
 # ----------------------------------------------------- recursion validation
 
 
-def _coeff_char(terms, dens) -> RationalChar:
-    """Rational coefficient ``Σ sign · Π e_w · t^j  /  Π (1 − e_d t)``."""
-    num: dict[Mono, Fraction] = {}
-    for sign, weights, t_exp in terms:
-        m: Mono = (0, 0, 0, 0, 0, 0, t_exp)
-        for w in weights:
-            m = mono_mul(m, weight_mono(w, 0))
-        num[m] = num.get(m, Fraction(0)) + sign
-    return RationalChar(LaurentPoly(num), Counter(weight_mono(d) for d in dens))
+# The four J-ladder recursions.  For δ = (kind)@r, with factor weights f and
+# weights a, b, c, d (each given as (tag, level − r)),
+#   A^δ = ((1 − e_a t)(1 − e_b e_c t²)·A^a + e_d t·A^d) / Π_f (1 − e_f t),
+# where A^w is the character of [(0)⁰, w].
+_J_RECURSIONS = {
+    "(5)": ((("(24)", 0), ("(34)", 0), ("(5)", 0), ("(23)", 0)),
+            ("(15)", 0), ("(14)", 0), ("(23)", 0), ("(1)", -1)),
+    "(15)": ((("(13)", 0), ("(14)", 0), ("(15)", 0), ("(12)", 0)),
+             ("(1)", -1), ("(2)", -1), ("(12)", 0), ("(0)", 0)),
+    "(1)": ((("(3)", 0), ("(2)", 0), ("(1)", 0), ("(4)", 0)),
+            ("(0)", 1), ("(45)", 0), ("(4)", 0), ("(5)", 0)),
+    "(0)": ((("(35)", -1), ("(45)", -1), ("(0)", 0), ("(25)", -1)),
+            ("(5)", -1), ("(34)", -1), ("(25)", -1), ("(15)", -1)),
+}
 
 
 def _j_recursion_sides(kind: str, r: int) -> tuple[RationalChar, RationalChar]:
@@ -941,70 +1031,18 @@ def _j_recursion_sides(kind: str, r: int) -> tuple[RationalChar, RationalChar]:
     sequence J through the two previous members, with a cubic numerator and
     four linear factors; ``kind`` selects the family by the tag of ``δ``.
     """
-    lo = ("(0)", 0)
-    if kind == "(5)":
-        lhs = _character(lo, ("(5)", r), False, False)
-        dens = [("(24)", r), ("(34)", r), ("(5)", r), ("(23)", r)]
-        c1 = _coeff_char(
-            [
-                (1, [], 0),
-                (-1, [("(15)", r)], 1),
-                (-1, [("(14)", r), ("(23)", r)], 2),
-                (1, [("(15)", r), ("(14)", r), ("(23)", r)], 3),
-            ],
-            dens,
-        )
-        a1 = _character(lo, ("(15)", r), False, False)
-        c2 = _coeff_char([(1, [("(1)", r - 1)], 1)], dens)
-        a2 = _character(lo, ("(1)", r - 1), False, False)
-    elif kind == "(15)":
-        lhs = _character(lo, ("(15)", r), False, False)
-        dens = [("(13)", r), ("(14)", r), ("(15)", r), ("(12)", r)]
-        c1 = _coeff_char(
-            [
-                (1, [], 0),
-                (-1, [("(1)", r - 1)], 1),
-                (-1, [("(2)", r - 1), ("(12)", r)], 2),
-                (1, [("(1)", r - 1), ("(2)", r - 1), ("(12)", r)], 3),
-            ],
-            dens,
-        )
-        a1 = _character(lo, ("(1)", r - 1), False, False)
-        c2 = _coeff_char([(1, [("(0)", r)], 1)], dens)
-        a2 = _character(lo, ("(0)", r), False, False)
-    elif kind == "(1)":
-        lhs = _character(lo, ("(1)", r), False, False)
-        dens = [("(3)", r), ("(2)", r), ("(1)", r), ("(4)", r)]
-        c1 = _coeff_char(
-            [
-                (1, [], 0),
-                (-1, [("(0)", r + 1)], 1),
-                (-1, [("(45)", r), ("(4)", r)], 2),
-                (1, [("(0)", r + 1), ("(45)", r), ("(4)", r)], 3),
-            ],
-            dens,
-        )
-        a1 = _character(lo, ("(0)", r + 1), False, False)
-        c2 = _coeff_char([(1, [("(5)", r)], 1)], dens)
-        a2 = _character(lo, ("(5)", r), False, False)
-    elif kind == "(0)":
-        lhs = _character(lo, ("(0)", r), False, False)
-        dens = [("(35)", r - 1), ("(45)", r - 1), ("(0)", r), ("(25)", r - 1)]
-        c1 = _coeff_char(
-            [
-                (1, [], 0),
-                (-1, [("(5)", r - 1)], 1),
-                (-1, [("(34)", r - 1), ("(25)", r - 1)], 2),
-                (1, [("(34)", r - 1), ("(5)", r - 1), ("(25)", r - 1)], 3),
-            ],
-            dens,
-        )
-        a1 = _character(lo, ("(5)", r - 1), False, False)
-        c2 = _coeff_char([(1, [("(15)", r - 1)], 1)], dens)
-        a2 = _character(lo, ("(15)", r - 1), False, False)
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(f"unknown recursion family {kind!r}")
-    return lhs, ((c1, a1), (c2, a2))
+    facs, a, b, c, d = _J_RECURSIONS[kind]
+
+    def e(w: Weight) -> LaurentPoly:  # e_w t, with w's level relative to r
+        return LaurentPoly.monomial(weight_mono((w[0], w[1] + r)))
+
+    def char(w: Weight) -> RationalChar:
+        return _character(("(0)", 0), (w[0], w[1] + r), False, False)
+
+    den = Counter(weight_mono((f[0], f[1] + r)) for f in facs)
+    one = LaurentPoly.one()
+    c1 = RationalChar((one - e(a)) * (one - e(b) * e(c)), den)
+    return char((kind, 0)), ((c1, char(a)), (RationalChar(e(d), den), char(d)))
 
 
 def recursion_check_J(r_max: int, k_max: int) -> bool:
@@ -1020,18 +1058,14 @@ def recursion_check_J(r_max: int, k_max: int) -> bool:
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
+    cap = (k_max + 1) << _T_SHIFT
     for r in range(1, r_max + 1):
         for kind in ("(5)", "(15)", "(1)", "(0)"):
             lhs, terms = _j_recursion_sides(kind, r)
-            rhs = [LaurentPoly.zero() for _ in range(k_max + 1)]
+            rhs: dict = {}
             for coeff, tail_char in terms:
-                cser = coeff.series(k_max)
-                aser = tail_char.series(k_max)
-                for k in range(k_max + 1):
-                    rhs[k] = rhs[k] + _lp_sum(
-                        cser[a] * aser[k - a] for a in range(k + 1)
-                    )
-            if lhs.series(k_max) != rhs:
+                _mul_into(rhs, coeff._expand(k_max), tail_char._expand(k_max), cap)
+            if _pruned(lhs._expand(k_max)[0]) != _pruned(rhs):
                 return False
     return True
 
@@ -1047,24 +1081,19 @@ def lower_bound_recursions_check(k_max: int = 4) -> bool:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    cap = (k_max + 1) << _T_SHIFT
     for l in range(1, 9):
         top: Weight = ("(1)", 0) if l <= 7 else ("(1)", 1)
         prev, nxt = ht_pair(l - 1), ht_pair(l)
         lmat = _matrix_chars(l, True, False, False)
-        dp = {x: chain_series_direct(interval(x, top), k_max) for x in (*prev, *nxt)}
+        dp = {x: _chain_series(interval(x, top), k_max) for x in (*prev, *nxt)}
         for j in (0, 1):
-            lhs = dp[prev[j]]
-            rhs = [LaurentPoly.zero() for _ in range(k_max + 1)]
+            rhs: dict = {}
             for i in (0, 1):
                 ent = lmat[i][j]
-                if ent.is_zero():
-                    continue
-                eser = ent.series(k_max)
-                for k in range(k_max + 1):
-                    rhs[k] = rhs[k] + _lp_sum(
-                        eser[a] * dp[nxt[i]][k - a] for a in range(k + 1)
-                    )
-            if rhs != lhs:
+                if not ent.is_zero():
+                    _mul_into(rhs, ent._expand(k_max), dp[nxt[i]], cap)
+            if _pruned(rhs) != dp[prev[j]][0]:
                 return False
     return True
 
@@ -1122,41 +1151,6 @@ def j_sequence(r: int) -> Weight:
     return (_J_TAGS[m], k + 1 if m == 2 else k)
 
 
-def _one_minus_t_pow(k: int, s_sign: int = 1) -> dict[tuple[int, int], Fraction]:
-    """Bivariate ``(s, t)`` coefficients of ``(1−t)^k`` (times ``s^0``)."""
-    return {(0, j): Fraction(s_sign * comb(k, j) * (-1) ** j) for j in range(k + 1)}
-
-
-def _bi_mul(a, b, deg: int):
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            i, j = i1 + i2, j1 + j2
-            if i + j > deg:
-                continue
-            v = out.get((i, j), Fraction(0)) + c1 * c2
-            if v:
-                out[(i, j)] = v
-            else:
-                out.pop((i, j), None)
-    return out
-
-
-def _bi_inverse(p, deg: int):
-    """Truncated inverse of a bivariate series with constant term 1."""
-    if p.get((0, 0)) != 1:
-        raise ValueError("series inversion needs constant term 1")
-    rest = {k: -c for k, c in p.items() if k != (0, 0)}
-    q: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-    for _ in range(deg):
-        nq = _bi_mul(rest, q, deg)
-        nq[(0, 0)] = nq.get((0, 0), Fraction(0)) + 1
-        if nq == q:
-            break
-        q = nq
-    return q
-
-
 def delannoy_acceptance(r_max: int = 4, k_max: int = 8) -> bool:
     """Delannoy shape of the specialized characters along J.
 
@@ -1198,23 +1192,28 @@ def delannoy_acceptance(r_max: int = 4, k_max: int = 8) -> bool:
         rhs = one_plus_t * one_minus_t * one_minus_t * bs[r - 1] + t_char * bs[r - 2]
         if lhs != rhs:
             return False
-    # closed generating function in (s, t):
-    #   P(s,t) = (1-t)^5 - s(1-t)^3(1+t) - s^2 t(1-t),  Σ B_r s^r = 1/P
-    p = _one_minus_t_pow(5)
-    for (_i, j), c in _one_minus_t_pow(3).items():
-        for dj in (0, 1):  # times (1+t), shifted to s^1, negated
-            key = (1, j + dj)
-            p[key] = p.get(key, Fraction(0)) - c
-    for (_i, j), c in _one_minus_t_pow(1).items():  # minus s^2 t (1-t)
-        key = (2, j + 1)
-        p[key] = p.get(key, Fraction(0)) - c
-    gf = _bi_inverse({k: c for k, c in p.items() if k[0] + k[1] <= k_max}, k_max)
+    # closed generating function: with P = p₀ + p₁s + p₂s², where
+    #   p₀ = (1-t)^5,  p₁ = -(1-t)^3 (1+t),  p₂ = -t (1-t),
+    # Σ_r B_r s^r = 1/P holds to total degree k_max iff P · Σ_r B_r s^r does
+    # with 1, since P has constant term 1
+    u = one_minus_t.num
+    p = [u * u * u * u * u, -(u * u * u * one_plus_t.num), -(t_char.num * u)]
+    g: list[list[Fraction]] = []
     for r in range(k_max + 1):
-        ser = bs[r].series(k_max - r)
-        for j, lp in enumerate(ser):
+        g.append([])
+        for lp in bs[r].series(k_max - r):
             val = lp.coeffs.get(ONE_M, Fraction(0))
             if len(lp.coeffs) > (1 if val else 0):
                 raise RuntimeError("specialized series is not scalar")
-            if gf.get((r, j), Fraction(0)) != val:
+            g[r].append(val)
+    for r in range(k_max + 1):
+        for j in range(k_max + 1 - r):
+            val = sum(
+                c * g[r - a][j - m[6]]
+                for a in range(min(r, 2) + 1)
+                for m, c in p[a].coeffs.items()
+                if m[6] <= j
+            )
+            if val != (1 if r == j == 0 else 0):
                 return False
     return True

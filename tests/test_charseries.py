@@ -159,6 +159,145 @@ def test_full_character_reduction_pinned():
     assert r.series(3) == cs.chain_series_direct(iv, 3)
 
 
+def test_div_one_minus_below_the_factor_degree():
+    # numerators with t-exponents below the factor's t-degree still divide
+    c = cs.RationalChar(
+        cs.LaurentPoly({tmono(-1): 1, tmono(0): -1}), Counter({T: 1})
+    )
+    r = c.reduced()                       # (t⁻¹ − 1)/(1 − t) = t⁻¹
+    assert r.num == cs.LaurentPoly({tmono(-1): 1}) and not r.den
+    assert cs._div_one_minus({tmono(-2): 1, tmono(0): -1}, tmono(2)) == {
+        tmono(-2): 1
+    }
+    assert cs._div_one_minus({tmono(-1): 1, tmono(0): -2}, T) is None
+
+
+# ---------------------------------------------------------- packed kernel
+
+
+def plain_series(c: cs.RationalChar, k: int) -> list[cs.LaurentPoly]:
+    """Oracle for series(): LaurentPoly products with truncated geometric
+    series, dropping t-degrees above k after each product (no factor lowers
+    the t-degree, so those terms never come back)."""
+    low = min([m[6] for m in c.num.coeffs] + [0])
+    acc = c.num
+    for m in c.den.elements():
+        geo = cs.LaurentPoly(
+            {tuple(i * e for e in m): 1 for i in range((k - low) // m[6] + 1)}
+        )
+        acc = cs.LaurentPoly(
+            {e: v for e, v in (acc * geo).coeffs.items() if e[6] <= k}
+        )
+    out: list[dict] = [{} for _ in range(k + 1)]
+    for e, v in acc.coeffs.items():
+        if 0 <= e[6] <= k:
+            out[e[6]][(*e[:6], 0)] = v
+    return [cs.LaurentPoly(d) for d in out]
+
+
+def all_fractions(series: list[cs.LaurentPoly]) -> bool:
+    return all(type(v) is Fraction for p in series for v in p.coeffs.values())
+
+
+# s and q exponents in -2..2, t-exponents in -2..3; coefficients with and
+# without denominators
+NUM = st.dictionaries(
+    st.builds(lambda sq, k: (*sq, k),
+              st.tuples(*[st.integers(-2, 2)] * 6), st.integers(-2, 3)),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 1, 2, 3])),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(num=NUM, den=st.lists(FACTOR, max_size=5), other=NUM,
+       other_den=st.lists(FACTOR, max_size=3), k=st.integers(0, 5))
+def test_series_matches_laurent_expansion(num, den, other, other_den, k):
+    c = cs.RationalChar(cs.LaurentPoly(num), Counter(den))
+    got = c.series(k)
+    assert got == plain_series(c, k)
+    assert all_fractions(got)
+    # the truncated product behind the recursion checks, on numerators
+    # without negative t-exponents, against the convolution of the series
+    a, b = (
+        cs.RationalChar(
+            cs.LaurentPoly({(*e[:6], e[6] + 2): v for e, v in n.items()}), Counter(f)
+        )
+        for n, f in ((num, den), (other, other_den))
+    )
+    acc: dict = {}
+    cs._mul_into(acc, a._expand(k), b._expand(k), (k + 1) << cs._T_SHIFT)
+    sa, sb = plain_series(a, k), plain_series(b, k)
+    conv = [cs.LaurentPoly.zero() for _ in range(k + 1)]
+    for i in range(k + 1):
+        for j in range(k + 1 - i):
+            conv[i + j] = conv[i + j] + sa[i] * sb[j]
+    assert cs._split(acc, k) == conv
+
+
+def plain_chain_series(iv: wl.Interval, k: int) -> list[cs.LaurentPoly]:
+    """Oracle for chain_series_direct: the same DP in LaurentPoly arithmetic."""
+    wm = {x: cs.LaurentPoly.monomial(cs.weight_mono(x, 0)) for x in iv.elements}
+    cur, out = dict(wm), [ONE]
+    for n in range(1, k + 1):
+        if n > 1:
+            nxt = {}
+            for x in iv.elements:
+                below = cs.LaurentPoly.zero()
+                for y in iv.elements:
+                    if wl.leq(y, x):
+                        below = below + cur[y]
+                nxt[x] = wm[x] * below
+            cur = nxt
+        total = cs.LaurentPoly.zero()
+        for p in cur.values():
+            total = total + p
+        out.append(total)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_chain_series_matches_laurent_dp(data):
+    tags = sorted(wl.COLUMN)
+    level = data.draw(st.integers(-3, 3))
+    lo = (data.draw(st.sampled_from(tags)), level)
+    hi = (data.draw(st.sampled_from(tags)), level + data.draw(st.integers(0, 1)))
+    assume(wl.leq(lo, hi) and wl.ht(hi) - wl.ht(lo) <= 8)
+    iv = wl.interval(lo, hi)
+    got = cs.chain_series_direct(iv, 3)
+    assert got == plain_chain_series(iv, 3)
+    assert all_fractions(got)
+
+
+def test_level_40000_character_is_the_shifted_level_0_one():
+    # the numerator reaches q^480002, past what 16-bit exponent fields hold
+    lo, hi, n = W("(0)@0"), W("(1)@0"), 40000
+    far = cs.character(wl.interval(wl.shift(lo, n), wl.shift(hi, n)))
+    near = cs.character(wl.interval(lo, hi)).subs_t_qt(n)
+    assert far.num == near.num and far.den == near.den
+    assert max(m[5] for m in far.num.coeffs) == 480002
+
+
+def test_exponent_range_guard():
+    # 2^30 < 2^31 packs; series(2) of 1/(1 - q^(2^30) t) would form q^(2^31)
+    big = (0, 0, 0, 0, 0, 2**30, 1)
+    geo = cs.RationalChar(ONE, Counter({big: 1}))
+    assert geo.series(1) == [ONE, cs.LaurentPoly.monomial((*big[:6], 0))]
+    with pytest.raises(ValueError, match="packed range"):
+        geo.series(2)
+    top = cs.LaurentPoly.monomial((-(2**31 - 1), 0, 0, 0, 0, 2**31 - 1, 0))
+    assert cs.RationalChar(top).series(0) == [top]
+    with pytest.raises(ValueError, match="packed range"):
+        cs.RationalChar(top * cs.LaurentPoly.monomial((0, 0, 0, 0, 0, 1, 0))).series(0)
+    # the climb and the DP refuse before packing, too
+    far = wl.interval(W("(0)@200000000"), W("(1)@200000000"))
+    with pytest.raises(ValueError, match="packed range"):
+        cs.character(far)
+    with pytest.raises(ValueError, match="packed range"):
+        cs.chain_series_direct(wl.interval(far.lo, far.lo), 11)
+
+
 # ------------------------------------------------------------- DP oracle
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: contracts, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -89,6 +90,20 @@ class TestCharacter:
         report = json.loads(text)
         assert report["numerator"] == "1"
         assert "s1^-1*s2^-1*s3^-1*s4^-1*s5^-1*t" in report["denominator"]
+
+    def test_level_40000_series_artifact_pinned(self, tmp_path, capsys):
+        # the numerator reaches q^320000, past what 16-bit exponent fields
+        # hold; the SHA-256 is that of the artifact before the packed kernel
+        code, text, artifact = run(
+            ["character", "--lo", "(0)@40000", "--hi", "(1)@40000",
+             "--series", "3"],
+            tmp_path, capsys,
+        )
+        assert code == 0
+        assert "q^320000" in json.loads(text)["numerator"]
+        assert hashlib.sha256(artifact.encode()).hexdigest() == (
+            "fd068fe9fa67180557c85011ece1285fc32b2cef2fa4fcca0137fc71ed7c22f5"
+        )
 
 
 class TestDiagramsAndTables:
@@ -243,6 +258,10 @@ class TestExitCodes:
             ["fierz-check", "--window", "0..0", "--modes", "99"],
             ["fierz-check", "--window", "0..1", "--modes", "0,4"],
             ["fierz-check", "--window", "3..4", "--modes", "0"],
+            # exponents past the packed range |e| < 2^31 of charseries
+            ["character", "--lo", "(0)@200000000", "--hi", "(1)@200000000"],
+            ["character", "--lo", "(0)@1000000000", "--hi", "(0)@1000000000",
+             "--series", "3"],
         ],
     )
     def test_config_errors_exit_2(self, argv, tmp_path, capsys):
