@@ -8,8 +8,9 @@ trailing newline, and no timestamps, so identical configurations produce
 byte-identical artifacts.
 
 Exit codes: 0 — all asserted properties hold; 2 — configuration or parse
-error (nothing is written); 3 — a checked property failed (the report is
-still written, with ``"ok": false``).
+error, or the run ran out of memory or recursion depth (nothing is
+written); 3 — a checked property failed (the report is still written, with
+``"ok": false``).
 """
 
 from __future__ import annotations
@@ -541,6 +542,10 @@ def main(argv=None) -> int:
         report, ok, text, ext = COMMANDS[args.command](args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as e:
+        # before RuntimeError, RecursionError's base: out of resources, not a finding
+        print(f"error: {e!r}", file=sys.stderr)
         return 2
     except RuntimeError as e:
         report = {

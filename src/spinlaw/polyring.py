@@ -15,6 +15,8 @@ by scanning exponents upward from the *bottom* variable — at the first key
 where the exponents differ, the monomial with the **smaller** exponent there
 is the **larger** monomial.  With this order the leading monomial of each of
 the defining quadrics is its pair of incomparable weights.
+``monomial_sort_key`` is the same order as a plain tuple key.  Ranks are
+computed fraction-free over the integers, by :class:`Echelon`.
 
 Text syntax
 -----------
@@ -36,9 +38,9 @@ True
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .weightlattice import Weight, apos, format_weight, parse_weight, weight_from_apos
 
@@ -145,7 +147,18 @@ def cmp_monomials(a: Monomial, b: Monomial) -> int:
     return 1 if ia == len(a) else -1
 
 
-monomial_sort_key = cmp_to_key(cmp_monomials)
+# above every key: the monomial that ends first is the larger, as in cmp_monomials
+_SENTINEL = math.inf
+
+
+def monomial_sort_key(m: Monomial) -> tuple:
+    """:func:`cmp_monomials`'s order as ``(deg, k1, -e1, k2, -e2, ..., SENTINEL)``."""
+    key = []
+    deg = 0
+    for k, e in m:
+        deg += e
+        key += (k, -e)
+    return (deg, *key, _SENTINEL)
 
 
 # ------------------------------------------------------------ polynomials
@@ -164,6 +177,13 @@ class Poly:
                 if c:
                     cleaned[m] = c
         self.coeffs = cleaned
+
+    @classmethod
+    def _of(cls, coeffs: dict[Monomial, Fraction]) -> "Poly":
+        """Wrap a dict whose values are already ``Fraction``s; drop the zeros."""
+        p = cls.__new__(cls)
+        p.coeffs = {m: c for m, c in coeffs.items() if c}
+        return p
 
     # -- constructors
 
@@ -221,19 +241,19 @@ class Poly:
             return NotImplemented
         acc = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Poly(acc)
+            acc[m] = acc[m] + c if m in acc else c
+        return Poly._of(acc)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         acc = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            acc[m] = acc.get(m, Fraction(0)) - c
-        return Poly(acc)
+            acc[m] = acc[m] - c if m in acc else -c
+        return Poly._of(acc)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.coeffs.items()})
+        return Poly._of({m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -241,10 +261,10 @@ class Poly:
             for ma, ca in self.coeffs.items():
                 for mb, cb in other.coeffs.items():
                     m = monomial_mul(ma, mb)
-                    acc[m] = acc.get(m, Fraction(0)) + ca * cb
-            return Poly(acc)
+                    acc[m] = acc[m] + ca * cb if m in acc else ca * cb
+            return Poly._of(acc)
         if isinstance(other, (int, Fraction)):
-            return Poly({m: c * other for m, c in self.coeffs.items()})
+            return Poly._of({m: c * other for m, c in self.coeffs.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -352,70 +372,132 @@ def buchberger_check(basis) -> dict[tuple[int, int], Poly]:
 # ------------------------------------------------------- graded dimension
 
 
-def sparse_rank(rows) -> int:
-    """Rank of a sparse matrix given as an iterable of {column: Fraction}."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v}
+class Echelon:
+    """Row echelon form over the integers, grown one row at a time.
+
+    :meth:`add` scales a ``{column: int or Fraction}`` row by the lcm of its
+    denominators and eliminates it, smallest column first, by ``row = a·row
+    − b·pivot`` (``a``, ``b`` the leading entries over their gcd), dividing
+    out the content when ``a ≠ 1``.  What is left becomes a pivot row with a
+    positive leading entry and content 1.
+
+    >>> e = Echelon()
+    >>> [e.add(r) for r in ({0: -2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(-2, 3)},
+    ...                     {0: 3, 2: 6})]
+    [True, False, True]
+    >>> e.pivots == {0: {0: 1, 1: -2}, 1: {1: 1, 2: 1}}, e.rank
+    (True, 2)
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, row) -> bool:
+        """Reduce `row`; True when it is independent of the rows added before."""
+        den = math.lcm(*[v.denominator for v in row.values()])
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        pivots = self.pivots
         while row:
             col = min(row)
             prow = pivots.get(col)
             if prow is None:
-                inv = 1 / row[col]
-                pivots[col] = {c: v * inv for c, v in row.items()}
-                rank += 1
-                break
-            factor = row.pop(col)
-            for c2, v2 in prow.items():
-                if c2 == col:
-                    continue
-                nv = row.get(c2, Fraction(0)) - factor * v2
-                if nv:
-                    row[c2] = nv
-                else:
-                    row.pop(c2, None)
-    return rank
+                g = math.gcd(*row.values())
+                if row[col] < 0:
+                    g = -g
+                pivots[col] = {c: v // g for c, v in row.items()}
+                return True
+            b = row.pop(col)
+            a = prow[col]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            for c, v in prow.items():
+                if c != col:
+                    nv = row.get(c, 0) - b * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
+            if a != 1 and row:
+                g = math.gcd(*row.values())
+                if g != 1:
+                    row = {c: v // g for c, v in row.items()}
+        return False
 
 
-def graded_quotient_dim(relations, var_keys, k: int) -> int:
-    """Dimension of the degree-`k` piece of Q[vars] / (relations).
+def sparse_rank(rows) -> int:
+    """Rank of a sparse matrix given as an iterable of ``{column: int or
+    Fraction}`` rows, by fraction-free integer elimination (:class:`Echelon`).
+    """
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.rank
 
-    `relations` must be homogeneous polynomials in the variables listed in
-    `var_keys`.  The dimension is computed by exact linear algebra: the
-    number of degree-`k` monomials minus the rank of the ideal's degree-`k`
-    slice, spanned by all products (monomial of degree k - deg g) * g.
+
+def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
+    """Degree-`k` dimensions of Q[vars] / (relations, extra[:j]), j = 0..len(extra).
+
+    `relations` and `extra` must be homogeneous polynomials in the variables
+    listed in `var_keys`.  A dimension is the number of degree-`k` monomials
+    minus the rank of the ideal's degree-`k` slice, spanned by all products
+    (monomial of degree k - deg g) * g; the rows of `relations`, then of each
+    ``extra[j]``, go into one :class:`Echelon`, read after each prefix.
 
     >>> x, y = variable(0), variable(1)
-    >>> [graded_quotient_dim([x * y], [0, 1], k) for k in range(4)]
-    [1, 2, 2, 2]
+    >>> graded_quotient_dims([x * y], [x, y], [0, 1], 2)
+    [2, 1, 0]
     """
     keys = sorted(var_keys)
     key_set = set(keys)
-    for g in relations:
+    relations, extra = list(relations), list(extra)
+    for g in relations + extra:
         if not g.is_homogeneous():
             raise ValueError("relations must be homogeneous")
         used = {kk for m in g.coeffs for kk, _ in m}
         if not used <= key_set:
             raise ValueError("relation uses a variable outside var_keys")
     if k < 0:
-        return 0
-    monos = [monomial(c) for c in itertools.combinations_with_replacement(keys, k)]
-    index = {m: i for i, m in enumerate(monos)}
+        return [0] * (len(extra) + 1)
+    # a degree-k monomial is keyed by its sorted tuple of variable keys
+    index = {
+        c: i for i, c in enumerate(itertools.combinations_with_replacement(keys, k))
+    }
+    echelon = Echelon()
 
-    def rows():
-        for g in relations:
-            d = g.degree()
-            if d < 0 or d > k:
-                continue
+    def add_rows(g: Poly) -> int:
+        d = g.degree()
+        if 0 <= d <= k:
+            terms = [
+                (tuple(kk for kk, e in m for _ in range(e)), coeff)
+                for m, coeff in g.coeffs.items()
+            ]
             for c in itertools.combinations_with_replacement(keys, k - d):
-                shift_m = monomial(c)
-                yield {
-                    index[monomial_mul(shift_m, m)]: coeff
-                    for m, coeff in g.coeffs.items()
-                }
+                echelon.add({index[tuple(sorted(c + m))]: coeff for m, coeff in terms})
+        return len(index) - echelon.rank
 
-    return len(monos) - sparse_rank(rows())
+    for g in relations:
+        add_rows(g)
+    return [len(index) - echelon.rank] + [add_rows(g) for g in extra]
+
+
+def graded_quotient_dim(relations, var_keys, k: int) -> int:
+    """Dimension of the degree-`k` piece of Q[vars] / (relations): the
+    ``extra=[]`` case of :func:`graded_quotient_dims`.
+
+    >>> x, y = variable(0), variable(1)
+    >>> [graded_quotient_dim([x * y], [0, 1], k) for k in range(4)]
+    [1, 2, 2, 2]
+    """
+    return graded_quotient_dims(relations, [], var_keys, k)[0]
 
 
 # ------------------------------------------------------------ text format

@@ -490,14 +490,10 @@ def regular_sequence_check(iv: Interval, d_max: int) -> bool:
     for w in iv.elements:
         by_ht[ht(w)] = by_ht.get(ht(w), Poly.zero()) + pr.lam(w)
     ys = [by_ht[i] for i in sorted(by_ht)]
-    prev = [pr.graded_quotient_dim(rels, keys, k) for k in range(d_max + 1)]
-    for j in range(1, len(ys) + 1):
-        cur = [
-            pr.graded_quotient_dim(rels + ys[:j], keys, k)
-            for k in range(d_max + 1)
-        ]
-        for k in range(d_max + 1):
-            if cur[k] != prev[k] - (prev[k - 1] if k else 0):
-                return False
-        prev = cur
-    return True
+    # dims[k][j]: degree-k dimension modulo rels + ys[:j]
+    dims = [pr.graded_quotient_dims(rels, ys, keys, k) for k in range(d_max + 1)]
+    return all(
+        dims[k][j] == dims[k][j - 1] - (dims[k - 1][j - 1] if k else 0)
+        for j in range(1, len(ys) + 1)
+        for k in range(d_max + 1)
+    )

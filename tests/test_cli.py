@@ -271,6 +271,19 @@ class TestExitCodes:
         assert "error:" in captured.err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_resource_errors_exit_2(self, exc, tmp_path, capsys, monkeypatch):
+        def exhausted(args):
+            raise exc("synthetic")
+
+        monkeypatch.setitem(cli.COMMANDS, "hasse", exhausted)
+        code = cli.main(["hasse", "--out", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and exc.__name__ in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_command_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["no-such-command"])

@@ -6,13 +6,17 @@ lexicographic key on dense exponent vectors (an independent implementation).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlaw import polyring as pr
+from spinlaw import richardson as rich
 from spinlaw import weightlattice as wl
 
 W = wl.parse_weight
@@ -71,6 +75,18 @@ def test_cmp_matches_sympy_grevlex(la, lb):
     assert pr.cmp_monomials(a, b) == sympy_grevlex_cmp(a, b, KEYS)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(KEYS), max_size=5).map(pr.monomial),
+                max_size=12))
+def test_sort_key_matches_comparator_and_sympy(ms):
+    by_key = sorted(ms, key=pr.monomial_sort_key)
+    assert by_key == sorted(ms, key=cmp_to_key(pr.cmp_monomials))
+    desc = sorted(KEYS, reverse=True)
+    assert by_key == sorted(
+        ms, key=lambda m: _sympy_grevlex(sparse_to_dense(m, desc))
+    )
+
+
 def test_cmp_reference_examples():
     # on equal degree the monomial missing the bottom variable is larger
     x, y = pr.monomial([0]), pr.monomial([2])
@@ -121,6 +137,15 @@ def test_ring_axioms(f, g, h):
     assert f * g == g * f
     assert 2 * f == f + f
     assert f + (-f) == pr.Poly.zero()
+
+
+@settings(max_examples=150)
+@given(polys(), polys())
+def test_sums_hold_nonzero_fractions(f, g):
+    for h in (f + g, f - g, g - f, -f, f * g, 3 * f):
+        assert all(type(c) is Fraction and c != 0 for c in h.coeffs.values())
+    assert (f - f).coeffs == {}
+    assert (X0 - X0).coeffs == {}
 
 
 def test_exactness():
@@ -212,6 +237,96 @@ def test_graded_quotient_dim_rejects_bad_input():
         pr.graded_quotient_dim([X0 + X0 * X1], [0, 1], 2)
     with pytest.raises(ValueError):
         pr.graded_quotient_dim([X0 * X2], [0, 1], 2)
+    with pytest.raises(ValueError):
+        pr.graded_quotient_dims([X0 * X1], [X0 + X0 * X1], [0, 1], 2)
+    with pytest.raises(ValueError):
+        pr.graded_quotient_dims([X0 * X1], [X2], [0, 1], 2)
+    assert pr.graded_quotient_dims([X0 * X1], [X0, X1], [0, 1], -1) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("hi", ["(15)@0", "(1)@0"])
+def test_graded_quotient_dims_equal_prefix_dims(hi):
+    iv = wl.interval(W("(0)@0"), W(hi))
+    rels = [r.body for r in rich.build_relations(iv)]
+    keys = [wl.apos(w) for w in iv.elements]
+    heights = sorted({wl.ht(w) for w in iv.elements})
+    ys = [
+        sum((pr.lam(w) for w in iv.elements if wl.ht(w) == h), pr.Poly.zero())
+        for h in heights
+    ]
+    for k in range(4):
+        dims = pr.graded_quotient_dims(rels, ys, keys, k)
+        assert dims == [
+            pr.graded_quotient_dim(rels + ys[:j], keys, k) for j in range(len(ys) + 1)
+        ]
+
+
+# ------------------------------------------------------------- sparse rank
+
+
+def rank_rows(base, derived):
+    """The base rows, then zero, repeated and dependent rows built from them."""
+    rows = list(base)
+    for kind, i, j, scale in derived:
+        if not rows:
+            break
+        a, b = rows[i % len(rows)], rows[j % len(rows)]
+        if kind == "zero":
+            rows.append({c: 0 for c in a} if a else {})
+        elif kind == "copy":
+            rows.append(dict(a))
+        elif kind == "scaled":
+            rows.append({c: scale * v for c, v in a.items()})
+        else:
+            rows.append({c: a.get(c, 0) - scale * b.get(c, 0) for c in {*a, *b}})
+    return rows
+
+
+entries = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.integers(-10**15, 10**15),
+    st.integers(-3, 3),
+)
+base_rows = st.lists(
+    st.dictionaries(st.integers(0, 6), entries, max_size=6), max_size=7
+)
+derived_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["zero", "copy", "scaled", "combination"]),
+        st.integers(0, 20),
+        st.integers(0, 20),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(base_rows, derived_rows, st.randoms(use_true_random=False))
+def test_sparse_rank_matches_sympy(base, derived, rnd):
+    rows = rank_rows(base, derived)
+    rnd.shuffle(rows)
+    dense = [[sympy.Rational(str(Fraction(r.get(c, 0)))) for c in range(7)]
+             for r in rows]
+    expected = sympy.Matrix(dense).rank() if rows else 0
+    assert pr.sparse_rank(rows) == expected
+    echelon = pr.Echelon()
+    grew = [echelon.add(r) for r in rows]
+    assert sum(grew) == echelon.rank == expected
+    for col, prow in echelon.pivots.items():
+        assert min(prow) == col and prow[col] > 0
+        assert all(type(v) is int and v for v in prow.values())
+        assert math.gcd(*prow.values()) == 1
+
+
+def test_echelon_divides_out_content_when_a_is_not_1():
+    # leading entries 6 (pivot) and 4: a = 3, b = 2; 3·row − 2·pivot has content 2
+    n = 10**20
+    e = pr.Echelon()
+    assert e.add({0: 6, 1: n, 2: 1})
+    assert e.add({0: 4, 1: 2 * n + 6, 2: 2})
+    assert e.pivots[1] == {1: 2 * n + 9, 2: 2}
+    assert not e.add({1: -(2 * n + 9), 2: -2})
 
 
 # ------------------------------------------------------------ text I/O
