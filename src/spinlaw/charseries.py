@@ -17,11 +17,12 @@ them:
 
 * :func:`chain_series_direct` — brute-force dynamic programming over the
   interval's elements, the oracle every other route is compared against;
-* :func:`character` — an exact rational closed form assembled by climbing
-  the height ladder of ``Ê`` with 2×2 transfer matrices
-  (:func:`transfer_matrix`).  Heights come in pairs (the poset has exactly
-  two elements per height), and one matrix step accounts for the chain
-  members at one height;
+* :func:`character` — an exact rational closed form, built by
+  inclusion–exclusion over the down-sets ``[lo, x]`` of the distributive
+  lattice (Hibi; Stanley's P-partitions);
+* :func:`transfer_matrix` — the 2×2 transfer matrices, one per height (the
+  poset has exactly two elements per height).  Climbing the height ladder
+  with them gives the character again; the test suite checks that it does;
 * :func:`lower_transfer_matrix` — a companion system relating the characters
   ``A_x^δ̂`` of intervals with a *fixed top* as the bottom ``x`` walks down
   the height pairs (:func:`lower_bound_recursions_check`);
@@ -51,13 +52,13 @@ is decided by the cross-multiplied numerator identity (exact, zero
 tolerance), and :meth:`RationalChar.series` provides truncated expansions
 for oracle comparisons.
 
-The hot arithmetic (the climb, ``series()``, the DP oracle and the recursion
-convolutions) runs on dicts keyed by one int per monomial: seven 32-bit
-fields, ``s₁..s₅, q`` biased by 2³¹ and ``t`` signed on top.  A monomial
-product is one int addition, truncation at ``t^k`` one comparison, and
-coefficients stay ``int`` where the input is integral.  :class:`LaurentPoly`
-(tuple keys, ``Fraction`` coefficients) stays the public type; packing
-happens only at that boundary.  Keys cannot alias while every exponent
+The hot arithmetic (the down-set recursion, ``series()``, the DP oracle and
+the recursion convolutions) runs on dicts keyed by one int per monomial:
+seven 32-bit fields, ``s₁..s₅, q`` biased by 2³¹ and ``t`` signed on top.
+A monomial product is one int addition, truncation at ``t^k`` one
+comparison, and coefficients stay ``int`` where the input is integral.
+:class:`LaurentPoly` (tuple keys, ``Fraction`` coefficients) stays the
+public type; packing happens only at that boundary.  Keys cannot alias while every exponent
 formed has ``|e| < 2³¹``: each entry point bounds its exponents first and
 raises ValueError past that.  ``reduced()`` and LaurentPoly's own operators
 stay tuple-keyed, and serve the tests as the kernel's reference.
@@ -72,15 +73,16 @@ from functools import lru_cache
 
 from .spinalg import torus_weight
 from .weightlattice import (
-    COLUMN,
     Interval,
+    Tail,
     Weight,
-    covers_up,
+    decompose_below,
     format_weight,
     ht,
     ht_pair,
     interval,
     leq,
+    meet,
 )
 
 # ---------------------------------------------------------------- monomials
@@ -658,7 +660,8 @@ def chain_series_direct(iv: Interval, k_max: int) -> list[LaurentPoly]:
 
     Entry ``k`` of the result is ``Σ e_{α₁} ⋯ e_{α_k}`` over multichains
     ``α₁ ≤ … ≤ α_k`` inside ``iv``; entry 0 is 1.  This is the module's
-    independent oracle: it never touches the transfer-matrix machinery.
+    independent oracle: it shares no code with the down-set recursion or
+    the transfer matrices.
 
     >>> [c.total() for c in chain_series_direct(
     ...     interval(("(0)", 0), ("(13)", 0)), 3)]
@@ -678,7 +681,7 @@ def _chain_series(iv: Interval, k_max: int) -> tuple[dict, int]:
     shift = {x: _delta(weight_mono(x)) for x in els}
     below = {x: [y for y in els if leq(y, x)] for x in els}
     # cur[x]: Σ e_{α₁} ⋯ e_{α_k} t^k over the multichains ending at x; the
-    # loops are the oracle's own, sharing no arithmetic with the climb
+    # loops are the oracle's own, sharing no arithmetic with character()
     cur = {x: {_ONE_KEY + shift[x]: 1} for x in els}
     total = {_ONE_KEY: 1}
     for k in range(1, k_max + 1):
@@ -860,7 +863,8 @@ def transfer_matrix(l: int) -> Matrix:
     Row ``i`` indexes the height-``l−1`` pair, column ``j`` the height-``l``
     pair; the climb ``row_{l} = row_{l-1} · U_l`` extends partial interval
     characters by one height.  The base matrices ``U₁..U₈`` are pinned to a
-    frozen table, and ``U_{l+8}(s,q,t) = U_l(s,q,qt)``.
+    frozen table, and ``U_{l+8}(s,q,t) = U_l(s,q,qt)``.  :func:`character`
+    does not climb; the test suite runs this climb as its oracle.
 
     >>> u6 = transfer_matrix(6)
     >>> u6[0][0] == RationalChar.single(("(35)", 0))   # 1/(1 - e_(35) t)
@@ -903,75 +907,59 @@ def _character(lo: Weight, hi: Weight, s_one: bool, q_one: bool) -> RationalChar
         return RationalChar.single(lo).specialized(s_one=s_one, q_one=q_one)
     if not leq(lo, hi):
         return RationalChar.zero()
-    h0, h1 = ht(lo), ht(hi)
-    col = COLUMN[hi[0]]
-    if ht_pair(h1)[col] != hi:
-        raise RuntimeError(f"height table misplaces {format_weight(hi)}")
-
-    def wm(w: Weight) -> Mono:
-        return _mono_spec(weight_mono(w), s_one, q_one)
-
-    # The climb keeps both row entries, as kernel dicts, over one common
-    # denominator (the Counter ``den``); each step multiplies in both column
-    # factors and no intermediate reduction is ever attempted.  A term is a
-    # product of at most 2·(h1 − h0) − 1 weight monomials.
-    pairs = [ht_pair(l) for l in range(h0 + 1, h1 + 1)]
-    _check_reach(2 * (h1 - h0) * _span([wm(lo)] + [wm(w) for p in pairs for w in p]))
-    ups = set(covers_up(lo))
-    den: Counter = Counter((wm(lo),))
-    fac = [wm(w) if w in ups else None for w in pairs[0]]
-    row: list[dict] = [{}, {}]
-    for j in (0, 1):
-        if fac[j] is None:
+    iv = interval(lo, hi)
+    wm = {x: _mono_spec(weight_mono(x), s_one, q_one) for x in iv.elements}
+    # By induction over the Tail and Pair steps below, every term of N_x is a
+    # product of at most |[lo, x]| − 1 weight monomials: N_lo = 1, a Tail
+    # keeps N_y, and a Pair term has at most |[lo, b]| = |[lo, x]| − 2.
+    _check_reach((len(iv) - 1) * _span(wm.values()))
+    # num[x] is the kernel dict of N_x, the numerator of the character of
+    # [lo, x] over Π_{z ∈ [lo, x]} (1 − e_z t).  The apos order is a linear
+    # extension, so x comes after everything below it.
+    num = {lo: {_ONE_KEY: 1}}
+    for x in iv.elements[1:]:
+        step = decompose_below(iv, x)
+        if isinstance(step, Tail):
+            num[x] = num[step.below]
             continue
-        den[fac[j]] += 1
-        row[j] = {_ONE_KEY: 1}
-        if fac[1 - j] is not None:
-            row[j][_ONE_KEY + _delta(fac[1 - j])] = -1
-    for l, pair_l in zip(range(h0 + 2, h1 + 1), pairs[1:]):
-        spec = _matrix_spec(l, False)
-        if 1 <= l <= 8 and spec != _U_REFERENCE[l]:
-            raise RuntimeError(
-                f"transfer-matrix pattern disagrees with the frozen table at l={l}"
-            )
-        facs = (wm(pair_l[0]), wm(pair_l[1]))
-        new_row: list[dict] = []
-        for j in (0, 1):
-            # column j is Σ_i x^tc · row_i · (1 − x^fac), fac the other column's
-            acc: dict = {}
-            d_fac = _delta(facs[1 - j])
-            for i in (0, 1):
-                ent = spec[i][j]
-                if ent is None or not row[i]:
-                    continue
-                tc, den_w = ent
-                if den_w != pair_l[j]:
-                    raise RuntimeError(
-                        f"matrix column denominator misplaced at l={l}"
-                    )
-                d = 0 if tc is None else _delta(wm(tc))
-                _add_into(acc, row[i], d)
-                _add_into(acc, row[i], d + d_fac, -1)
-            new_row.append(_pruned(acc))
-        den[facs[0]] += 1
-        den[facs[1]] += 1
-        row = new_row
-    num = row[col]
-    row.clear()  # free the other column before unpacking this one
-    result = RationalChar(LaurentPoly({_unpack(key): c for key, c in num.items()}), den)
+        # [lo, x) = [lo, b] ⊔ {a} with [lo, a) = [lo, m], so
+        # N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z ∈ [lo, b]∖[lo, m]} (1 − e_z t)
+        a, b = step.tail, step.other
+        m = meet(a, b)
+        prod = num[m]
+        for z in iv.elements:
+            if leq(z, b) and not leq(z, m):
+                nxt = dict(prod)
+                _add_into(nxt, prod, _delta(wm[z]), -1)
+                prod = _pruned(nxt)
+        d_a = _delta(wm[a])
+        acc = dict(num[b])
+        _add_into(acc, num[b], d_a, -1)
+        _add_into(acc, prod, d_a)
+        num[x] = _pruned(acc)
+    result = RationalChar(
+        LaurentPoly({_unpack(key): c for key, c in num[hi].items()}),
+        Counter(wm.values()),
+    )
     # Fully specialized characters are small; return those in lowest terms.
     return result.reduced() if (s_one and q_one) else result
 
 
 def character(iv: Interval, *, specialize=None) -> RationalChar:
-    """Exact rational chain series of the interval, via the transfer climb.
+    """Exact rational chain series of the interval, by a down-set recursion.
 
-    The first height above ``lo`` is assembled by hand (an entry
-    ``1/((1−e_lo t)(1−e_y t))`` for each cover ``y`` of ``lo``, zero
-    otherwise); the matrices ``U_l`` then climb one height at a time, and
-    the answer is read off in the column of ``hi``.  ``specialize`` may map
-    ``"s"`` and/or ``"q"`` to 1 to collapse the corresponding variables
-    before climbing.
+    Write ``N_x`` for the numerator of the character of ``[lo, x]`` over
+    ``Π_{z∈[lo,x]} (1 − e_z t)``.  Walking the interval in ``apos`` order,
+    :func:`~spinlaw.weightlattice.decompose_below` classifies each ``x``:
+    a Tail (one maximal element ``y`` below ``x``) gives ``N_x = N_y``; a
+    Pair (tail ``a``, other ``b``, ``m = a ∧ b``, ``[lo, a) = [lo, m]``)
+    splits the multichains below ``x`` by whether they reach ``a``, so
+    ``N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z∈[lo,b]∖[lo,m]} (1 − e_z t)``.
+    The result is ``N_hi`` over one factor per element.  On every full
+    character the tests draw, ``reduced()`` finds nothing to cancel; a
+    specialization can make factors coincide, and then it does.
+    ``specialize`` may map ``"s"`` and/or ``"q"`` to 1 to collapse the
+    corresponding variables first; with both, the result is returned reduced.
 
     Agrees with :func:`chain_series_direct` to every truncation — that
     equivalence is the module's core correctness property and is enforced
@@ -1077,7 +1065,7 @@ def lower_bound_recursions_check(k_max: int = 4) -> bool:
     for ``l = 8``), the row of fixed-top characters at height pair ``l−1``
     must equal the row at height pair ``l`` times ``L_l``.  The character
     series on both sides are computed with :func:`chain_series_direct`, so
-    the check is independent of the upper transfer climb.
+    the check is independent of the upper system and of :func:`character`.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")

@@ -393,14 +393,13 @@ def gamma_affine(s: str, l: int, window: tuple[int, int]) -> Poly:
     """
     lo, hi = window
     g = gamma_quadrics()[s]
-    acc = Poly.zero()
+    acc: dict = {}
     for mono, c in g.coeffs.items():
         (a, _), (b, _) = ((wl.weight_from_apos(k), e) for k, e in mono)
         for l1 in range(max(lo, l - hi), min(hi, l - lo) + 1):
-            acc = acc + pr.monomial_poly(
-                pr.monomial_from_weights([(a[0], l1), (b[0], l - l1)]), c
-            )
-    return acc
+            m = pr.monomial_from_weights([(a[0], l1), (b[0], l - l1)])
+            acc[m] = acc[m] + c if m in acc else c
+    return Poly._of(acc)
 
 
 # ------------------------------------------------------- Fierz identities

@@ -250,7 +250,7 @@ def test_criterion_09_character_oracle_equivalence():
     criterion(
         9,
         not mismatches,
-        "10 seeded random intervals in the 3-level window: transfer-matrix "
+        "10 seeded random intervals in the 3-level window: down-set "
         "character and direct multichain sum agree in every (s,q,t) "
         f"coefficient to order 5; mismatches: {mismatches or 'none'}",
     )

@@ -1,7 +1,8 @@
 """Character series: exact rational chain series, transfer climb, Delannoy.
 
-The transfer-matrix climb is cross-checked against an independent
-dynamic-programming oracle (`chain_series_direct`), the Delannoy polynomials
+The down-set recursion behind `character` is cross-checked against an
+independent dynamic-programming oracle (`chain_series_direct`) and against a
+test-side transfer-matrix climb, the Delannoy polynomials
 against a square-array grid recurrence, and the ladder recursions against
 series expansion with full torus weights.
 """
@@ -150,12 +151,13 @@ def test_reduced_matches_plain_trial_division(base, planted, extra):
 
 
 def test_full_character_reduction_pinned():
-    # the full character of [(0)@0,(1)@1]: 4 of its 36 factors cancel
+    # the full character of [(0)@0,(1)@1] comes in lowest terms: one factor
+    # per element, and reduced() cancels none of them
     iv = wl.interval(W("(0)@0"), W("(1)@1"))
     c = cs.character(iv)
-    assert (len(c.num.coeffs), sum(c.den.values())) == (59036, 36)
+    assert (len(c.num.coeffs), sum(c.den.values())) == (10518, 32)
     r = c.reduced()
-    assert (len(r.num.coeffs), sum(r.den.values())) == (10518, 32)
+    assert r.num == c.num and r.den == c.den
     assert r.series(3) == cs.chain_series_direct(iv, 3)
 
 
@@ -271,12 +273,12 @@ def test_chain_series_matches_laurent_dp(data):
 
 
 def test_level_40000_character_is_the_shifted_level_0_one():
-    # the numerator reaches q^480002, past what 16-bit exponent fields hold
+    # the numerator reaches q^320000, past what 16-bit exponent fields hold
     lo, hi, n = W("(0)@0"), W("(1)@0"), 40000
     far = cs.character(wl.interval(wl.shift(lo, n), wl.shift(hi, n)))
     near = cs.character(wl.interval(lo, hi)).subs_t_qt(n)
     assert far.num == near.num and far.den == near.den
-    assert max(m[5] for m in far.num.coeffs) == 480002
+    assert max(m[5] for m in far.num.coeffs) == 320000
 
 
 def test_exponent_range_guard():
@@ -290,7 +292,7 @@ def test_exponent_range_guard():
     assert cs.RationalChar(top).series(0) == [top]
     with pytest.raises(ValueError, match="packed range"):
         cs.RationalChar(top * cs.LaurentPoly.monomial((0, 0, 0, 0, 0, 1, 0))).series(0)
-    # the climb and the DP refuse before packing, too
+    # the down-set recursion and the DP refuse before packing, too
     far = wl.interval(W("(0)@200000000"), W("(1)@200000000"))
     with pytest.raises(ValueError, match="packed range"):
         cs.character(far)
@@ -411,6 +413,62 @@ ORACLE_INTERVALS = [
 def test_character_matches_oracle(lo, hi, k):
     iv = wl.interval(W(lo), W(hi))
     assert cs.character(iv).series(k) == cs.chain_series_direct(iv, k)
+
+
+def climb_character(lo, hi, s_one=False, q_one=False) -> cs.RationalChar:
+    """The transfer climb: the row at the first height above lo holds
+    1/((1 − e_lo t)(1 − e_y t)) at each cover y of lo, each U_l then extends
+    the row by one height, and the answer is read off in hi's column."""
+    def single(w):
+        return cs.RationalChar.single(w).specialized(s_one=s_one, q_one=q_one)
+
+    h0, h1 = wl.ht(lo), wl.ht(hi)
+    row = [
+        single(lo) * single(y) if y in wl.covers_up(lo) else cs.RationalChar.zero()
+        for y in wl.ht_pair(h0 + 1)
+    ]
+    for l in range(h0 + 2, h1 + 1):
+        u = cs._matrix_chars(l, False, s_one, q_one)
+        row = [row[0] * u[0][j] + row[1] * u[1][j] for j in (0, 1)]
+    assert wl.ht_pair(h1)[wl.column_of(hi[0])] == hi
+    return row[wl.column_of(hi[0])]
+
+
+@pytest.mark.parametrize(
+    "lo,hi,spec",
+    [
+        ("(0)@0", "(1)@0", None),
+        ("(0)@0", "(15)@1", None),
+        ("(0)@0", "(5)@1", None),
+        ("(13)@0", "(13)@1", None),
+        ("(0)@0", "(1)@1", {"s": 1}),
+        ("(0)@0", "(1)@1", {"q": 1}),
+    ],
+)
+def test_character_matches_transfer_climb(lo, hi, spec):
+    s_one, q_one = cs._parse_specialize(spec)
+    want = climb_character(W(lo), W(hi), s_one, q_one).reduced()
+    got = cs.character(wl.interval(W(lo), W(hi)), specialize=spec).reduced()
+    assert got.num == want.num and got.den == want.den
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_character_in_lowest_terms(data):
+    tags = sorted(wl.COLUMN)
+    lo = (data.draw(st.sampled_from(tags)), 0)
+    hi = (data.draw(st.sampled_from(tags)), data.draw(st.integers(0, 1)))
+    assume(wl.leq(lo, hi) and wl.ht(hi) - wl.ht(lo) <= 12)
+    iv = wl.interval(lo, hi)
+    c = cs.character(iv)
+    r = c.reduced()
+    assert r.num == c.num and r.den == c.den
+    assert c.den == Counter(cs.weight_mono(x) for x in iv.elements)
+    oracle = cs.chain_series_direct(iv, 3)
+    for spec in ({}, {"s": 1}, {"q": 1}, {"s": 1, "q": 1}):
+        flags = {"s_one": "s" in spec, "q_one": "q" in spec}
+        got = cs.character(iv, specialize=spec or None).series(3)
+        assert got == [p.specialized(**flags) for p in oracle], spec
 
 
 def test_character_matches_oracle_random():

@@ -105,6 +105,18 @@ class TestCharacter:
             "fd068fe9fa67180557c85011ece1285fc32b2cef2fa4fcca0137fc71ed7c22f5"
         )
 
+    def test_full_flagship_character_artifact_pinned(self, tmp_path, capsys):
+        # 10,518 numerator terms over 32 factors; the SHA-256 is that of the
+        # artifact the transfer climb with reduced() wrote
+        code, text, artifact = run(
+            ["character", "--lo", "(0)@0", "--hi", "(1)@1"], tmp_path, capsys
+        )
+        assert code == 0 and text == artifact
+        assert json.loads(text)["denominator"].count("(1-") == 32
+        assert hashlib.sha256(artifact.encode()).hexdigest() == (
+            "ce4ddf3c97ad69baf2e7342d7ee5eb0f2dd399aecd98553004808fd7eb5f7fa7"
+        )
+
 
 class TestDiagramsAndTables:
     def test_hasse_dot_window_has_32_nodes(self, tmp_path, capsys):

@@ -298,6 +298,26 @@ def test_gamma_affine_mode_support():
     assert len(g.coeffs) == 8  # four monomials, two admissible splits each
 
 
+@pytest.mark.parametrize("window", [(0, 3), (5, 7)])
+def test_gamma_affine_equals_termwise_sum(window):
+    # the one-dict sum against the Poly sum taken one term at a time, for
+    # every label and every mode, the two empty modes at the ends included
+    lo, hi = window
+    for s in sa.GAMMA_LABELS:
+        for l in range(2 * lo - 1, 2 * hi + 2):
+            ref = pr.Poly.zero()
+            for mono, c in sa.gamma_quadrics()[s].coeffs.items():
+                a, b = (wl.weight_from_apos(k)[0] for k, _ in mono)
+                for l1 in range(lo, hi + 1):
+                    if lo <= l - l1 <= hi:
+                        ref = ref + pr.monomial_poly(
+                            pr.monomial_from_weights([(a, l1), (b, l - l1)]), c
+                        )
+            g = sa.gamma_affine(s, l, window)
+            assert list(g.coeffs.items()) == list(ref.coeffs.items()), (s, l)
+            assert all(type(c) is Fraction for c in g.coeffs.values())
+
+
 # ----------------------------------------------------------- Fierz identities
 
 
