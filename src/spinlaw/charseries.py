@@ -333,8 +333,11 @@ def _t_image(num: dict[Mono, Fraction]) -> list[int] | None:
         return []
     lo = min(e[6] for e in num)
     img = [0] * (max(e[6] for e in num) - lo + 1)
+    powers: list[dict[int, int]] = [{} for _ in _PT]  # x^e mod _P, per variable
     for e, c in num.items():
-        v = c.numerator * _sq_value(e)
+        v = c.numerator
+        for x, seen, k in zip(_PT, powers, e):
+            v = v * (seen[k] if k in seen else seen.setdefault(k, pow(x, k, _P))) % _P
         if c.denominator != 1:
             d = c.denominator % _P
             if not d:

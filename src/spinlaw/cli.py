@@ -417,6 +417,7 @@ def cmd_weyl_check(args):
     window = parse_window(args.window)
     hasse = sa.weyl_hasse_check(window)
     orbits = sa.weyl_orbit_check(window)
+    ok = orbits["finite_ok"] and orbits["affine_ok"] and orbits["l_image_ok"]
     edges = sa.generate_hasse(window)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -425,9 +426,9 @@ def cmd_weyl_check(args):
         "reflection_graph": hasse,
         "orbit_check": orbits,
         "regenerated_cover_count": len(edges),
-        "ok": True,
+        "ok": ok,
     }
-    return report, True, None, "json"
+    return report, ok, None, "json"
 
 
 def cmd_regseq_check(args):

@@ -37,12 +37,13 @@ True
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
 from fractions import Fraction
 
-from .weightlattice import Weight, apos, format_weight, parse_weight, weight_from_apos
+from .weightlattice import Weight, apos, parse_weight, weight_from_apos
 
 # A monomial: ((key, exponent), ...) with keys strictly increasing, exponents > 0.
 Monomial = tuple[tuple[int, int], ...]
@@ -191,14 +192,6 @@ class Poly:
     def zero(cls) -> "Poly":
         return cls()
 
-    @classmethod
-    def from_terms(cls, terms) -> "Poly":
-        """Sum an iterable of ``(coefficient, monomial)`` pairs."""
-        acc: dict[Monomial, Fraction] = {}
-        for c, m in terms:
-            acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
-        return cls(acc)
-
     # -- predicates and views
 
     def is_zero(self) -> bool:
@@ -315,6 +308,70 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     return left - right
 
 
+def _exact(c: Fraction):
+    """`c` as an int when it is integral, else `c` itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _desc_key(m: Monomial) -> tuple:
+    """:func:`monomial_sort_key` negated: the largest monomial sorts first (no
+    key is a proper prefix of another, each ends in the sentinel)."""
+    return tuple(-x for x in monomial_sort_key(m))
+
+
+def _reducer(basis):
+    """:func:`reduce` by a fixed ordered basis as ``run(f, track)``, with the
+    tips, leading coefficients and tails (the other terms) worked out once."""
+    basis = list(basis)
+    tips = [tip(g) for g in basis]
+    lcs = [_exact(g.coeffs[t]) for g, t in zip(basis, tips)]
+    tails = [[(m, _exact(c)) for m, c in g.coeffs.items() if m != t]
+             for g, t in zip(basis, tips)]
+    # a tip divides only monomials holding its smallest key; a constant, all
+    const = next((i for i, t in enumerate(tips) if not t), None)
+    buckets: dict[int, list[tuple[int, Monomial]]] = {}
+    for i, t in enumerate(tips):
+        if t:
+            buckets.setdefault(t[0][0], []).append((i, t))
+
+    def run(f: Poly, track: bool = False):
+        r = {m: _exact(c) for m, c in f.coeffs.items()}
+        heap = [(_desc_key(m), m) for m in r]
+        heapq.heapify(heap)
+        quotients: list[dict] = [{} for _ in basis]
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c = r[m]
+            if not c:
+                continue  # left as a zero: it is never pushed again
+            em, i = dict(m), const  # the first element whose tip divides m
+            for k in em:
+                for j, t in buckets.get(k, ()):
+                    if i is not None and j >= i:
+                        break
+                    if all(em.get(kt, 0) >= e for kt, e in t):
+                        i = j
+                        break
+            if i is None:
+                continue
+            del r[m]
+            lead = lcs[i]
+            exact = type(c) is type(lead) is int and not c % lead
+            q = c // lead if exact else _exact(Fraction(c, lead))
+            qm = monomial_div(m, tips[i])
+            for tm, tc in tails[i]:
+                mm = monomial_mul(qm, tm)
+                if mm not in r:
+                    heapq.heappush(heap, (_desc_key(mm), mm))
+                r[mm] = r.get(mm, 0) - q * tc
+            quotients[i][qm] = q
+        rem = Poly._of({m: Fraction(c) for m, c in r.items()})
+        return (rem, [Poly._of({m: Fraction(c) for m, c in qs.items()})
+                      for qs in quotients]) if track else rem
+
+    return run
+
+
 def reduce(f: Poly, basis, *, track: bool = False):
     """Fully reduce `f` modulo an ordered list of nonzero polynomials.
 
@@ -323,29 +380,15 @@ def reduce(f: Poly, basis, *, track: bool = False):
     order) whose tip divides it.  The result has no monomial divisible by
     any tip.  With ``track=True`` the quotients are returned as well, so
     that ``f == sum(q[i] * basis[i]) + remainder`` exactly.
+
+    The remainder is a dict plus a max-heap of its monomials: pop the
+    largest, leave it if no tip divides it, else subtract ``q·tail`` in place
+    and push only monomials new to the dict.  A rewrite at ``m`` adds only
+    monomials below ``m`` (grevlex is a monomial order), so the largest
+    reducible monomial is always the next one popped: the steps are those of
+    re-sorting the remainder before each one.
     """
-    basis = list(basis)
-    tips = [tip(g) for g in basis]
-    lcs = [lc(g) for g in basis]
-    r = Poly(dict(f.coeffs))
-    quotients = [Poly.zero() for _ in basis]
-    while True:
-        hit = None
-        for m in sorted(r.coeffs, key=monomial_sort_key, reverse=True):
-            for i, tg in enumerate(tips):
-                if monomial_divides(tg, m):
-                    hit = (m, i)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        m, i = hit
-        q = monomial_poly(monomial_div(m, tips[i]), r[m] / lcs[i])
-        r = r - q * basis[i]
-        if track:
-            quotients[i] = quotients[i] + q
-    return (r, quotients) if track else r
+    return _reducer(basis)(f, track)
 
 
 def buchberger_check(basis) -> dict[tuple[int, int], Poly]:
@@ -355,17 +398,17 @@ def buchberger_check(basis) -> dict[tuple[int, int], Poly]:
     Returns ``{(i, j): remainder}`` over those pairs; the rewriting system
     is confluent at this stage exactly when every remainder is zero.  Pairs
     with coprime leading monomials are skipped (their S-polynomials reduce
-    to zero automatically).
+    to zero automatically).  One reducer serves every pair, so the tips are
+    worked out once; the remainders are those of :func:`reduce`.
     """
     basis = list(basis)
+    run = _reducer(basis)
+    keys = [{k for k, _ in tip(g)} for g in basis]
     out: dict[tuple[int, int], Poly] = {}
     for i in range(len(basis)):
-        keys_i = {k for k, _ in tip(basis[i])}
         for j in range(i + 1, len(basis)):
-            keys_j = {k for k, _ in tip(basis[j])}
-            if keys_i.isdisjoint(keys_j):
-                continue
-            out[(i, j)] = reduce(s_polynomial(basis[i], basis[j]), basis)
+            if not keys[i].isdisjoint(keys[j]):
+                out[(i, j)] = run(s_polynomial(basis[i], basis[j]))
     return out
 
 
@@ -576,16 +619,3 @@ def parse_poly(text: str) -> Poly:
         acc = acc + Poly({tuple(sorted(exps.items())): coeff})
     return acc
 
-
-def poly_weights_used(f: Poly) -> list[Weight]:
-    """Sorted list of distinct weights whose variables occur in `f`."""
-    keys = {k for m in f.coeffs for k, _ in m}
-    return [weight_from_apos(k) for k in sorted(keys)]
-
-
-def describe_poly(f: Poly) -> str:
-    """Human-oriented one-liner: leading term first, then the rest."""
-    if f.is_zero():
-        return "0"
-    ws = ", ".join(format_weight(w) for w in poly_weights_used(f))
-    return f"{format_poly(f)}   [vars: {ws}]"

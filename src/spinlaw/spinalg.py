@@ -383,13 +383,15 @@ def gamma_monomial_coeff(s: str, alpha: Weight, beta: Weight) -> Fraction:
     return gamma_quadrics()[s][pr.monomial_from_weights([alpha, beta])]
 
 
+@lru_cache(maxsize=512)
 def gamma_affine(s: str, l: int, window: tuple[int, int]) -> Poly:
     """Mode l of the affinized quadric Γ^{s^l}, projected to a level window.
 
     Each monomial c·λ^α λ^β of Γ^s spawns c·λ^{α^{l₁}} λ^{β^{l₂}} for every
     integer split l₁ + l₂ = l; the projection keeps the splits with both
     levels inside [window[0], window[1]].  Modes outside [2·lo, 2·hi]
-    project to zero.
+    project to zero.  Cached and shared (do not mutate): a window of w levels
+    asks for 10·(4w − 3) arguments (130 for 0..3), so 512 fit 13 levels.
     """
     lo, hi = window
     g = gamma_quadrics()[s]
@@ -463,12 +465,16 @@ def affine_fierz(alpha_tag: str, k: int, window: tuple[int, int]) -> Poly:
 
     The result is the zero polynomial whenever the window holds every
     contributing variable; a nonzero residue signals a truncated window and
-    is returned for inspection rather than silently discarded.
+    is returned for inspection rather than silently discarded.  The terms
+    c·λ^{β^{l'}}·Γ^{s^l} are summed into one dict, wrapped once.
     """
-    residue = Poly.zero()
+    residue: dict = {}
     for c, bw, (s, l) in affine_fierz_terms(alpha_tag, k, window):
-        residue = residue + c * pr.lam(bw) * gamma_affine(s, l, window)
-    return residue
+        var = ((wl.apos(bw), 1),)
+        for mono, g in gamma_affine(s, l, window).coeffs.items():
+            m = pr.monomial_mul(var, mono)
+            residue[m] = residue[m] + c * g if m in residue else c * g
+    return Poly._of(residue)
 
 
 # ------------------------------------------------------------ torus weights
@@ -778,34 +784,38 @@ def weyl_hasse_check(window: tuple[int, int]) -> dict:
 def weyl_orbit_check(window: tuple[int, int] = (0, 1), slack: int = 2) -> dict:
     """Check that every clutter lies in a single orbit on unordered pairs.
 
-    Finite part: the orbit of ψ((14),(23)) under s₁..s₅ contains the ψ-image
-    of all ten incomparable pairs of E.  Affine part: the orbit under
-    s₁..s₆, explored inside the window widened by `slack` levels, contains
-    the ψ-image of every clutter of [ (0)^lo, (1)^hi ].
+    Finite part: the orbit of ψ((14)^0),ψ((23)^0) under s₁..s₅ contains the
+    ψ-image of all ten incomparable pairs of E.  Affine part: the orbit of
+    ψ((14)^lo),ψ((23)^lo) under s₁..s₆, explored inside the window widened
+    by `slack` levels, contains the ψ-image of every clutter of
+    [ (0)^lo, (1)^hi ].
     """
-    seed = frozenset((psi(("(14)", 0)), psi(("(23)", 0))))
+    lo, hi = window
 
-    def orbit(gens, start, level_ok):
+    def orbit(gens, level, level_ok):
+        start = frozenset((psi(("(14)", level)), psi(("(23)", level))))
+        images = [(g.apply, {}) for g in gens]  # one node-image memo per generator
         seen = {start}
         stack = [start]
         while stack:
             pair = stack.pop()
-            for g in gens:
-                img = frozenset(g.apply(x) for x in pair)
+            for apply, memo in images:
+                img = frozenset(
+                    memo[x] if x in memo else memo.setdefault(x, apply(x)) for x in pair
+                )
                 if len(img) == 2 and img not in seen:
                     if all(level_ok(x) for x in img):
                         seen.add(img)
                         stack.append(img)
         return seen
 
-    finite_orbit = orbit(FINITE_GENERATORS, seed, lambda x: x[1] == 0)
+    finite_orbit = orbit(FINITE_GENERATORS, 0, lambda x: x[1] == 0)
     m_pairs = {
         frozenset((psi(a), psi(b)))
         for a, b in wl.clutters(wl.interval(("(0)", 0), ("(1)", 0)))
     }
-    lo, hi = window
     affine_orbit = orbit(
-        AFFINE_GENERATORS, seed, lambda x: lo - slack <= x[1] <= hi + slack
+        AFFINE_GENERATORS, lo, lambda x: lo - slack <= x[1] <= hi + slack
     )
     window_clutters = {
         frozenset((psi(a), psi(b)))

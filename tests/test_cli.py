@@ -11,6 +11,7 @@ import pytest
 
 import spinlaw.cli as cli
 import spinlaw.richardson as rich
+import spinlaw.spinalg as sa
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "obstructions.json").read_text()
@@ -241,6 +242,32 @@ class TestChecks:
         assert report["regenerated_cover_count"] == \
             report["reflection_graph"]["edges"]
 
+    def test_weyl_affine_orbit_seeded_at_the_window_bottom(self, tmp_path, capsys):
+        code, text, _ = run(["weyl-check", "--window", "3..6"], tmp_path, capsys)
+        assert code == 0
+        report = json.loads(text)
+        assert report["ok"] is True and report["orbit_check"]["affine_ok"] is True
+        assert report["orbit_check"]["affine_orbit_size"] == 2560
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["groebner-check", "--lo", "(0)@0", "--hi", "(1)@3"],
+             "0fdcb8ae9221aab5cee66fb5150e14dcf2c34919c80225daee9893c417492a50"),
+            (["fierz-check", "--window", "0..3"],
+             "5655a271f1a8792b343ef1925717f106c8834fc4ee12c316bc028a68e2c237ae"),
+            (["weyl-check", "--window", "0..3"],
+             "8fe7fd17549ba494ca3d061c1b888ec037eeb9c951dc46f6750968b0610ab226"),
+        ],
+        ids=["groebner-(1)@3", "fierz-0..3", "weyl-0..3"],
+    )
+    def test_check_artifacts_pinned(self, argv, digest, tmp_path, capsys):
+        # SHA-256s of the artifacts written by the sort-every-step reduce,
+        # the term-by-term Fierz residue sum and the unmemoised Weyl orbits
+        code, text, artifact = run(argv, tmp_path, capsys)
+        assert code == 0 and text == artifact
+        assert hashlib.sha256(artifact.encode()).hexdigest() == digest
+
     def test_regseq(self, tmp_path, capsys):
         code, text, _ = run(
             ["regseq-check", "--lo", "(0)@0", "--hi", "(5)@0",
@@ -311,6 +338,19 @@ class TestExitCodes:
         )
         assert code == 3
         assert json.loads(text)["ok"] is False
+        assert artifact == text
+
+    @pytest.mark.parametrize("flag", ["finite_ok", "affine_ok", "l_image_ok"])
+    def test_weyl_orbit_failure_exits_3(self, flag, tmp_path, capsys,
+                                        monkeypatch):
+        real = sa.weyl_orbit_check
+        monkeypatch.setattr(
+            sa, "weyl_orbit_check", lambda window: {**real(window), flag: False}
+        )
+        code, text, artifact = run(["weyl-check"], tmp_path, capsys)
+        assert code == 3
+        report = json.loads(text)
+        assert report["ok"] is False and report["orbit_check"][flag] is False
         assert artifact == text
 
     def test_hard_failure_exits_3_with_report(self, tmp_path, capsys,

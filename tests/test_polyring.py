@@ -121,12 +121,14 @@ def test_tip_of_reference_quadrics_is_the_incomparable_pair():
 # ------------------------------------------------------------- arithmetic
 
 
-def polys(keys=KEYS[:4]):
+def polys(keys=KEYS[:4], min_size=0, max_size=5):
     monos = st.lists(st.sampled_from(keys), max_size=3).map(pr.monomial)
     coeffs = st.fractions(
         min_value=-4, max_value=4, max_denominator=3
     ).filter(lambda c: c != 0)
-    return st.dictionaries(monos, coeffs, max_size=5).map(pr.Poly)
+    return st.dictionaries(
+        monos, coeffs, min_size=min_size, max_size=max_size
+    ).map(pr.Poly)
 
 
 @settings(max_examples=200)
@@ -216,6 +218,82 @@ def test_buchberger_check_confluent_pair():
     out = pr.buchberger_check([X0 * X1, X1 * X2])
     assert set(out) == {(0, 1)}
     assert out[(0, 1)].is_zero()
+
+
+# --------------------------------------- reduce against a sort-every-step oracle
+
+
+def reduce_oracle(f, basis):
+    """Division that re-sorts the whole remainder before every step, then
+    rewrites its largest monomial some tip divides by the first such basis
+    element.  Returns ``(remainder, quotients)``."""
+    tips = [pr.tip(g) for g in basis]
+    lcs = [pr.lc(g) for g in basis]
+    r = pr.Poly(dict(f.coeffs))
+    quotients = [pr.Poly.zero() for _ in basis]
+    while True:
+        hit = None
+        for m in sorted(r.coeffs, key=pr.monomial_sort_key, reverse=True):
+            for i, tg in enumerate(tips):
+                if pr.monomial_divides(tg, m):
+                    hit = (m, i)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return r, quotients
+        m, i = hit
+        q = pr.monomial_poly(pr.monomial_div(m, tips[i]), r[m] / lcs[i])
+        r = r - q * basis[i]
+        quotients[i] = quotients[i] + q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduce_matches_sort_every_step_oracle(data):
+    # Fraction and non-unit leading coefficients, mixed degrees, a tip
+    # repeated with another tail, maybe a constant element, any order
+    basis = data.draw(st.lists(polys(min_size=1, max_size=4), min_size=1, max_size=4))
+    g = data.draw(st.sampled_from(basis))
+    t = pr.tip(g)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(g.coeffs),
+                              max_size=len(g.coeffs)))
+    scale = data.draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    basis.append(pr.Poly({m: scale * c for (m, c), k in zip(g.coeffs.items(), keep)
+                          if k or m == t}))
+    if data.draw(st.booleans()):
+        basis.append(pr.Poly({pr.ONE: data.draw(st.sampled_from([1, -3, Fraction(2, 5)]))}))
+    basis = data.draw(st.permutations(basis))
+    f = data.draw(polys(min_size=1, max_size=8))
+    want_r, want_q = reduce_oracle(f, basis)
+    r, q = pr.reduce(f, basis, track=True)
+    assert r == want_r and q == want_q
+    assert pr.reduce(f, basis) == want_r
+    for p in [r, *q]:
+        assert all(type(c) is Fraction and c != 0 for c in p.coeffs.values())
+
+
+def test_reduce_by_a_constant_and_by_repeated_tips():
+    # x0·x1 has no divisor but the constant; x2 is the tip of x2 − x0
+    r, q = pr.reduce(X0 * X1 + 3 * X2, [X2 - X0, pr.Poly({pr.ONE: 2})], track=True)
+    assert r.is_zero()
+    assert q == [3 * pr.Poly({pr.ONE: 1}), Fraction(1, 2) * X0 * X1 + Fraction(3, 2) * X0]
+    # both elements have tip x2; the first in list order divides
+    r, q = pr.reduce(X1 * X2, [X2 - X0, 2 * X2 + X1], track=True)
+    assert r == X0 * X1 and q[1].is_zero()
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_buchberger_check_matches_oracle_on_intervals(r):
+    bodies = [x.body for x in rich.build_relations(
+        wl.interval(W("(0)@0"), W(f"(1)@{r}")))]
+    tips = [pr.tip(g) for g in bodies]
+    want = {
+        (i, j): reduce_oracle(pr.s_polynomial(bodies[i], bodies[j]), bodies)[0]
+        for i in range(len(bodies)) for j in range(i + 1, len(bodies))
+        if {k for k, _ in tips[i]} & {k for k, _ in tips[j]}
+    }
+    assert pr.buchberger_check(bodies) == want
 
 
 # ------------------------------------------------- graded quotient dims
