@@ -10,7 +10,7 @@ is the weighted chain-counting series
 
 Characters live in the half-step variables ``s₁..s₅`` (``s_i² = z_i``), the
 loop variable ``q``, and ``t``; a weight contributes the Laurent monomial
-with exponent vector :func:`spinlaw.spinalg.torus_weight`.
+with exponent vector :func:`spinlaw.weightlattice.torus_weight`.
 
 The module computes the series several independent ways and cross-checks
 them:
@@ -71,11 +71,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .spinalg import torus_weight
 from .weightlattice import (
     Interval,
     Tail,
     Weight,
+    chain_length,
     decompose_below,
     format_weight,
     ht,
@@ -83,6 +83,7 @@ from .weightlattice import (
     interval,
     leq,
     meet,
+    torus_weight,
 )
 
 # ---------------------------------------------------------------- monomials
@@ -904,7 +905,12 @@ def _parse_specialize(specialize) -> tuple[bool, bool]:
     return flags["s"], flags["q"]
 
 
-@lru_cache(maxsize=None)
+# One CLI run or benchmark job asks for at most 17 distinct arguments:
+# `character` and `dims` for one, `delannoy-check` for max(r_max, k_max, 2) + 1
+# (17 at --r-max 12 --k-max 16, 9 by default), recursion_check_J(1, 4) for 8
+# (and 4 repeats).  delannoy_acceptance holds the characters it asked for, so
+# a longer ladder is computed once whatever the size.
+@lru_cache(maxsize=32)
 def _character(lo: Weight, hi: Weight, s_one: bool, q_one: bool) -> RationalChar:
     if lo == hi:
         return RationalChar.single(lo).specialized(s_one=s_one, q_one=q_one)
@@ -994,6 +1000,26 @@ def pole_order(c: RationalChar) -> int:
             raise ValueError(f"unexpected specialized denominator factor {m}")
         order += mult
     return order
+
+
+def dimension_report(iv: Interval) -> dict:
+    """Three dimension readings, reported side by side, never reconciled.
+
+    ``chain_len`` counts the elements of a longest chain, ``ht_diff`` is the
+    height difference of the endpoints, and ``pole_order`` is the order of
+    the ``t = 1`` pole of the specialized character.
+
+    >>> dimension_report(interval(("(0)", 0), ("(1)", 0)))
+    {'chain_len': 11, 'ht_diff': 10, 'pole_order': 11}
+    >>> dimension_report(interval(("(0)", 0), ("(0)", 0)))
+    {'chain_len': 1, 'ht_diff': 0, 'pole_order': 1}
+    """
+    c = character(iv, specialize={"s": 1, "q": 1})
+    return {
+        "chain_len": chain_length(iv),
+        "ht_diff": ht(iv.hi) - ht(iv.lo),
+        "pole_order": pole_order(c),
+    }
 
 
 # ----------------------------------------------------- recursion validation

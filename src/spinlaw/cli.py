@@ -11,6 +11,11 @@ Exit codes: 0 — all asserted properties hold; 2 — configuration or parse
 error, or the run ran out of memory or recursion depth (nothing is
 written); 3 — a checked property failed (the report is still written, with
 ``"ok": false``).
+
+Each subcommand imports the library layers it runs inside its ``cmd_*``
+function, so a run loads only those: ``character``, ``dims`` and
+``delannoy-check`` load ``charseries`` (on ``weightlattice``), ``hasse`` and
+``--help`` load ``weightlattice`` alone.
 """
 
 from __future__ import annotations
@@ -21,10 +26,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import charseries as cs
-from . import polyring as pr
-from . import richardson as rich
-from . import spinalg as sa
 from . import weightlattice as wl
 
 SCHEMA_VERSION = 1
@@ -37,7 +38,15 @@ MONO_VARS_TEX = ("s_1", "s_2", "s_3", "s_4", "s_5", "q", "t")
 
 
 def format_mono(m, names=MONO_VARS, *, tex: bool = False) -> str:
-    """Render an exponent vector: ``(0,…,0,2)`` → ``"t^2"``, zeros → ``"1"``."""
+    """Render an exponent vector: ``(0,…,0,2)`` → ``"t^2"``, zeros → ``"1"``.
+
+    >>> format_mono((0, 0, 0, 0, 0, 0, 2))
+    't^2'
+    >>> format_mono((0,) * 7)
+    '1'
+    >>> format_mono((1, 0, 0, 0, 0, 3, 1), MONO_VARS_TEX, tex=True)
+    's_1q^{3}t'
+    """
     parts = []
     for name, e in zip(names, m):
         if e == 0:
@@ -53,8 +62,8 @@ def format_mono(m, names=MONO_VARS, *, tex: bool = False) -> str:
     return ("" if tex else "*").join(parts)
 
 
-def format_laurent(p: cs.LaurentPoly, *, tex: bool = False) -> str:
-    """Render a Laurent polynomial: ``1+5t+5t^2+t^3``."""
+def format_laurent(p, *, tex: bool = False) -> str:
+    """Render a :class:`~spinlaw.charseries.LaurentPoly`: ``1+5t+5t^2+t^3``."""
     if p.is_zero():
         return "0"
     names = MONO_VARS_TEX if tex else MONO_VARS
@@ -74,7 +83,13 @@ def format_laurent(p: cs.LaurentPoly, *, tex: bool = False) -> str:
 
 
 def format_denominator(den, *, tex: bool = False) -> str:
-    """Render a factor multiset: ``{t: 11}`` → ``"(1-t)^11"``."""
+    """Render a factor multiset: ``{t: 11}`` → ``"(1-t)^11"``.
+
+    >>> format_denominator({(0, 0, 0, 0, 0, 0, 1): 11})
+    '(1-t)^11'
+    >>> format_denominator({})
+    '1'
+    """
     if not den:
         return "1"
     names = MONO_VARS_TEX if tex else MONO_VARS
@@ -110,6 +125,15 @@ def render_csv(rows: list[dict], columns: list[str]) -> str:
 
 
 def parse_window(text: str) -> tuple[int, int]:
+    """``"0..1"`` → ``(0, 1)``; both bounds are levels, and ``lo <= hi``.
+
+    >>> parse_window("0..1")
+    (0, 1)
+    >>> parse_window("2..1")
+    Traceback (most recent call last):
+    ...
+    ValueError: window is empty: '2..1'
+    """
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError(f"window must look like 0..1, got {text!r}")
@@ -190,6 +214,10 @@ def cmd_hasse(args):
 
 
 def cmd_relations(args):
+    from . import polyring as pr
+    from . import richardson as rich
+    from . import spinalg as sa
+
     iv = parse_interval(args)
     rels = rich.build_relations(iv)
     rels.sort(key=lambda r: (r.l, sa.GAMMA_LABELS.index(r.s)))
@@ -232,6 +260,9 @@ def cmd_relations(args):
 
 
 def cmd_groebner_check(args):
+    from . import polyring as pr
+    from . import richardson as rich
+
     iv = parse_interval(args)
     bodies = [r.body for r in rich.build_relations(iv)]
     remainders = pr.buchberger_check(bodies)
@@ -249,6 +280,9 @@ def cmd_groebner_check(args):
 
 
 def cmd_fierz_check(args):
+    from . import polyring as pr
+    from . import spinalg as sa
+
     window = parse_window(args.window)
     # h_{α^n} pairs a variable of level l' with the quadric mode n − l', which
     # is zero outside 2·lo..2·hi, so only modes 3·lo..3·hi have terms.
@@ -279,6 +313,9 @@ def cmd_fierz_check(args):
 
 
 def cmd_straightened_check(args):
+    from . import polyring as pr
+    from . import richardson as rich
+
     iv = parse_interval(args)
     if args.k_max < 0:
         raise ValueError("--k-max must be >= 0")
@@ -312,6 +349,8 @@ def cmd_straightened_check(args):
 
 
 def cmd_obstructions(args):
+    from . import richardson as rich
+
     iv = parse_interval(args)
     entries = []
     for e in rich.obstruction_coverage(iv):
@@ -357,8 +396,10 @@ def cmd_obstructions(args):
 
 
 def cmd_dims(args):
+    from . import charseries as cs
+
     iv = parse_interval(args)
-    rep = rich.dimension_report(iv)
+    rep = cs.dimension_report(iv)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "dims",
@@ -371,6 +412,8 @@ def cmd_dims(args):
 
 
 def cmd_character(args):
+    from . import charseries as cs
+
     iv = parse_interval(args)
     spec = parse_specialize(args.specialize)
     c = cs.character(iv, specialize=spec or None).reduced()
@@ -398,6 +441,8 @@ def cmd_character(args):
 
 
 def cmd_delannoy_check(args):
+    from . import charseries as cs
+
     ok = cs.delannoy_acceptance(args.r_max, args.k_max)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -414,6 +459,8 @@ def cmd_delannoy_check(args):
 
 
 def cmd_weyl_check(args):
+    from . import spinalg as sa
+
     window = parse_window(args.window)
     hasse = sa.weyl_hasse_check(window)
     orbits = sa.weyl_orbit_check(window)
@@ -432,6 +479,8 @@ def cmd_weyl_check(args):
 
 
 def cmd_regseq_check(args):
+    from . import richardson as rich
+
     iv = parse_interval(args)
     if args.d_max < 2:
         raise ValueError("--d-max must be >= 2")

@@ -16,8 +16,10 @@ enumerates the noncommutative obstructions — triples of variables whose
 product admits two distinct clutter factorizations — and certifies that
 every obstruction pair is resolved, with opposite unit signs, by one of the
 bilinear Fierz elements ``h_{α^n}``.  Dimension and depth diagnostics
-(longest chain, height difference, character pole order, regular-sequence
-test on the height-graded linear forms) complete the picture.
+complete the picture: the regular-sequence test on the height-graded linear
+forms, and :func:`dimension_report` (longest chain, height difference,
+character pole order), which lives in :mod:`spinlaw.charseries` and is
+re-exported here.
 
 All arithmetic is exact; every structural claim is either checked against
 an independent oracle here or raised as a hard error when falsified.
@@ -30,10 +32,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import charseries as cs
 from . import polyring as pr
 from . import spinalg as sa
 from . import weightlattice as wl
+from .charseries import dimension_report
 from .polyring import Poly
 from .spinalg import GAMMA_LABELS
 from .weightlattice import (
@@ -333,7 +335,11 @@ def enumerate_obstructions(iv: Interval) -> list[ObstructionPair]:
     return out
 
 
-@lru_cache(maxsize=None)
+# Obstruction pairs span at most two adjacent levels, so a run asks for spans
+# 0 and 1 only: 10·(2·span + 1) arguments each, 40 in all (measured on all 628
+# intervals with lo at level 0 and hi at levels 0..2, and [(0)@0,(1)@r] for
+# r ≤ 5).
+@lru_cache(maxsize=64)
 def _affine_clutter(s: str, l: int, span: int) -> frozenset[Weight] | None:
     """The unique clutter of the mode-``l`` quadric on the window ``[0, span]``."""
     cls = _clutter_monomials(sa.gamma_affine(s, l, (0, span)))
@@ -342,7 +348,7 @@ def _affine_clutter(s: str, l: int, span: int) -> frozenset[Weight] | None:
     return frozenset(cls[0]) if cls else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # spans 0 and 1, see _affine_clutter
 def _coverage_index(span: int) -> dict:
     """Map (outer weight, inner clutter) -> {(α, n): product coefficient}.
 
@@ -445,29 +451,6 @@ def obstruction_coverage_check(iv: Interval) -> bool:
     """
     obstruction_coverage(iv)
     return True
-
-
-# ------------------------------------------------------------- dimensions
-
-
-def dimension_report(iv: Interval) -> dict:
-    """Three dimension readings, reported side by side, never reconciled.
-
-    ``chain_len`` counts the elements of a longest chain, ``ht_diff`` is the
-    height difference of the endpoints, and ``pole_order`` is the order of
-    the ``t = 1`` pole of the specialized character.
-
-    >>> dimension_report(interval(parse_weight("(0)@0"), parse_weight("(1)@0")))
-    {'chain_len': 11, 'ht_diff': 10, 'pole_order': 11}
-    >>> dimension_report(interval(parse_weight("(0)@0"), parse_weight("(0)@0")))
-    {'chain_len': 1, 'ht_diff': 0, 'pole_order': 1}
-    """
-    c = cs.character(iv, specialize={"s": 1, "q": 1})
-    return {
-        "chain_len": wl.chain_length(iv),
-        "ht_diff": ht(iv.hi) - ht(iv.lo),
-        "pole_order": cs.pole_order(c),
-    }
 
 
 def regular_sequence_check(iv: Interval, d_max: int) -> bool:

@@ -16,8 +16,10 @@ From this model the module derives, with exact rational arithmetic:
   expanded reference list, plus their affinized modes Γ^{s^l};
 * the sixteen Fierz elements h_α (and their affinized windows), whose
   substitution x_s → Γ^s collapses to the zero polynomial — checked exactly;
-* torus weights of the weight lines, the involution u = e₂e₃e₄e₅, and the
-  signed-permutation Weyl machinery with the graph construction Q(X, s₁…s₆).
+* products and inverses of torus weights (:func:`torus_weight` itself lives
+  in :mod:`spinlaw.weightlattice` and is re-exported here), the involution
+  u = e₂e₃e₄e₅, and the signed-permutation Weyl machinery with the graph
+  construction Q(X, s₁…s₆).
 
 All tables are computed once, cached, and immutable thereafter.
 """
@@ -34,7 +36,7 @@ from functools import lru_cache
 from . import polyring as pr
 from . import weightlattice as wl
 from .polyring import Poly
-from .weightlattice import TAGS, Weight
+from .weightlattice import TAGS, Weight, torus_weight  # noqa: F401
 
 # --------------------------------------------------------------- Fock space
 
@@ -478,29 +480,6 @@ def affine_fierz(alpha_tag: str, k: int, window: tuple[int, int]) -> Poly:
 
 
 # ------------------------------------------------------------ torus weights
-
-
-def torus_weight(w: Weight) -> tuple[int, int, int, int, int, int]:
-    """Exponent vector (a₁..a₅, m) of the weight e_α q^level in the
-    half-step variables s_i (s_i² = z_i) and the loop variable q.
-
-    >>> torus_weight(("(0)", 0))
-    (-1, -1, -1, -1, -1, 0)
-    >>> torus_weight(("(3)", 2))
-    (1, 1, -1, 1, 1, 2)
-    """
-    tag, level = w
-    digits = tag.strip("()")
-    if digits == "0":
-        s = [-1] * 5
-    elif len(digits) == 2:
-        s = [-1] * 5
-        s[int(digits[0]) - 1] = 1
-        s[int(digits[1]) - 1] = 1
-    else:
-        s = [1] * 5
-        s[int(digits) - 1] = -1
-    return (*s, level)
 
 
 def tw_mul(a, b):

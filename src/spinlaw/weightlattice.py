@@ -26,14 +26,14 @@ pairs").  Weights are represented as ``(tag, level)`` tuples such as
 This module owns the pure combinatorics: covers, the order relation, meets
 and joins, intervals, clutters (incomparable pairs), height bookkeeping, the
 total-order position of each element used by the polynomial layer, the level
-shift, the order-reversing involution, and DOT/JSON emitters for Hasse
-diagrams.
+shift, the order-reversing involution, the torus weight of each element, and
+DOT/JSON emitters for Hasse diagrams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import re
+from collections import namedtuple
 
 Weight = tuple[str, int]
 
@@ -205,6 +205,29 @@ def anti_auto(w: Weight) -> Weight:
     Satisfies ``ht(anti_auto(w)) == 10 - ht(w)`` and reverses ``leq``.
     """
     return (U_TAG[w[0]], -w[1])
+
+
+def torus_weight(w: Weight) -> tuple[int, int, int, int, int, int]:
+    """Exponent vector (a₁..a₅, m) of the weight e_α q^level in the
+    half-step variables s_i (s_i² = z_i) and the loop variable q.
+
+    >>> torus_weight(("(0)", 0))
+    (-1, -1, -1, -1, -1, 0)
+    >>> torus_weight(("(3)", 2))
+    (1, 1, -1, 1, 1, 2)
+    """
+    tag, level = w
+    digits = tag.strip("()")
+    if digits == "0":
+        s = [-1] * 5
+    elif len(digits) == 2:
+        s = [-1] * 5
+        s[int(digits[0]) - 1] = 1
+        s[int(digits[1]) - 1] = 1
+    else:
+        s = [1] * 5
+        s[int(digits) - 1] = -1
+    return (*s, level)
 
 
 def covers_up(w: Weight) -> tuple[Weight, ...]:
@@ -385,15 +408,13 @@ def chain_length(iv: Interval) -> int:
     return best[iv.hi]
 
 
-@dataclass(frozen=True)
-class Tail:
-    """Decomposition step: a unique maximal element below the top."""
+class Tail(namedtuple("Tail", "below")):
+    """Decomposition step: ``below`` is the unique maximal element below the top."""
 
-    below: Weight
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(namedtuple("Pair", "tail other")):
     """Decomposition step: two maximal elements below the top.
 
     ``tail`` is a side whose lower set ``[lo, tail)`` equals
@@ -401,8 +422,7 @@ class Pair:
     needs.  When both sides qualify the :func:`apos`-smaller one is chosen.
     """
 
-    tail: Weight
-    other: Weight
+    __slots__ = ()
 
 
 def decompose_below(iv: Interval, top: Weight | None = None) -> Tail | Pair:

@@ -445,3 +445,76 @@ class TestDeterminismAndPlumbing:
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert (tmp_path / "d.json").read_text() == proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["character", "--lo", "(0)@0", "--hi", "(1)@1",
+             "--specialize", "q=1"],
+            ["relations", "--lo", "(0)@0", "--hi", "(1)@1", "--format", "csv"],
+            ["hasse", "--window", "0..1", "--format", "dot"],
+        ],
+        ids=["character", "relations", "hasse"],
+    )
+    def test_artifacts_identical_across_hash_seeds(self, argv, tmp_path):
+        # str hashing, hence set and dict-of-set iteration order, changes with
+        # PYTHONHASHSEED; no artifact may depend on it
+        artifacts = []
+        for seed in ("0", "12345"):
+            out = tmp_path / f"artifact-{seed}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinlaw.cli", *argv, "--out", str(out)],
+                capture_output=True, env={**checkout_env(), "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert out.read_bytes() == proc.stdout
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1]
+
+
+# What each subcommand may load of the package: the layers it runs and no more.
+CHARACTER_PATH = {"spinlaw", "spinlaw.cli", "spinlaw.weightlattice",
+                  "spinlaw.charseries"}
+LATTICE_PATH = {"spinlaw", "spinlaw.cli", "spinlaw.weightlattice"}
+
+LOADED_MODULES = """\
+import json, sys
+from spinlaw.cli import main
+try:
+    main(sys.argv[2:])
+except SystemExit:  # --help
+    pass
+with open(sys.argv[1], "w") as fh:
+    json.dump(sorted(sys.modules), fh)
+"""
+
+
+class TestImportSets:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["character", "--lo", "(0)@0", "--hi", "(1)@0"], CHARACTER_PATH),
+            (["dims", "--lo", "(0)@0", "--hi", "(1)@0"], CHARACTER_PATH),
+            (["delannoy-check", "--r-max", "1", "--k-max", "2"], CHARACTER_PATH),
+            (["hasse", "--window", "0..1"], LATTICE_PATH),
+            (["--help"], LATTICE_PATH),
+        ],
+        ids=["character", "dims", "delannoy-check", "hasse", "help"],
+    )
+    def test_subcommand_loads_only_its_layers(self, argv, expected, tmp_path):
+        listing = tmp_path / "modules.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES, str(listing), *argv],
+            capture_output=True, text=True, env=checkout_env(), cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(listing.read_text()))
+        assert {m for m in loaded if m.split(".")[0] == "spinlaw"} == expected
+        bare = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; print('dataclasses' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        if bare.stdout.strip() == "False":
+            # dataclasses imports inspect, which imports ast and dis
+            assert "dataclasses" not in loaded

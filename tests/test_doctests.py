@@ -13,4 +13,5 @@ MODULES = ("weightlattice", "polyring", "spinalg", "richardson", "charseries", "
 @pytest.mark.parametrize("name", MODULES)
 def test_module_doctests(name):
     result = doctest.testmod(importlib.import_module(f"spinlaw.{name}"))
+    assert result.attempted > 0, "no examples ran"
     assert result.failed == 0, f"{result.failed} of {result.attempted} examples failed"
