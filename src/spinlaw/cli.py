@@ -313,39 +313,18 @@ def cmd_fierz_check(args):
 
 
 def cmd_straightened_check(args):
-    from . import polyring as pr
     from . import richardson as rich
 
     iv = parse_interval(args)
-    if args.k_max < 0:
-        raise ValueError("--k-max must be >= 0")
-    rels = rich.build_relations(iv)
-    dims = []
-    dims_ok = True
-    for k in range(args.k_max + 1):
-        std = rich.standard_monomials(iv, k)
-        graded = pr.graded_quotient_dim(
-            [r.body for r in rels], [wl.apos(w) for w in iv.elements], k
-        )
-        dims.append({"k": k, "standard": std, "graded": graded})
-        dims_ok = dims_ok and std == graded
-    remainders = pr.buchberger_check([r.body for r in rels])
-    buch_ok = all(rem.is_zero() for rem in remainders.values())
-    shapes_ok = all(rich.straightening_shape_check(r) for r in rels)
-    ok = dims_ok and buch_ok and shapes_ok
+    law = rich.straightened_law_report(iv, args.k_max)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "straightened-check",
         "interval": [weight_str(iv.lo), weight_str(iv.hi)],
         "k_max": args.k_max,
-        "relation_count": len(rels),
-        "dimensions": dims,
-        "dimensions_ok": dims_ok,
-        "buchberger_ok": buch_ok,
-        "shapes_ok": shapes_ok,
-        "ok": ok,
+        **law,
     }
-    return report, ok, None, "json"
+    return report, law["ok"], None, "json"
 
 
 def cmd_obstructions(args):

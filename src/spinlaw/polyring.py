@@ -197,6 +197,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def degree(self) -> int:
         """Total degree (-1 for the zero polynomial)."""
         if not self.coeffs:

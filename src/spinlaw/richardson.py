@@ -11,15 +11,15 @@ bijection with the interval's clutters, verifies the straightening shape
     λ^α λ^α'  =  ± λ^{α∧α'} λ^{α∨α'}  +  Σ ± λ^γ λ^{γ'},
         γ < α∧α',  γ' > α∨α',
 
-counts standard monomials (multichains) against graded quotient dimensions,
-enumerates the noncommutative obstructions — triples of variables whose
-product admits two distinct clutter factorizations — and certifies that
+counts standard monomials (multichains) against graded quotient dimensions
+in one report (:func:`straightened_law_report`), enumerates the
+noncommutative obstructions — triples of variables whose product admits
+two distinct clutter factorizations — and certifies that
 every obstruction pair is resolved, with opposite unit signs, by one of the
 bilinear Fierz elements ``h_{α^n}``.  Dimension and depth diagnostics
 complete the picture: the regular-sequence test on the height-graded linear
-forms, and :func:`dimension_report` (longest chain, height difference,
-character pole order), which lives in :mod:`spinlaw.charseries` and is
-re-exported here.
+forms here, and :func:`spinlaw.charseries.dimension_report` (longest chain,
+height difference, character pole order) next to the characters.
 
 All arithmetic is exact; every structural claim is either checked against
 an independent oracle here or raised as a hard error when falsified.
@@ -35,7 +35,6 @@ from functools import lru_cache
 from . import polyring as pr
 from . import spinalg as sa
 from . import weightlattice as wl
-from .charseries import dimension_report
 from .polyring import Poly
 from .spinalg import GAMMA_LABELS
 from .weightlattice import (
@@ -59,11 +58,9 @@ __all__ = [
     "relation_projections",
     "straightening_shape_check",
     "standard_monomials",
-    "straightened_law_check",
+    "straightened_law_report",
     "enumerate_obstructions",
     "obstruction_coverage",
-    "obstruction_coverage_check",
-    "dimension_report",
     "regular_sequence_check",
 ]
 
@@ -248,23 +245,42 @@ def standard_monomials(iv: Interval, k: int, *, with_list: bool = False):
     return len(chains), chains
 
 
-def straightened_law_check(iv: Interval, k_max: int) -> bool:
-    """Standard monomials span: dimensions match and rewriting is confluent.
+def straightened_law_report(iv: Interval, k_max: int) -> dict:
+    """Standard monomials span: dimensions match, rewriting is confluent.
 
-    True iff ``standard_monomials(iv, k)`` equals the graded quotient
-    dimension by :func:`build_relations` for every ``k ≤ k_max`` **and**
-    the first Buchberger round on the relations leaves zero remainders.
+    ``dimensions`` lists ``standard_monomials(iv, k)`` next to the graded
+    quotient dimension by :func:`build_relations` for every ``k ≤ k_max``;
+    ``dimensions_ok`` says they all agree, ``buchberger_ok`` that the first
+    Buchberger round on the relations leaves zero remainders, and
+    ``shapes_ok`` that every relation passes
+    :func:`straightening_shape_check`.  ``ok`` is all three.
 
-    >>> straightened_law_check(
+    >>> rep = straightened_law_report(
     ...     interval(parse_weight("(0)@0"), parse_weight("(15)@0")), 4)
-    True
+    >>> rep["ok"], rep["relation_count"], rep["dimensions"][4]
+    (True, 0, {'k': 4, 'standard': 70, 'graded': 70})
     """
-    rels = [r.body for r in build_relations(iv)]
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    rels = build_relations(iv)
+    bodies = [r.body for r in rels]
     keys = [apos(w) for w in iv.elements]
-    for k in range(k_max + 1):
-        if standard_monomials(iv, k) != pr.graded_quotient_dim(rels, keys, k):
-            return False
-    return all(rem.is_zero() for rem in pr.buchberger_check(rels).values())
+    dims = [
+        {"k": k, "standard": standard_monomials(iv, k),
+         "graded": pr.graded_quotient_dim(bodies, keys, k)}
+        for k in range(k_max + 1)
+    ]
+    dims_ok = all(d["standard"] == d["graded"] for d in dims)
+    buch_ok = all(rem.is_zero() for rem in pr.buchberger_check(bodies).values())
+    shapes_ok = all(straightening_shape_check(r) for r in rels)
+    return {
+        "relation_count": len(rels),
+        "dimensions": dims,
+        "dimensions_ok": dims_ok,
+        "buchberger_ok": buch_ok,
+        "shapes_ok": shapes_ok,
+        "ok": dims_ok and buch_ok and shapes_ok,
+    }
 
 
 # ----------------------------------------------------------- obstructions
@@ -440,17 +456,6 @@ def obstruction_coverage(iv: Interval) -> list[dict]:
             }
         )
     return report
-
-
-def obstruction_coverage_check(iv: Interval) -> bool:
-    """True when every obstruction pair of the interval is resolved.
-
-    >>> obstruction_coverage_check(
-    ...     interval(parse_weight("(0)@0"), parse_weight("(5)@0")))
-    True
-    """
-    obstruction_coverage(iv)
-    return True
 
 
 def regular_sequence_check(iv: Interval, d_max: int) -> bool:

@@ -4,7 +4,11 @@ The half-spinor space is modeled as the even part of the exterior algebra on
 five generators ``v1..v5``:  S = Λ⁰W ⊕ Λ²W ⊕ Λ⁴W, with basis vectors indexed
 by the sixteen weight tags of :mod:`spinlaw.weightlattice` — the empty wedge
 for ``(0)``, ``v_i∧v_j`` for ``(ij)``, and the complement wedge for ``(k)``.
-Loop modes live in S[z, z⁻¹]; a basis state is a pair ``(subset, z-power)``.
+Loop modes live in S[z, z⁻¹]; a basis state is a pair ``(subset, z-power)``,
+and an element of ΛW[z, z⁻¹] is a plain dict from basis states to nonzero
+coefficients.  One :func:`clifford_apply` acts on both coefficient kinds:
+Fractions in the Fock model and polynomials for the generic spinor from
+which the quadrics are read off.
 
 From this model the module derives, with exact rational arithmetic:
 
@@ -16,8 +20,8 @@ From this model the module derives, with exact rational arithmetic:
   expanded reference list, plus their affinized modes Γ^{s^l};
 * the sixteen Fierz elements h_α (and their affinized windows), whose
   substitution x_s → Γ^s collapses to the zero polynomial — checked exactly;
-* products and inverses of torus weights (:func:`torus_weight` itself lives
-  in :mod:`spinlaw.weightlattice` and is re-exported here), the involution
+* products and inverses of torus weights (the weights themselves are
+  :func:`spinlaw.weightlattice.torus_weight`), the involution
   u = e₂e₃e₄e₅, and the signed-permutation Weyl machinery with the graph
   construction Q(X, s₁…s₆).
 
@@ -36,7 +40,7 @@ from functools import lru_cache
 from . import polyring as pr
 from . import weightlattice as wl
 from .polyring import Poly
-from .weightlattice import TAGS, Weight, torus_weight  # noqa: F401
+from .weightlattice import TAGS, Weight
 
 # --------------------------------------------------------------- Fock space
 
@@ -57,62 +61,16 @@ for _t in TAGS:
 _SUBSET_TAG = {s: t for t, s in _TAG_SUBSET.items()}
 
 
-class FockElement:
-    """Element of Λ W[z, z⁻¹]: sparse map from basis states to Fractions."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: dict[State, Fraction] | None = None):
-        cleaned: dict[State, Fraction] = {}
-        if coords:
-            for s, c in coords.items():
-                c = Fraction(c)
-                if c:
-                    cleaned[s] = c
-        self.coords = cleaned
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FockElement):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __add__(self, other: "FockElement") -> "FockElement":
-        acc = dict(self.coords)
-        for s, c in other.coords.items():
-            acc[s] = acc.get(s, Fraction(0)) + c
-        return FockElement(acc)
-
-    def __sub__(self, other: "FockElement") -> "FockElement":
-        acc = dict(self.coords)
-        for s, c in other.coords.items():
-            acc[s] = acc.get(s, Fraction(0)) - c
-        return FockElement(acc)
-
-    def __mul__(self, scalar) -> "FockElement":
-        return FockElement({s: c * scalar for s, c in self.coords.items()})
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "FockElement(0)"
-        bits = []
-        for (sub, lvl), c in sorted(
-            self.coords.items(), key=lambda t: (t[0][1], len(t[0][0]), sorted(t[0][0]))
-        ):
-            wedge = "^".join(f"v{i}" for i in sorted(sub)) or "1"
-            bits.append(f"{c}*{wedge}*z^{lvl}")
-        return "FockElement(" + " + ".join(bits) + ")"
+# An element of ΛW[z, z⁻¹] is a plain dict ``{State: coefficient}`` holding no
+# zero coefficients.  The coefficients are Fractions in the Fock model and
+# Polys for the generic spinor Σ λ^α θ_α; both are falsy exactly when zero.
 
 
-def fock_basis(subset, level: int = 0) -> FockElement:
-    return FockElement({(frozenset(subset), level): Fraction(1)})
+def fock_basis(subset, level: int = 0) -> dict:
+    return {(frozenset(subset), level): Fraction(1)}
 
 
-def theta(w: Weight) -> FockElement:
+def theta(w: Weight) -> dict:
     """The weight-line basis vector θ_α z^r for a (parsed) weight."""
     tag, level = w
     return fock_basis(_TAG_SUBSET[tag], level)
@@ -126,38 +84,44 @@ def state_weight(state: State) -> Weight:
     return (_SUBSET_TAG[sub], level)
 
 
+def _add(x: dict, y: dict) -> dict:
+    """The sum of two elements, without the coefficients that cancel."""
+    acc = dict(x)
+    for s, c in y.items():
+        acc[s] = acc[s] + c if s in acc else c
+    return {s: c for s, c in acc.items() if c}
+
+
 _GEN_RE = re.compile(r"^v([1-5])(\*?)$")
 
 
-def clifford_apply(gen: str, x: FockElement) -> FockElement:
+def clifford_apply(gen: str, x: dict) -> dict:
     """Apply a Clifford generator: ``"vi"`` wedges, ``"vi*"`` contracts.
 
     Koszul signs count the generators below index i, so that
-    v_i v_i* + v_i* v_i = id on all of ΛW.
+    v_i v_i* + v_i* v_i = id on all of ΛW.  Distinct states have distinct
+    images, so no coefficients are summed and none vanish.
 
     >>> clifford_apply("v1*", fock_basis({1, 2})) == fock_basis({2})
     True
-    >>> clifford_apply("v2", fock_basis({1, 2})).is_zero()
-    True
+    >>> clifford_apply("v2", fock_basis({1, 2}))
+    {}
     """
     m = _GEN_RE.match(gen)
     if not m:
         raise ValueError(f"unknown Clifford generator {gen!r}")
     i, star = int(m.group(1)), bool(m.group(2))
-    acc: dict[State, Fraction] = {}
-    for (sub, lvl), c in x.coords.items():
-        if star != (i in sub):
-            continue
-        sign = -1 if sum(1 for j in sub if j < i) % 2 else 1
-        new = sub - {i} if star else sub | {i}
-        key = (new, lvl)
-        acc[key] = acc.get(key, Fraction(0)) + sign * c
-    return FockElement(acc)
+    return {
+        (sub - {i} if star else sub | {i}, lvl):
+            -c if sum(1 for j in sub if j < i) % 2 else c
+        for (sub, lvl), c in x.items()
+        if star == (i in sub)
+    }
 
 
-def z_shift(x: FockElement, k: int = 1) -> FockElement:
+def z_shift(x: dict, k: int = 1) -> dict:
     """Multiply by z^k (shift every loop level by k)."""
-    return FockElement({(sub, lvl + k): c for (sub, lvl), c in x.coords.items()})
+    return {(sub, lvl + k): c for (sub, lvl), c in x.items()}
 
 
 # ------------------------------------------------------------ root operators
@@ -213,11 +177,11 @@ def generate_hasse(window: tuple[int, int]):
         x = theta(w)
         for idx, op in enumerate(ops, start=1):
             y = op(x)
-            if y.is_zero():
+            if not y:
                 continue
-            if len(y.coords) != 1:
+            if len(y) != 1:
                 raise RuntimeError(f"R{idx} θ_{w} is not a weight line")
-            (state, coeff), = y.coords.items()
+            (state, coeff), = y.items()
             tgt = state_weight(state)
             if tgt not in node_set:
                 continue
@@ -270,52 +234,29 @@ GAMMA_REFERENCE_TEXT: dict[str, str] = {
 }
 
 
-def _merge_sign(a: frozenset, b: frozenset) -> int:
-    """Koszul sign for wedging sorted(a) against sorted(b), a ∩ b = ∅."""
-    inv = sum(1 for x in a for y in b if x > y)
-    return -1 if inv % 2 else 1
-
-
-def _generic_even() -> dict[frozenset, Poly]:
+def _generic_even() -> dict:
     """A generic even element Σ_α λ^α θ_α with polynomial coordinates."""
-    return {_TAG_SUBSET[t]: pr.lam((t, 0)) for t in TAGS}
+    return {(_TAG_SUBSET[t], 0): pr.lam((t, 0)) for t in TAGS}
 
 
-def _wedge_elements(
-    a: dict[frozenset, Poly], b: dict[frozenset, Poly]
-) -> dict[frozenset, Poly]:
-    acc: dict[frozenset, Poly] = {}
-    for sa, ca in a.items():
-        for sb, cb in b.items():
-            if sa & sb:
-                continue
-            s = sa | sb
-            term = _merge_sign(sa, sb) * (ca * cb)
-            acc[s] = acc.get(s, Poly.zero()) + term
-    return {s: c for s, c in acc.items() if not c.is_zero()}
-
-
-def _wedge_vi(i: int, a: dict[frozenset, Poly]) -> dict[frozenset, Poly]:
-    return _wedge_elements({frozenset({i}): pr.monomial_poly(pr.ONE)}, a)
-
-
-def _contract_vi(i: int, a: dict[frozenset, Poly]) -> dict[frozenset, Poly]:
-    acc: dict[frozenset, Poly] = {}
-    for s, c in a.items():
-        if i not in s:
-            continue
-        sign = -1 if sum(1 for j in s if j < i) % 2 else 1
-        acc[s - {i}] = acc.get(s - {i}, Poly.zero()) + sign * c
+def _wedge(a: dict, b: dict) -> dict:
+    """a ∧ b, from θ_S z^r ∧ b = z^r v_{s₁}(v_{s₂}(⋯ v_{s_k}(b))), s₁ < ⋯ < s_k."""
+    acc: dict = {}
+    for (sub, lvl), c in a.items():
+        y = z_shift(b, lvl)
+        for i in sorted(sub, reverse=True):
+            y = clifford_apply(f"v{i}", y)
+        acc = _add(acc, {s: c * d for s, d in y.items()})
     return acc
 
 
-def _tau(a: dict[frozenset, Poly]) -> dict[frozenset, Poly]:
+def _tau(a: dict) -> dict:
     """The main anti-involution: multiply degree-k pieces by (-1)^(k(k-1)/2)."""
     out = {}
-    for s, c in a.items():
-        k = len(s)
+    for (sub, lvl), c in a.items():
+        k = len(sub)
         sign = -1 if (k * (k - 1) // 2) % 2 else 1
-        out[s] = sign * c
+        out[(sub, lvl)] = sign * c
     return out
 
 
@@ -341,13 +282,14 @@ def gamma_quadrics() -> dict[str, Poly]:
     θ_(k); see :func:`u_stability_check`.
     """
     u = _generic_even()
+    top = (FULL, 0)
     out: dict[str, Poly] = {}
     half = Fraction(1, 2)
     for m in range(1, 6):
-        top = _wedge_elements(u, _wedge_vi(m, u)).get(FULL, Poly.zero())
-        out[str(m)] = half * top
-        top = _wedge_elements(_tau(u), _contract_vi(m, u)).get(FULL, Poly.zero())
-        out[f"{m}*"] = half * top
+        g = _wedge(u, clifford_apply(f"v{m}", u)).get(top, Poly.zero())
+        out[str(m)] = half * g
+        g = _wedge(_tau(u), clifford_apply(f"v{m}*", u)).get(top, Poly.zero())
+        out[f"{m}*"] = half * g
     for s, text in GAMMA_REFERENCE_TEXT.items():
         if out[s] != pr.parse_poly(text):
             raise RuntimeError(f"sign-normalization failure for quadric {s}")
@@ -517,10 +459,10 @@ def automorphism_u() -> dict[str, tuple[int, str]]:
     for t in TAGS:
         x = theta((t, 0))
         for i in (5, 4, 3, 2):
-            x = clifford_apply(f"v{i}", x) + clifford_apply(f"v{i}*", x)
-        if len(x.coords) != 1:
+            x = _add(clifford_apply(f"v{i}", x), clifford_apply(f"v{i}*", x))
+        if len(x) != 1:
             raise RuntimeError(f"u does not preserve the weight line {t}")
-        (state, coeff), = x.coords.items()
+        (state, coeff), = x.items()
         if coeff not in (1, -1):
             raise RuntimeError(f"u scales {t} by {coeff}")
         table[t] = (int(coeff), state_weight(state)[0])

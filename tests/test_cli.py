@@ -258,12 +258,19 @@ class TestChecks:
              "5655a271f1a8792b343ef1925717f106c8834fc4ee12c316bc028a68e2c237ae"),
             (["weyl-check", "--window", "0..3"],
              "8fe7fd17549ba494ca3d061c1b888ec037eeb9c951dc46f6750968b0610ab226"),
+            (["straightened-check", "--lo", "(0)@0", "--hi", "(1)@1", "--k-max", "4"],
+             "96a76d30aa262e49b7ac260db43b35fb5d8fced8b5d486e274aaebeae15d98ad"),
+            (["relations", "--lo", "(0)@0", "--hi", "(1)@2", "--format", "csv"],
+             "a17fb7412ab34fc99b7bd6b6a0f47f0644b7fdca3c26335b71f406d09429bd90"),
         ],
-        ids=["groebner-(1)@3", "fierz-0..3", "weyl-0..3"],
+        ids=["groebner-(1)@3", "fierz-0..3", "weyl-0..3", "straightened-(1)@1",
+             "relations-(1)@2-csv"],
     )
     def test_check_artifacts_pinned(self, argv, digest, tmp_path, capsys):
         # SHA-256s of the artifacts written by the sort-every-step reduce,
-        # the term-by-term Fierz residue sum and the unmemoised Weyl orbits
+        # the term-by-term Fierz residue sum, the unmemoised Weyl orbits, the
+        # straightened-law loop formerly inside the CLI and the quadrics of the
+        # wedge helpers that clifford_apply replaced
         code, text, artifact = run(argv, tmp_path, capsys)
         assert code == 0 and text == artifact
         assert hashlib.sha256(artifact.encode()).hexdigest() == digest
@@ -476,6 +483,8 @@ class TestDeterminismAndPlumbing:
 CHARACTER_PATH = {"spinlaw", "spinlaw.cli", "spinlaw.weightlattice",
                   "spinlaw.charseries"}
 LATTICE_PATH = {"spinlaw", "spinlaw.cli", "spinlaw.weightlattice"}
+STRAIGHTEN_PATH = {"spinlaw", "spinlaw.cli", "spinlaw.weightlattice",
+                   "spinlaw.polyring", "spinlaw.spinalg", "spinlaw.richardson"}
 
 LOADED_MODULES = """\
 import json, sys
@@ -498,8 +507,11 @@ class TestImportSets:
             (["delannoy-check", "--r-max", "1", "--k-max", "2"], CHARACTER_PATH),
             (["hasse", "--window", "0..1"], LATTICE_PATH),
             (["--help"], LATTICE_PATH),
+            (["straightened-check", "--lo", "(0)@0", "--hi", "(5)@0", "--k-max", "2"],
+             STRAIGHTEN_PATH),
         ],
-        ids=["character", "dims", "delannoy-check", "hasse", "help"],
+        ids=["character", "dims", "delannoy-check", "hasse", "help",
+             "straightened-check"],
     )
     def test_subcommand_loads_only_its_layers(self, argv, expected, tmp_path):
         listing = tmp_path / "modules.json"
@@ -515,6 +527,7 @@ class TestImportSets:
              "import sys; print('dataclasses' in sys.modules)"],
             capture_output=True, text=True, check=True,
         )
-        if bare.stdout.strip() == "False":
-            # dataclasses imports inspect, which imports ast and dis
+        if bare.stdout.strip() == "False" and "spinlaw.spinalg" not in expected:
+            # dataclasses imports inspect, which imports ast and dis; spinalg
+            # and richardson define dataclasses, the other layers import none
             assert "dataclasses" not in loaded

@@ -146,7 +146,8 @@ def test_ring_axioms(f, g, h):
 def test_sums_hold_nonzero_fractions(f, g):
     for h in (f + g, f - g, g - f, -f, f * g, 3 * f):
         assert all(type(c) is Fraction and c != 0 for c in h.coeffs.values())
-    assert (f - f).coeffs == {}
+        assert bool(h) == (not h.is_zero())
+    assert (f - f).coeffs == {} and not (f - f)
     assert (X0 - X0).coeffs == {}
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import spinlaw.charseries as cs
 import spinlaw.polyring as pr
 import spinlaw.richardson as rich
 import spinlaw.spinalg as sa
@@ -193,13 +194,21 @@ class TestStandardMonomials:
 
 class TestStraightenedLaw:
     def test_finite_interval(self):
-        assert rich.straightened_law_check(IV("(0)@0", "(1)@0"), 3)
+        assert rich.straightened_law_report(IV("(0)@0", "(1)@0"), 3)["ok"]
 
     def test_affine_interval(self):
-        assert rich.straightened_law_check(IV("(0)@0", "(1)@1"), 2)
+        assert rich.straightened_law_report(IV("(0)@0", "(1)@1"), 2)["ok"]
 
     def test_chain_interval(self):
-        assert rich.straightened_law_check(IV("(0)@0", "(15)@0"), 4)
+        assert rich.straightened_law_report(IV("(0)@0", "(15)@0"), 4)["ok"]
+
+    def test_report_fields_and_negative_k_max(self):
+        rep = rich.straightened_law_report(IV("(0)@0", "(5)@0"), 2)
+        assert rep["relation_count"] == 1 and rep["ok"]
+        assert [d["k"] for d in rep["dimensions"]] == [0, 1, 2]
+        assert all(d["standard"] == d["graded"] for d in rep["dimensions"])
+        with pytest.raises(ValueError):
+            rich.straightened_law_report(IV("(0)@0", "(5)@0"), -1)
 
     def test_seeded_sample_of_intervals(self):
         rng = random.Random(20260816)
@@ -215,8 +224,11 @@ class TestStraightenedLaw:
         for iv in picked:
             rels = rich.build_relations(iv)
             assert sorted(r.clutter for r in rels) == sorted(wl.clutters(iv))
-            assert rich.straightened_law_check(iv, 2)
-            assert rich.obstruction_coverage_check(iv)
+            assert rich.straightened_law_report(iv, 2)["ok"]
+            # obstruction_coverage raises on a pair it cannot resolve
+            assert len(rich.obstruction_coverage(iv)) == len(
+                rich.enumerate_obstructions(iv)
+            )
 
 
 # ------------------------------------------------------------ obstructions
@@ -322,9 +334,12 @@ class TestObstructions:
         assert got == want
 
     def test_coverage_check_windows(self):
-        assert rich.obstruction_coverage_check(IV("(0)@0", "(1)@0"))
-        assert rich.obstruction_coverage_check(IV("(0)@0", "(1)@1"))
-        assert rich.obstruction_coverage_check(IV("(0)@1", "(1)@2"))
+        # obstruction_coverage raises on a pair it cannot resolve
+        for lo, hi in (("(0)@0", "(1)@0"), ("(0)@0", "(1)@1"), ("(0)@1", "(1)@2")):
+            iv = IV(lo, hi)
+            assert len(rich.obstruction_coverage(iv)) == len(
+                rich.enumerate_obstructions(iv)
+            )
 
 
 # -------------------------------------------------------------- dimensions
@@ -341,7 +356,7 @@ class TestDimensions:
         ],
     )
     def test_dimension_report(self, lo, hi, want):
-        assert rich.dimension_report(IV(lo, hi)) == want
+        assert cs.dimension_report(IV(lo, hi)) == want
 
     def test_regular_sequences(self):
         assert rich.regular_sequence_check(IV("(0)@0", "(5)@0"), 3)

@@ -39,26 +39,27 @@ def test_clifford_anticommutation_on_all_states():
     assert len(ALL_SUBSETS) == 32
 
     def anti(g, h, x):
-        return sa.clifford_apply(g, sa.clifford_apply(h, x)) + sa.clifford_apply(
-            h, sa.clifford_apply(g, x)
+        return sa._add(
+            sa.clifford_apply(g, sa.clifford_apply(h, x)),
+            sa.clifford_apply(h, sa.clifford_apply(g, x)),
         )
 
     for sub in ALL_SUBSETS:
         x = sa.fock_basis(sub)
         for i in range(1, 6):
             for j in range(1, 6):
-                assert anti(f"v{i}", f"v{j}", x).is_zero()
-                assert anti(f"v{i}*", f"v{j}*", x).is_zero()
+                assert anti(f"v{i}", f"v{j}", x) == {}
+                assert anti(f"v{i}*", f"v{j}*", x) == {}
                 mixed = anti(f"v{i}", f"v{j}*", x)
-                assert mixed == (x if i == j else sa.FockElement())
+                assert mixed == (x if i == j else {})
 
 
 def test_clifford_examples():
     assert sa.clifford_apply("v1", sa.fock_basis(())) == sa.fock_basis({1})
     assert sa.clifford_apply("v1*", sa.fock_basis({1, 2})) == sa.fock_basis({2})
     # contracting v2 out of v1∧v2 hops over v1: sign -1
-    assert sa.clifford_apply("v2*", sa.fock_basis({1, 2})) == -1 * sa.fock_basis({1})
-    assert sa.clifford_apply("v2", sa.fock_basis({1, 2})).is_zero()
+    assert sa.clifford_apply("v2*", sa.fock_basis({1, 2})) == {(frozenset({1}), 0): -1}
+    assert sa.clifford_apply("v2", sa.fock_basis({1, 2})) == {}
     assert sa.clifford_apply("v3", sa.fock_basis({1, 2})) == sa.fock_basis({1, 2, 3})
     with pytest.raises(ValueError):
         sa.clifford_apply("v6", sa.fock_basis(()))
@@ -66,7 +67,7 @@ def test_clifford_examples():
 
 def test_fock_state_helpers():
     th = sa.theta(("(13)", 2))
-    assert th.coords == {(frozenset({1, 3}), 2): 1}
+    assert th == {(frozenset({1, 3}), 2): 1}
     assert sa.state_weight((frozenset({1, 3}), 2)) == ("(13)", 2)
     assert sa.state_weight((frozenset(), -1)) == ("(0)", -1)
     with pytest.raises(ValueError):
@@ -86,18 +87,26 @@ def test_fock_state_helpers():
     ),
     st.integers(1, 5),
     st.integers(1, 5),
+    st.booleans(),
 )
-def test_anticommutation_on_random_elements(parts, i, j):
+def test_anticommutation_on_random_elements(parts, i, j, poly_coeffs):
+    # Fraction coefficients (the Fock model) or Poly coefficients (the
+    # generic spinor of gamma_quadrics); terms that cancel must be dropped
     coords: dict = {}
     for sub, lvl, c in parts:
         key = (sub, lvl)
         coords[key] = coords.get(key, 0) + c
-    x = sa.FockElement({k: Fraction(v) for k, v in coords.items()})
+    x = {
+        (sub, lvl): c * pr.lam(("(12)", lvl)) if poly_coeffs else Fraction(c)
+        for (sub, lvl), c in coords.items()
+        if c
+    }
     gi, gj = f"v{i}", f"v{j}*"
-    mixed = sa.clifford_apply(gi, sa.clifford_apply(gj, x)) + sa.clifford_apply(
-        gj, sa.clifford_apply(gi, x)
+    mixed = sa._add(
+        sa.clifford_apply(gi, sa.clifford_apply(gj, x)),
+        sa.clifford_apply(gj, sa.clifford_apply(gi, x)),
     )
-    assert mixed == (x if i == j else sa.FockElement())
+    assert mixed == (x if i == j else {})
 
 
 # ------------------------------------------------------------ root operators
@@ -158,7 +167,7 @@ def test_quadric_monomials_share_torus_weight():
         for mono in g.coeffs:
             acc = (0,) * 6
             for w in pr.monomial_weights(mono):
-                acc = sa.tw_mul(acc, sa.torus_weight(w))
+                acc = sa.tw_mul(acc, wl.torus_weight(w))
             seen.add(acc)
         i = int(s.rstrip("*"))
         sign = 2 if s.endswith("*") else -2
@@ -357,14 +366,14 @@ def test_fierz_residue_zero_and_scaling():
 def test_fierz_torus_weight():
     # every term λ^β x_s of h_α has torus weight inverse to e_α
     for a, comps in sa.fierz_identities().items():
-        target = sa.tw_inv(sa.torus_weight((a, 0)))
+        target = sa.tw_inv(wl.torus_weight((a, 0)))
         for s, coeff in comps.items():
             i = int(s.rstrip("*"))
             sgn = 2 if s.endswith("*") else -2
             xw = tuple(sgn if k == i - 1 else 0 for k in range(5)) + (0,)
             for mono in coeff.coeffs:
                 (bw,) = pr.monomial_weights(mono)
-                assert sa.tw_mul(sa.torus_weight(bw), xw) == target, (a, s)
+                assert sa.tw_mul(wl.torus_weight(bw), xw) == target, (a, s)
 
 
 def test_affine_fierz_vanishes():
@@ -399,17 +408,17 @@ def test_affine_fierz_shift():
 
 
 def test_torus_weight_examples():
-    assert sa.torus_weight(("(0)", 0)) == (-1, -1, -1, -1, -1, 0)
-    assert sa.torus_weight(("(12)", 0)) == (1, 1, -1, -1, -1, 0)
-    assert sa.torus_weight(("(3)", 2)) == (1, 1, -1, 1, 1, 2)
-    a = sa.torus_weight(("(14)", 1))
+    assert wl.torus_weight(("(0)", 0)) == (-1, -1, -1, -1, -1, 0)
+    assert wl.torus_weight(("(12)", 0)) == (1, 1, -1, -1, -1, 0)
+    assert wl.torus_weight(("(3)", 2)) == (1, 1, -1, 1, 1, 2)
+    a = wl.torus_weight(("(14)", 1))
     assert sa.tw_mul(a, sa.tw_inv(a)) == (0,) * 6
 
 
 def test_torus_weight_psi_relation():
     # e_α doubles the vertex encoding: a_i = 2ψ(α)_i − 1
     for t in wl.TAGS:
-        tv = sa.torus_weight((t, 3))
+        tv = wl.torus_weight((t, 3))
         node = sa.psi((t, 3))
         assert tv[:5] == tuple(2 * x - 1 for x in node[0])
         assert tv[5] == node[1] == 3
