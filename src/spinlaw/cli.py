@@ -7,6 +7,14 @@ are deterministic: JSON is emitted with sorted keys, two-space indent, a
 trailing newline, and no timestamps, so identical configurations produce
 byte-identical artifacts.
 
+Report contract: a ``cmd_*`` handler takes the arguments and the parsed
+interval or window (``None`` for ``delannoy-check``) and returns ``(body,
+text)``, its own report keys and the dot/csv/latex rendering (``None`` for
+JSON).  :func:`main` alone adds the envelope (``schema_version``,
+``command``, ``interval`` or ``window``), names the artifact by ``--format``
+(``latex`` → ``tex``; error reports are JSON) and takes the exit code from
+the report's ``ok`` alone (``hasse`` has none and cannot fail).
+
 Exit codes: 0 — all asserted properties hold; 2 — configuration or parse
 error, or the run ran out of memory or recursion depth (nothing is
 written); 3 — a checked property failed (the report is still written, with
@@ -179,18 +187,13 @@ def parse_modes(text: str) -> list[int]:
     return [int(x) for x in text.split(",")] if text else []
 
 
-def weight_str(w: wl.Weight) -> str:
-    return wl.format_weight(w)
-
-
 # -------------------------------------------------------------- commands
 
 
-def cmd_hasse(args):
-    window = parse_window(args.window)
+def cmd_hasse(args, window):
     data = wl.hasse_json(window)
     if args.format == "dot":
-        return data, True, wl.hasse_dot(window), "dot"
+        return data, wl.hasse_dot(window)
     if args.format == "csv":
         rows = [
             {"kind": "node", "id": n["id"], "tag": n["tag"],
@@ -201,45 +204,36 @@ def cmd_hasse(args):
              "ht": "", "dst": e["dst"]}
             for e in data["edges"]
         ]
-        return data, True, render_csv(rows, ["kind", "id", "tag", "level", "ht", "dst"]), "csv"
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "hasse",
-        "window": list(window),
+        return data, render_csv(rows, ["kind", "id", "tag", "level", "ht", "dst"])
+    return {
         "node_count": len(data["nodes"]),
         "edge_count": len(data["edges"]),
         **data,
-    }
-    return report, True, None, "json"
+    }, None
 
 
-def cmd_relations(args):
+def cmd_relations(args, iv):
     from . import polyring as pr
     from . import richardson as rich
     from . import spinalg as sa
 
-    iv = parse_interval(args)
     rels = rich.build_relations(iv)
     rels.sort(key=lambda r: (r.l, sa.GAMMA_LABELS.index(r.s)))
     rows = [
         {
             "s": r.s,
             "l": r.l,
-            "clutter": [weight_str(r.clutter[0]), weight_str(r.clutter[1])],
+            "clutter": [wl.format_weight(w) for w in r.clutter],
             "body": pr.format_poly(r.body),
             "straightening_shape": rich.straightening_shape_check(r),
         }
         for r in rels
     ]
-    ok = all(row["straightening_shape"] for row in rows)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "relations",
-        "interval": [weight_str(iv.lo), weight_str(iv.hi)],
         "relation_count": len(rows),
         "clutter_count": len(wl.clutters(iv)),
         "relations": rows,
-        "ok": ok,
+        "ok": all(row["straightening_shape"] for row in rows),
     }
     if args.format == "csv":
         flat = [
@@ -253,37 +247,31 @@ def cmd_relations(args):
             }
             for row in rows
         ]
-        return report, ok, render_csv(
+        return report, render_csv(
             flat, ["s", "l", "clutter_lo", "clutter_hi", "straightening_shape", "body"]
-        ), "csv"
-    return report, ok, None, "json"
+        )
+    return report, None
 
 
-def cmd_groebner_check(args):
+def cmd_groebner_check(args, iv):
     from . import polyring as pr
     from . import richardson as rich
 
-    iv = parse_interval(args)
     bodies = [r.body for r in rich.build_relations(iv)]
     remainders = pr.buchberger_check(bodies)
     nonzero = sorted(ij for ij, rem in remainders.items() if not rem.is_zero())
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "groebner-check",
-        "interval": [weight_str(iv.lo), weight_str(iv.hi)],
+    return {
         "relation_count": len(bodies),
         "pairs_reduced": len(remainders),
         "nonzero_remainders": [list(ij) for ij in nonzero],
         "ok": not nonzero,
-    }
-    return report, not nonzero, None, "json"
+    }, None
 
 
-def cmd_fierz_check(args):
+def cmd_fierz_check(args, window):
     from . import polyring as pr
     from . import spinalg as sa
 
-    window = parse_window(args.window)
     # h_{α^n} pairs a variable of level l' with the quadric mode n − l', which
     # is zero outside 2·lo..2·hi, so only modes 3·lo..3·hi have terms.
     lo, hi = 3 * window[0], 3 * window[1]
@@ -294,68 +282,47 @@ def cmd_fierz_check(args):
             f"modes {bad} have no terms on window {args.window}: "
             f"use modes in {lo}..{hi}"
         )
-    residues = {}
-    for alpha in wl.TAGS:
-        for n in modes:
-            res = sa.affine_fierz(alpha, n, window)
-            residues[f"{alpha}@{n}"] = pr.format_poly(res) if not res.is_zero() else "0"
-    ok = all(v == "0" for v in residues.values())
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fierz-check",
-        "window": list(window),
+    residues = {
+        f"{alpha}@{n}": pr.format_poly(sa.affine_fierz(alpha, n, window))
+        for alpha in wl.TAGS
+        for n in modes
+    }
+    return {
         "modes": modes,
         "identity_count": len(residues),
         "residues": residues,
-        "ok": ok,
-    }
-    return report, ok, None, "json"
+        "ok": all(v == "0" for v in residues.values()),
+    }, None
 
 
-def cmd_straightened_check(args):
+def cmd_straightened_check(args, iv):
     from . import richardson as rich
 
-    iv = parse_interval(args)
     law = rich.straightened_law_report(iv, args.k_max)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "straightened-check",
-        "interval": [weight_str(iv.lo), weight_str(iv.hi)],
-        "k_max": args.k_max,
-        **law,
-    }
-    return report, law["ok"], None, "json"
+    return {"k_max": args.k_max, **law}, None
 
 
-def cmd_obstructions(args):
+def cmd_obstructions(args, iv):
     from . import richardson as rich
 
-    iv = parse_interval(args)
     entries = []
     for e in rich.obstruction_coverage(iv):
         pair = [
             [
-                weight_str(ob.outer),
-                [weight_str(w) for w in sorted(ob.inner, key=wl.apos)],
+                wl.format_weight(ob.outer),
+                [wl.format_weight(w) for w in sorted(ob.inner, key=wl.apos)],
             ]
             for ob in e["pair"]
         ]
         entries.append(
             {
                 "label": e["label"],
-                "element": weight_str(e["element"]),
+                "element": wl.format_weight(e["element"]),
                 "route": e["route"],
                 "pair": pair,
             }
         )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "obstructions",
-        "interval": [weight_str(iv.lo), weight_str(iv.hi)],
-        "pair_count": len(entries),
-        "pairs": entries,
-        "ok": True,
-    }
+    report = {"pair_count": len(entries), "pairs": entries, "ok": True}
     if args.format == "csv":
         flat = [
             {
@@ -368,38 +335,25 @@ def cmd_obstructions(args):
             }
             for row in entries
         ]
-        return report, True, render_csv(
+        return report, render_csv(
             flat, ["label", "route", "outer_1", "inner_1", "outer_2", "inner_2"]
-        ), "csv"
-    return report, True, None, "json"
+        )
+    return report, None
 
 
-def cmd_dims(args):
+def cmd_dims(args, iv):
     from . import charseries as cs
 
-    iv = parse_interval(args)
     rep = cs.dimension_report(iv)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "dims",
-        "interval": [weight_str(iv.lo), weight_str(iv.hi)],
-        "element_count": len(iv.elements),
-        **rep,
-        "ok": True,
-    }
-    return report, True, None, "json"
+    return {"element_count": len(iv.elements), **rep, "ok": True}, None
 
 
-def cmd_character(args):
+def cmd_character(args, iv):
     from . import charseries as cs
 
-    iv = parse_interval(args)
     spec = parse_specialize(args.specialize)
     c = cs.character(iv, specialize=spec or None).reduced()
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "character",
-        "interval": [weight_str(iv.lo), weight_str(iv.hi)],
         "specialize": {k: 1 for k in sorted(spec)},
         "numerator": format_laurent(c.num),
         "denominator": format_denominator(c.den),
@@ -407,71 +361,49 @@ def cmd_character(args):
         "ok": True,
     }
     if args.series is not None:
-        report["series"] = [
-            format_laurent(p) for p in c.series(args.series)
-        ]
+        report["series"] = [format_laurent(p) for p in c.series(args.series)]
     if args.format == "latex":
         tex = "\\frac{%s}{%s}\n" % (
             format_laurent(c.num, tex=True),
             format_denominator(c.den, tex=True),
         )
-        return report, True, tex, "tex"
-    return report, True, None, "json"
+        return report, tex
+    return report, None
 
 
-def cmd_delannoy_check(args):
+def cmd_delannoy_check(args, _):
     from . import charseries as cs
 
     ok = cs.delannoy_acceptance(args.r_max, args.k_max)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "delannoy-check",
+    return {
         "r_max": args.r_max,
         "k_max": args.k_max,
         "rows": [cs.delannoy(n) for n in range(12)],
         "targets": [
-            weight_str(cs.j_sequence(r)) for r in range(args.r_max + 1)
+            wl.format_weight(cs.j_sequence(r)) for r in range(args.r_max + 1)
         ],
         "ok": ok,
-    }
-    return report, ok, None, "json"
+    }, None
 
 
-def cmd_weyl_check(args):
+def cmd_weyl_check(args, window):
     from . import spinalg as sa
 
-    window = parse_window(args.window)
     hasse = sa.weyl_hasse_check(window)
     orbits = sa.weyl_orbit_check(window)
-    ok = orbits["finite_ok"] and orbits["affine_ok"] and orbits["l_image_ok"]
-    edges = sa.generate_hasse(window)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "weyl-check",
-        "window": list(window),
+    return {
         "reflection_graph": hasse,
         "orbit_check": orbits,
-        "regenerated_cover_count": len(edges),
-        "ok": ok,
-    }
-    return report, ok, None, "json"
+        "regenerated_cover_count": len(sa.generate_hasse(window)),
+        "ok": orbits["finite_ok"] and orbits["affine_ok"] and orbits["l_image_ok"],
+    }, None
 
 
-def cmd_regseq_check(args):
+def cmd_regseq_check(args, iv):
     from . import richardson as rich
 
-    iv = parse_interval(args)
-    if args.d_max < 2:
-        raise ValueError("--d-max must be >= 2")
     ok = rich.regular_sequence_check(iv, args.d_max)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "regseq-check",
-        "interval": [weight_str(iv.lo), weight_str(iv.hi)],
-        "d_max": args.d_max,
-        "ok": ok,
-    }
-    return report, ok, None, "json"
+    return {"d_max": args.d_max, "ok": ok}, None
 
 
 COMMANDS = {
@@ -558,17 +490,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _artifact_path(args, ext: str) -> str:
+def _artifact_path(args, text) -> str:
     if args.out:
         return args.out
-    base = os.environ.get("SPINLAW_OUT", "")
-    return os.path.join(base, f"{args.command}.{ext}") if base else f"{args.command}.{ext}"
+    ext = "json" if text is None else "tex" if args.format == "latex" else args.format
+    return os.path.join(os.environ.get("SPINLAW_OUT", ""), f"{args.command}.{ext}")
+
+
+def _parsed_input(args):
+    """The command's parsed interval or window, and its envelope entry."""
+    if hasattr(args, "lo"):
+        iv = parse_interval(args)
+        return iv, {"interval": [wl.format_weight(iv.lo), wl.format_weight(iv.hi)]}
+    if hasattr(args, "window"):
+        window = parse_window(args.window)
+        return window, {"window": list(window)}
+    return None, {}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
     try:
-        report, ok, text, ext = COMMANDS[args.command](args)
+        given, entry = _parsed_input(args)
+        body, text = COMMANDS[args.command](args, given)
+        report = {**envelope, **entry, **body}
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -577,19 +523,12 @@ def main(argv=None) -> int:
         print(f"error: {e!r}", file=sys.stderr)
         return 2
     except RuntimeError as e:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "error": str(e),
-            "ok": False,
-        }
-        ok, text, ext = False, None, "json"
-    body = text if text is not None else render_json(report)
-    path = _artifact_path(args, ext)
-    with open(path, "w") as fh:
-        fh.write(body)
-    sys.stdout.write(body)
-    return 0 if ok else 3
+        report, text = {**envelope, "error": str(e), "ok": False}, None
+    out = text if text is not None else render_json(report)
+    with open(_artifact_path(args, text), "w") as fh:
+        fh.write(out)
+    sys.stdout.write(out)
+    return 0 if report.get("ok", True) else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

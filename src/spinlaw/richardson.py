@@ -209,8 +209,8 @@ def straightening_shape_check(rel: AffineRelation) -> bool:
 # ------------------------------------------------------ standard monomials
 
 
-def standard_monomials(iv: Interval, k: int, *, with_list: bool = False):
-    """Number (optionally the list) of multichains of length ``k``.
+def standard_monomials(iv: Interval, k: int) -> int:
+    """Number of multichains of length ``k``.
 
     Multichains ``α₁ ≤ … ≤ α_k`` in the interval label the standard
     monomials ``λ^{α₁} ⋯ λ^{α_k}``.
@@ -226,23 +226,14 @@ def standard_monomials(iv: Interval, k: int, *, with_list: bool = False):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if k == 0:
+        return 1
     els = iv.elements
     below = {x: [y for y in els if leq(y, x)] for x in els}
-    if not with_list:
-        if k == 0:
-            return 1
-        counts = {x: 1 for x in els}
-        for _ in range(k - 1):
-            counts = {x: sum(counts[y] for y in below[x]) for x in els}
-        return sum(counts.values())
-    chains: list[tuple[Weight, ...]] = [()]
-    for _ in range(k):
-        chains = [
-            ch + (x,)
-            for ch in chains
-            for x in (els if not ch else [y for y in els if leq(ch[-1], y)])
-        ]
-    return len(chains), chains
+    counts = {x: 1 for x in els}
+    for _ in range(k - 1):
+        counts = {x: sum(counts[y] for y in below[x]) for x in els}
+    return sum(counts.values())
 
 
 def straightened_law_report(iv: Interval, k_max: int) -> dict:

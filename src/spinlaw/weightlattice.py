@@ -337,9 +337,10 @@ def join(a: Weight, b: Weight) -> Weight:
 class Interval:
     """The closed interval ``[lo, hi]`` of ``Ê``.
 
-    Eagerly enumerates its elements (sorted by :func:`apos`), its cover
-    arrows, and its clutters (incomparable pairs).  Intervals are convex, so
-    the induced Hasse diagram is the restriction of the ambient covers.
+    Eagerly enumerates its elements (sorted by :func:`apos`); its clutters
+    (incomparable pairs) are computed on demand by :func:`clutters`.
+    Intervals are convex, so the induced Hasse diagram is the restriction of
+    the ambient covers.
     """
 
     def __init__(self, lo: Weight, hi: Weight):
@@ -357,10 +358,6 @@ class Interval:
                     els.append(w)
         els.sort(key=apos)
         self.elements: tuple[Weight, ...] = tuple(els)
-        elset = set(els)
-        self.covers: tuple[tuple[Weight, Weight], ...] = tuple(
-            (x, y) for x in els for y in covers_up(x) if y in elset
-        )
 
     def __contains__(self, w: Weight) -> bool:
         return leq(self.lo, w) and leq(w, self.hi)

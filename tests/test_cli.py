@@ -285,6 +285,47 @@ class TestChecks:
         assert json.loads(text)["ok"] is True
 
 
+# One cheap run of every subcommand, and the parsed input main must echo.
+CONTRACT_CASES = [
+    (["hasse"], {"window": [0, 0]}),
+    (["relations", "--lo", "(0)@0", "--hi", "(5)@0"],
+     {"interval": ["(0)@0", "(5)@0"]}),
+    (["groebner-check", "--lo", "(0)@0", "--hi", "(5)@0"],
+     {"interval": ["(0)@0", "(5)@0"]}),
+    (["fierz-check"], {"window": [0, 0]}),
+    (["straightened-check", "--lo", "(0)@0", "--hi", "(5)@0"],
+     {"interval": ["(0)@0", "(5)@0"]}),
+    (["obstructions", "--lo", "(0)@0", "--hi", "(5)@0"],
+     {"interval": ["(0)@0", "(5)@0"]}),
+    (["dims", "--lo", "(0)@0", "--hi", "(5)@0"],
+     {"interval": ["(0)@0", "(5)@0"]}),
+    (["character", "--lo", "(0)@0", "--hi", "(5)@0"],
+     {"interval": ["(0)@0", "(5)@0"]}),
+    (["delannoy-check", "--r-max", "0", "--k-max", "2"], {}),
+    (["weyl-check", "--window", "0..0"], {"window": [0, 0]}),
+    (["regseq-check", "--lo", "(0)@0", "--hi", "(5)@0"],
+     {"interval": ["(0)@0", "(5)@0"]}),
+]
+
+
+class TestReportContract:
+    def test_cases_cover_every_subcommand(self):
+        assert sorted(argv[0] for argv, _ in CONTRACT_CASES) == sorted(cli.COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv, parsed", CONTRACT_CASES, ids=[argv[0] for argv, _ in CONTRACT_CASES]
+    )
+    def test_envelope_and_exit_code(self, argv, parsed, tmp_path, capsys):
+        code, text, artifact = run(argv, tmp_path, capsys)
+        assert text == artifact
+        report = json.loads(artifact)
+        assert report["schema_version"] == 1
+        assert report["command"] == argv[0]
+        assert {k: report[k] for k in ("interval", "window") if k in report} == parsed
+        assert (code == 0) == bool(report.get("ok", True))
+        assert code in (0, 3)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
@@ -319,7 +360,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
     def test_resource_errors_exit_2(self, exc, tmp_path, capsys, monkeypatch):
-        def exhausted(args):
+        def exhausted(args, window):
             raise exc("synthetic")
 
         monkeypatch.setitem(cli.COMMANDS, "hasse", exhausted)

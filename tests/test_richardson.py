@@ -163,6 +163,19 @@ class TestStraighteningShape:
 # ------------------------------------------------------- standard monomials
 
 
+def multichains(iv, k):
+    """Every multichain of length ``k`` in ``iv``, by brute force."""
+    chains = [()]
+    for _ in range(k):
+        chains = [
+            ch + (x,)
+            for ch in chains
+            for x in iv.elements
+            if not ch or wl.leq(ch[-1], x)
+        ]
+    return chains
+
+
 class TestStandardMonomials:
     def test_finite_interval_counts(self):
         iv = IV("(0)@0", "(1)@0")
@@ -176,18 +189,20 @@ class TestStandardMonomials:
         for k in range(7):
             assert rich.standard_monomials(iv, k) == comb(k + 4, 4)
 
-    def test_with_list_consistent(self):
-        iv = IV("(0)@0", "(5)@0")
-        n, chains = rich.standard_monomials(iv, 3, with_list=True)
-        assert n == rich.standard_monomials(iv, 3) == len(chains)
-        assert len(set(chains)) == n
-        for ch in chains:
-            assert all(wl.leq(x, y) for x, y in zip(ch, ch[1:]))
+    @pytest.mark.parametrize("hi", ["(5)@0", "(12)@0", "(1)@0"])
+    def test_count_matches_brute_force_chains(self, hi):
+        iv = IV("(0)@0", hi)
+        for k in range(4):
+            chains = multichains(iv, k)
+            assert rich.standard_monomials(iv, k) == len(chains)
+            assert len(set(chains)) == len(chains)
+            for ch in chains:
+                assert all(wl.leq(x, y) for x, y in zip(ch, ch[1:]))
 
     def test_k_zero_and_negative(self):
         iv = IV("(0)@0", "(12)@0")
         assert rich.standard_monomials(iv, 0) == 1
-        assert rich.standard_monomials(iv, 0, with_list=True) == (1, [()])
+        assert multichains(iv, 0) == [()]
         with pytest.raises(ValueError):
             rich.standard_monomials(iv, -1)
 
