@@ -193,7 +193,7 @@ def parse_modes(text: str) -> list[int]:
 def cmd_hasse(args, window):
     data = wl.hasse_json(window)
     if args.format == "dot":
-        return data, wl.hasse_dot(window)
+        return data, wl.hasse_dot(data)
     if args.format == "csv":
         rows = [
             {"kind": "node", "id": n["id"], "tag": n["tag"],

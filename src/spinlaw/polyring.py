@@ -16,7 +16,7 @@ where the exponents differ, the monomial with the **smaller** exponent there
 is the **larger** monomial.  With this order the leading monomial of each of
 the defining quadrics is its pair of incomparable weights.
 ``monomial_sort_key`` is the same order as a plain tuple key.  Ranks are
-computed fraction-free over the integers, by :class:`Echelon`.
+integer eliminations (:class:`Echelon`), graded ones over packed monomials.
 
 Text syntax
 -----------
@@ -88,12 +88,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     for k, e in b:
         exps[k] = exps.get(k, 0) + e
     return tuple(sorted(exps.items()))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """True when `a` divides `b`."""
-    eb = dict(b)
-    return all(eb.get(k, 0) >= e for k, e in a)
 
 
 def monomial_div(b: Monomial, a: Monomial) -> Monomial:
@@ -421,11 +415,10 @@ def buchberger_check(basis) -> dict[tuple[int, int], Poly]:
 class Echelon:
     """Row echelon form over the integers, grown one row at a time.
 
-    :meth:`add` scales a ``{column: int or Fraction}`` row by the lcm of its
-    denominators and eliminates it, smallest column first, by ``row = a·row
-    − b·pivot`` (``a``, ``b`` the leading entries over their gcd), dividing
-    out the content when ``a ≠ 1``.  What is left becomes a pivot row with a
-    positive leading entry and content 1.
+    :meth:`eliminate` reduces a ``{column: int}`` row, smallest column first,
+    by ``row = a·row − b·pivot`` (``a``, ``b`` the leading entries over their
+    gcd), dividing out the content when ``a ≠ 1``; what is left becomes a pivot
+    with a positive leading entry and content 1.  :meth:`add` first clears denominators.
 
     >>> e = Echelon()
     >>> [e.add(r) for r in ({0: -2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(-2, 3)},
@@ -447,7 +440,11 @@ class Echelon:
     def add(self, row) -> bool:
         """Reduce `row`; True when it is independent of the rows added before."""
         den = math.lcm(*[v.denominator for v in row.values()])
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        return self.eliminate(
+            {c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
+
+    def eliminate(self, row: dict) -> bool:
+        """:meth:`add` for a row of nonzero ints, which it consumes."""
         pivots = self.pivots
         while row:
             col = min(row)
@@ -456,26 +453,23 @@ class Echelon:
                 g = math.gcd(*row.values())
                 if row[col] < 0:
                     g = -g
-                pivots[col] = {c: v // g for c, v in row.items()}
+                pivots[col] = row if g == 1 else {c: v // g for c, v in row.items()}
                 return True
-            b = row.pop(col)
-            a = prow[col]
+            a, b = prow[col], row[col]
             g = math.gcd(a, b)
             a, b = a // g, b // g
             if a != 1:
                 for c in row:
                     row[c] *= a
+            # row ← a·row − b·pivot: the entry at `col` cancels, like any other zero
             for c, v in prow.items():
-                if c != col:
-                    nv = row.get(c, 0) - b * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        del row[c]
-            if a != 1 and row:
-                g = math.gcd(*row.values())
-                if g != 1:
-                    row = {c: v // g for c, v in row.items()}
+                nv = row.get(c, 0) - b * v
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+            if a != 1 and row and (g := math.gcd(*row.values())) != 1:
+                row = {c: v // g for c, v in row.items()}
         return False
 
 
@@ -493,10 +487,14 @@ def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
     """Degree-`k` dimensions of Q[vars] / (relations, extra[:j]), j = 0..len(extra).
 
     `relations` and `extra` must be homogeneous polynomials in the variables
-    listed in `var_keys`.  A dimension is the number of degree-`k` monomials
-    minus the rank of the ideal's degree-`k` slice, spanned by all products
-    (monomial of degree k - deg g) * g; the rows of `relations`, then of each
-    ``extra[j]``, go into one :class:`Echelon`, read after each prefix.
+    listed in `var_keys`.  A dimension is ``C(n + k − 1, k)``, the number of
+    degree-`k` monomials in ``n`` variables, minus the rank of the ideal's
+    degree-`k` slice, spanned by all products u·g, u a monomial of degree
+    k − deg g; the rows of `relations`, then of each ``extra[j]``, go into one
+    :class:`Echelon`, read after each prefix.  Monomials are packed ints,
+    variable ``i`` (in key order) being the field ``1 << (bits·i)``, ``bits =
+    max(1, k.bit_length())``: no exponent in degree `k` reaches ``2**bits``,
+    so keys cannot alias, and the key of u·m is the sum of theirs.
 
     >>> x, y = variable(0), variable(1)
     >>> graded_quotient_dims([x * y], [x, y], [0, 1], 2)
@@ -513,26 +511,28 @@ def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
             raise ValueError("relation uses a variable outside var_keys")
     if k < 0:
         return [0] * (len(extra) + 1)
-    # a degree-k monomial is keyed by its sorted tuple of variable keys
-    index = {
-        c: i for i, c in enumerate(itertools.combinations_with_replacement(keys, k))
-    }
+    bits = max(1, k.bit_length())
+    field = {kk: 1 << (bits * i) for i, kk in enumerate(keys)}
+    ncols = math.comb(len(keys) + k - 1, k) if keys else int(k == 0)
+    multipliers: dict[int, list[int]] = {}  # by degree, packed once per call
     echelon = Echelon()
 
     def add_rows(g: Poly) -> int:
         d = g.degree()
         if 0 <= d <= k:
-            terms = [
-                (tuple(kk for kk, e in m for _ in range(e)), coeff)
-                for m, coeff in g.coeffs.items()
-            ]
-            for c in itertools.combinations_with_replacement(keys, k - d):
-                echelon.add({index[tuple(sorted(c + m))]: coeff for m, coeff in terms})
-        return len(index) - echelon.rank
+            den = math.lcm(*[c.denominator for c in g.coeffs.values()])
+            terms = [(sum(field[kk] * e for kk, e in m), c.numerator * (den // c.denominator))
+                     for m, c in g.coeffs.items()]
+            if k - d not in multipliers:
+                cwr = itertools.combinations_with_replacement(field.values(), k - d)
+                multipliers[k - d] = [sum(c) for c in cwr]
+            for u in multipliers[k - d]:
+                echelon.eliminate({u + t: c for t, c in terms})
+        return ncols - echelon.rank
 
     for g in relations:
         add_rows(g)
-    return [len(index) - echelon.rank] + [add_rows(g) for g in extra]
+    return [ncols - echelon.rank] + [add_rows(g) for g in extra]
 
 
 def graded_quotient_dim(relations, var_keys, k: int) -> int:

@@ -477,9 +477,8 @@ def hasse_json(window: tuple[int, int]) -> dict:
     }
 
 
-def hasse_dot(window: tuple[int, int]) -> str:
-    """GraphViz DOT rendering of the level window's Hasse diagram."""
-    data = hasse_json(window)
+def hasse_dot(data: dict) -> str:
+    """GraphViz DOT rendering of a Hasse diagram built by :func:`hasse_json`."""
     lines = [
         "digraph hasse {",
         "  rankdir=BT;",

@@ -6,6 +6,7 @@ lexicographic key on dense exponent vectors (an independent implementation).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cmp_to_key
@@ -29,13 +30,19 @@ X2 = pr.variable(2)
 # ------------------------------------------------------------- monomials
 
 
+def monomial_divides(a, b):
+    """True when `a` divides `b`."""
+    eb = dict(b)
+    return all(eb.get(k, 0) >= e for k, e in a)
+
+
 def test_monomial_basics():
     m = pr.monomial([4, 0, 4])
     assert m == ((0, 1), (4, 2))
     assert pr.monomial_degree(m) == 3
     assert pr.monomial_mul(m, pr.monomial([0])) == ((0, 2), (4, 2))
-    assert pr.monomial_divides(pr.monomial([4]), m)
-    assert not pr.monomial_divides(pr.monomial([4, 4, 4]), m)
+    assert monomial_divides(pr.monomial([4]), m)
+    assert not monomial_divides(pr.monomial([4, 4, 4]), m)
     assert pr.monomial_div(m, pr.monomial([0, 4])) == ((4, 1),)
     assert pr.monomial_lcm(pr.monomial([0, 0]), m) == ((0, 2), (4, 2))
     with pytest.raises(ValueError):
@@ -198,7 +205,7 @@ def test_reduce_leaves_no_divisible_monomial(f):
     r, q = pr.reduce(f, basis, track=True)
     tips = [pr.tip(g) for g in basis]
     for m in r.coeffs:
-        assert not any(pr.monomial_divides(t, m) for t in tips)
+        assert not any(monomial_divides(t, m) for t in tips)
     assert q[0] * basis[0] + q[1] * basis[1] + r == f
 
 
@@ -236,7 +243,7 @@ def reduce_oracle(f, basis):
         hit = None
         for m in sorted(r.coeffs, key=pr.monomial_sort_key, reverse=True):
             for i, tg in enumerate(tips):
-                if pr.monomial_divides(tg, m):
+                if monomial_divides(tg, m):
                     hit = (m, i)
                     break
             if hit:
@@ -309,6 +316,9 @@ def test_graded_quotient_dim_hand_oracles():
     assert [pr.graded_quotient_dim(sq, [0, 1], k) for k in range(4)] == [1, 2, 0, 0]
     # full polynomial ring when there are no relations
     assert pr.graded_quotient_dim([], [0, 1, 2], 3) == 10
+    # x0/2 − x1 is a multiple of x0 − 2·x1; x0/2 − x1/3 is not
+    lines = [Fraction(1, 2) * X0 - X1, Fraction(1, 2) * X0 - Fraction(1, 3) * X1]
+    assert pr.graded_quotient_dims([X0 - 2 * X1], lines, [0, 1], 1) == [1, 1, 0]
 
 
 def test_graded_quotient_dim_rejects_bad_input():
@@ -323,8 +333,8 @@ def test_graded_quotient_dim_rejects_bad_input():
     assert pr.graded_quotient_dims([X0 * X1], [X0, X1], [0, 1], -1) == [0, 0, 0]
 
 
-@pytest.mark.parametrize("hi", ["(15)@0", "(1)@0"])
-def test_graded_quotient_dims_equal_prefix_dims(hi):
+def height_forms(hi):
+    """Relations, variable keys and height-graded linear forms of [(0)@0, hi]."""
     iv = wl.interval(W("(0)@0"), W(hi))
     rels = [r.body for r in rich.build_relations(iv)]
     keys = [wl.apos(w) for w in iv.elements]
@@ -333,11 +343,108 @@ def test_graded_quotient_dims_equal_prefix_dims(hi):
         sum((pr.lam(w) for w in iv.elements if wl.ht(w) == h), pr.Poly.zero())
         for h in heights
     ]
+    return rels, keys, ys
+
+
+@pytest.mark.parametrize("hi", ["(15)@0", "(1)@0"])
+def test_graded_quotient_dims_equal_prefix_dims(hi):
+    rels, keys, ys = height_forms(hi)
     for k in range(4):
         dims = pr.graded_quotient_dims(rels, ys, keys, k)
         assert dims == [
             pr.graded_quotient_dim(rels + ys[:j], keys, k) for j in range(len(ys) + 1)
         ]
+
+
+def graded_quotient_dims_oracle(relations, extra, var_keys, k):
+    """:func:`pr.graded_quotient_dims` with each degree-`k` monomial indexed
+    by its sorted tuple of variable keys, each product ``monomial · g``
+    built as a tuple, and ``Fraction`` rows handed to ``Echelon.add``."""
+    if k < 0:
+        return [0] * (len(extra) + 1)
+    keys = sorted(var_keys)
+    index = {
+        c: i for i, c in enumerate(itertools.combinations_with_replacement(keys, k))
+    }
+    echelon = pr.Echelon()
+
+    def add_rows(g):
+        d = g.degree()
+        if 0 <= d <= k:
+            terms = [
+                (tuple(kk for kk, e in m for _ in range(e)), coeff)
+                for m, coeff in g.coeffs.items()
+            ]
+            for c in itertools.combinations_with_replacement(keys, k - d):
+                echelon.add({index[tuple(sorted(c + m))]: coeff for m, coeff in terms})
+        return len(index) - echelon.rank
+
+    for g in relations:
+        add_rows(g)
+    return [len(index) - echelon.rank] + [add_rows(g) for g in extra]
+
+
+def homogeneous(keys, d):
+    monos = st.lists(st.sampled_from(keys), min_size=d, max_size=d).map(pr.monomial)
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    return st.dictionaries(monos, coeffs, max_size=4).map(pr.Poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_graded_quotient_dims_match_tuple_index_oracle(data):
+    # the generators use only some of var_keys; degrees 0..3, zero allowed
+    var_keys = data.draw(st.lists(st.integers(0, 40), min_size=2, max_size=5, unique=True))
+    used = data.draw(st.lists(st.sampled_from(var_keys), min_size=2, unique=True))
+    gens = st.lists(st.integers(0, 3).flatmap(lambda d: homogeneous(used, d)), max_size=3)
+    rels, extra = data.draw(gens), data.draw(gens)
+    # g + s·h lies in the span of g and h; whether the other generators'
+    # rows reach it depends on the exact coefficient ratios
+    d = data.draw(st.integers(1, 3))
+    g, h = data.draw(st.lists(homogeneous(used, d).filter(bool), min_size=2, max_size=2))
+    rels.append(g)
+    extra += [h, g + data.draw(st.sampled_from([Fraction(1, 3), Fraction(-5, 2)])) * h]
+    k = data.draw(st.integers(-1, 4))
+    assert pr.graded_quotient_dims(rels, extra, var_keys, k) == (
+        graded_quotient_dims_oracle(rels, extra, var_keys, k))
+
+
+def test_graded_quotient_dims_without_variables():
+    two = pr.Poly({pr.ONE: 2})
+    for k in (0, 1):
+        assert pr.graded_quotient_dims([], [two], [], k) == (
+            graded_quotient_dims_oracle([], [two], [], k)) == [1 - k, 0]
+
+
+def test_graded_quotient_dims_height_table_of_1_at_0():
+    rels, keys, ys = height_forms("(1)@0")
+    assert [pr.graded_quotient_dims(rels, ys, keys, k) for k in range(5)] == [
+        [1] * 12,
+        list(range(16, 4, -1)),
+        [126, 110, 95, 81, 68, 56, 45, 35, 26, 18, 11, 5],
+        [672, 546, 436, 341, 260, 192, 136, 91, 56, 30, 12, 1],
+        [2772, 2100, 1554, 1118, 777, 517, 325, 189, 98, 42, 12, 0],
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8])
+def test_packed_keys_do_not_alias_at_field_boundaries(k):
+    # k is where the field width k.bit_length() steps.  One bit less makes
+    # x0^k and x0^(k−w)·x1 collide, w = 2^(width−1), at k = 1, 3, 7; at
+    # k = 2, 4, 8 it leaves base k, still alias-free in degree k.  Every
+    # degree-k monomial of x0, x1, x2 (x_i^k among them) added one at a time
+    # drops the dimension by one, and x0^k also arises as x0^(k−1) · x0
+    x = [X0, X1, X2]
+    monos = [math.prod((x[i] for i in c), start=pr.monomial_poly(pr.ONE))
+             for c in itertools.combinations_with_replacement(range(3), k)]
+    total = math.comb(k + 3, 3)  # over the four keys 0, 1, 2, 9
+    assert pr.graded_quotient_dims([], monos, [0, 1, 2, 9], k) == [
+        total - j for j in range(len(monos) + 1)]
+    binomial = monos[0] - math.prod([X1] * k)  # x0^k − x1^k
+    for rels, extra, want in (([X0 - X2], [binomial], [k + 1, k]),
+                              ([X0], [X1 * X2 - X1 * X1], [k + 1, min(k + 1, 2)])):
+        assert pr.graded_quotient_dims(rels, extra, [0, 1, 2], k) == (
+            graded_quotient_dims_oracle(rels, extra, [0, 1, 2], k)) == want
 
 
 # ------------------------------------------------------------- sparse rank

@@ -370,7 +370,7 @@ def test_hasse_json_counts_and_determinism():
 
 
 def test_hasse_dot_contains_nodes_and_edges():
-    dot = wl.hasse_dot((0, 0))
+    dot = wl.hasse_dot(wl.hasse_json((0, 0)))
     assert dot.startswith("digraph hasse {")
     assert '"(0)@0"' in dot
     assert '"(45)@0" -> "(3)@0";' in dot
