@@ -52,24 +52,28 @@ is decided by the cross-multiplied numerator identity (exact, zero
 tolerance), and :meth:`RationalChar.series` provides truncated expansions
 for oracle comparisons.
 
-The hot arithmetic (the down-set recursion, ``series()``, the DP oracle and
-the recursion convolutions) runs on dicts keyed by one int per monomial:
-seven 32-bit fields, ``s₁..s₅, q`` biased by 2³¹ and ``t`` signed on top.
-A monomial product is one int addition, truncation at ``t^k`` one
-comparison, and coefficients stay ``int`` where the input is integral.
-:class:`LaurentPoly` (tuple keys, ``Fraction`` coefficients) stays the
-public type; packing happens only at that boundary.  Keys cannot alias while every exponent
-formed has ``|e| < 2³¹``: each entry point bounds its exponents first and
-raises ValueError past that.  ``reduced()`` and LaurentPoly's own operators
-stay tuple-keyed, and serve the tests as the kernel's reference.
+All arithmetic runs on dicts keyed by one int per monomial: seven 32-bit
+fields, ``s₁..s₅, q`` biased by 2³¹ and ``t`` signed on top.  A monomial
+product is one int addition, truncation at ``t^k`` one comparison, setting
+the ``s_i`` or ``q`` to 1 one mask, and coefficients stay ``int`` where the
+input is integral.  A :class:`LaurentPoly` holds one such dict, so the
+down-set recursion, ``series()``, the DP oracle, ``reduced()`` and equality
+all work on keys; exponent tuples and ``Fraction`` coefficients appear only
+where terms are read out (``coeffs``, ``sorted_terms()``).  Keys cannot
+alias while every exponent formed has ``|e| < 2³¹``: each entry point,
+product and shift bounds its exponents first and raises ValueError past
+that.  Denominator factors stay exponent tuples.  The tuple-keyed
+arithmetic the kernel replaced serves the tests as its reference.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .weightlattice import (
     Interval,
@@ -96,11 +100,6 @@ ONE_M: Mono = (0, 0, 0, 0, 0, 0, 0)
 T_M: Mono = (0, 0, 0, 0, 0, 0, 1)
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    """Product of monomials = componentwise exponent sum."""
-    return tuple(x + y for x, y in zip(a, b))  # type: ignore[return-value]
-
-
 def weight_mono(w: Weight, t_exp: int = 1) -> Mono:
     """Exponent vector of ``e_w · t^t_exp`` (the loop exponent is the level).
 
@@ -120,258 +119,18 @@ def _mono_spec(m: Mono, s_one: bool, q_one: bool) -> Mono:
     return m
 
 
-# ---------------------------------------------------------- Laurent algebra
-
-
-class LaurentPoly:
-    """Laurent polynomial in ``(s₁..s₅, q, t)`` with exact rational coefficients.
-
-    Immutable by convention: all operations return fresh instances.
-
-    >>> p = LaurentPoly.monomial(T_M) + LaurentPoly.one()
-    >>> p * p == LaurentPoly({ONE_M: 1, T_M: 2, mono_mul(T_M, T_M): 1})
-    True
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[Mono, Fraction] | None = None):
-        clean: dict[Mono, Fraction] = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    clean[m] = c
-        self.coeffs = clean
-
-    # -- constructors
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({ONE_M: Fraction(1)})
-
-    @staticmethod
-    def monomial(m: Mono, c: Fraction | int = 1) -> "LaurentPoly":
-        return LaurentPoly({m: Fraction(c)})
-
-    # -- predicates
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):  # pragma: no cover - not hashable (mutable dict)
-        raise TypeError("LaurentPoly is not hashable")
-
-    # -- arithmetic
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        res = LaurentPoly()
-        res.coeffs = out
-        return res
-
-    def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly()
-        res.coeffs = {m: -c for m, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[Mono, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = mono_mul(m1, m2)
-                v = out.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        res = LaurentPoly()
-        res.coeffs = out
-        return res
-
-    def scale(self, c: Fraction | int) -> "LaurentPoly":
-        c = Fraction(c)
-        res = LaurentPoly()
-        if c:
-            res.coeffs = {m: v * c for m, v in self.coeffs.items()}
-        return res
-
-    # -- structure
-
-    def t_degree(self) -> int:
-        """Largest ``t``-exponent (the zero polynomial has none).
-
-        >>> (LaurentPoly.one() + LaurentPoly.monomial(T_M)).t_degree()
-        1
-        """
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no t-degree")
-        return max(m[6] for m in self.coeffs)
-
-    def total(self) -> Fraction:
-        """Value at ``s=q=t=1``, i.e. the sum of all coefficients."""
-        return sum(self.coeffs.values(), Fraction(0))
-
-    def specialized(self, *, s_one: bool = False, q_one: bool = False) -> "LaurentPoly":
-        """Set the ``s_i`` (and/or ``q``) variables to 1.
-
-        >>> LaurentPoly.monomial(weight_mono(("(12)", 2))).specialized(
-        ...     s_one=True, q_one=True) == LaurentPoly.monomial(T_M)
-        True
-        """
-        out: dict[Mono, Fraction] = {}
-        for m, c in self.coeffs.items():
-            ms = _mono_spec(m, s_one, q_one)
-            v = out.get(ms, Fraction(0)) + c
-            if v:
-                out[ms] = v
-            else:
-                out.pop(ms, None)
-        res = LaurentPoly()
-        res.coeffs = out
-        return res
-
-    def subs_t_qt(self, n: int) -> "LaurentPoly":
-        """Substitute ``t -> q^n t`` (each ``t``-power gains ``n`` loop units)."""
-        res = LaurentPoly()
-        res.coeffs = {
-            (*m[:5], m[5] + n * m[6], m[6]): c for m, c in self.coeffs.items()
-        }
-        return res
-
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        """Terms in a deterministic (lexicographic exponent) order."""
-        return sorted(self.coeffs.items())
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "LaurentPoly(0)"
-        return "LaurentPoly(%d terms, t-deg %d)" % (len(self.coeffs), self.t_degree())
-
-
-def _div_one_minus(num: dict[Mono, Fraction], m: Mono) -> dict[Mono, Fraction] | None:
-    """Exact quotient ``num / (1 - x^m)`` or None if not divisible.
-
-    Requires ``m`` to have positive ``t``-exponent ``k``.  The quotient's
-    lowest ``t``-degree is the numerator's, ``lo``, so the division runs the
-    remainder's ``t``-degree down and fails on a term below ``lo + k``.
-    """
-    k = m[6]
-    if k < 1:
-        raise ValueError("denominator factor needs positive t-degree")
-    by_deg: dict[int, dict[Mono, Fraction]] = {}
-    for e, c in num.items():
-        by_deg.setdefault(e[6], {})[e] = c
-    floor = min(by_deg, default=0) + k
-    quot: dict[Mono, Fraction] = {}
-    while by_deg:
-        d = max(by_deg)
-        bucket = by_deg.pop(d)
-        if not bucket:
-            continue
-        if d < floor:
-            return None
-        lower = by_deg.setdefault(d - k, {})
-        for e, c in bucket.items():
-            qe: Mono = tuple(x - y for x, y in zip(e, m))  # type: ignore[assignment]
-            v = quot.get(qe, 0) - c
-            if v:
-                quot[qe] = v
-            else:
-                quot.pop(qe, None)
-            r = lower.get(qe, 0) + c
-            if r:
-                lower[qe] = r
-            else:
-                lower.pop(qe, None)
-    return quot
-
-
-# The modular image that screens RationalChar.reduced()'s trial divisions: a
-# numerator N = Σ_j N_j t^j is kept as the list of N_j(pt) mod _P, lowest
-# t-degree first, at a fixed point pt of (s₁..s₅, q) with nonzero coordinates.
-
-_P = (1 << 61) - 1
-_PT = (3, 5, 7, 11, 13, 17)
-
-
-def _sq_value(m: Mono) -> int:
-    """``x^m`` at ``pt`` mod ``_P``, with the ``t``-exponent ignored."""
-    v = 1
-    for x, e in zip(_PT, m):
-        v = v * pow(x, e, _P) % _P
-    return v
-
-
-def _t_image(num: dict[Mono, Fraction]) -> list[int] | None:
-    """Images ``N_j(pt) mod _P`` for ``j`` from the lowest ``t``-degree up.
-
-    None when a coefficient's denominator is divisible by ``_P``, so that the
-    numerator has no image mod ``_P``.
-    """
-    if not num:
-        return []
-    lo = min(e[6] for e in num)
-    img = [0] * (max(e[6] for e in num) - lo + 1)
-    powers: list[dict[int, int]] = [{} for _ in _PT]  # x^e mod _P, per variable
-    for e, c in num.items():
-        v = c.numerator
-        for x, seen, k in zip(_PT, powers, e):
-            v = v * (seen[k] if k in seen else seen.setdefault(k, pow(x, k, _P))) % _P
-        if c.denominator != 1:
-            d = c.denominator % _P
-            if not d:
-                return None
-            v = v * pow(d, -1, _P)
-        img[e[6] - lo] = (img[e[6] - lo] + v) % _P
-    return img
-
-
-def _image_vanishes(img: list[int], m: Mono) -> bool:
-    """Whether the image vanishes at ``t₀ = x^m(pt)⁻¹`` (``m`` of t-degree 1)."""
-    t0 = pow(_sq_value(m), -1, _P)
-    v = 0
-    for a in reversed(img):
-        v = (v * t0 + a) % _P
-    return v == 0
-
-
-def _image_div(img: list[int], m: Mono) -> list[int]:
-    """Image of ``N / (1 − x^m)`` by synthetic division, given that it divides."""
-    c, k = _sq_value(m), m[6]
-    out: list[int] = []
-    for i in range(len(img) - k):
-        out.append((img[i] + c * out[i - k]) % _P if i >= k else img[i])
-    return out
-
-
-# The packed kernel (see the module docstring).  Multiplying by x^m adds
-# _delta(m) to a key, and "t-degree ≤ k" is "key < (k + 1) << _T_SHIFT".
+# ------------------------------------------------------------ packed kernel
+#
+# See the module docstring.  Multiplying by x^m adds _delta(m) to a key, and
+# "t-degree ≤ k" is "key < (k + 1) << _T_SHIFT".
 
 _FIELDS = struct.Struct("<7i")
+_Q_SHIFT = 5 * 32
 _T_SHIFT = 6 * 32
 _ONE_KEY = sum(1 << (32 * i + 31) for i in range(6))  # the key of 1
+_SQ_FIELDS = (1 << _T_SHIFT) - 1  # the bits of s₁..s₅, q in a key
+_S_FIELDS = (1 << _Q_SHIFT) - 1  # the bits of s₁..s₅
+_Q_FIELD = _SQ_FIELDS ^ _S_FIELDS  # the bits of q
 
 
 def _check_reach(reach: int) -> None:
@@ -404,20 +163,14 @@ def _unpack(key: int) -> Mono:
     return _FIELDS.unpack((key ^ _ONE_KEY).to_bytes(28, "little", signed=True))
 
 
+# A coefficient as a Fraction.  Fractions are immutable, so terms with equal
+# coefficients may share one; most coefficients are small integers.
+_fraction = lru_cache(maxsize=1024)(Fraction)
+
+
 def _delta(m: Mono) -> int:
     """The offset that multiplies a key by ``x^m``."""
     return _pack(m) - _ONE_KEY
-
-
-def _split(d: dict, k_max: int) -> list[LaurentPoly]:
-    """Coefficients of ``t⁰..t^k_max`` of a kernel dict, ``t`` cleared."""
-    out = [LaurentPoly() for _ in range(k_max + 1)]
-    sq_fields = (1 << _T_SHIFT) - 1
-    for key, c in d.items():
-        j = key >> _T_SHIFT
-        if c and 0 <= j <= k_max:
-            out[j].coeffs[_unpack(key & sq_fields)] = Fraction(c)
-    return out
 
 
 def _pruned(d: dict) -> dict:
@@ -451,11 +204,319 @@ def _mul_into(acc: dict, a: tuple[dict, int], b: tuple[dict, int], cap: int) -> 
             acc[key] = get(key, 0) + ca * cb
 
 
+# ---------------------------------------------------------- Laurent algebra
+
+
+class LaurentPoly:
+    """Laurent polynomial in ``(s₁..s₅, q, t)`` with exact rational coefficients.
+
+    It holds one kernel dict ``{key: int | Fraction}`` with no zero entries,
+    and ``reach``, a bound on ``|e|`` over its exponents (see
+    :func:`_check_reach`).  The operators, specialization, the shift and
+    equality run on the keys; products and shifts whose exponents could
+    leave the packed range raise ValueError.  ``coeffs`` is a read-only
+    tuple-keyed view with ``Fraction`` values, unpacked as it is read.
+    Immutable: all operations return fresh instances.
+
+    >>> p = LaurentPoly.monomial(T_M) + LaurentPoly.one()
+    >>> p * p == LaurentPoly({ONE_M: 1, T_M: 2, (0, 0, 0, 0, 0, 0, 2): 1})
+    True
+    >>> (p * p).coeffs[T_M]
+    Fraction(2, 1)
+    """
+
+    __slots__ = ("_terms", "reach")
+
+    def __init__(self, coeffs: dict[Mono, Fraction | int] | None = None):
+        clean: dict[Mono, Fraction] = {}
+        for m, c in (coeffs or {}).items():
+            c = Fraction(c)
+            if c:
+                clean[m] = c
+        self.reach = _span(clean)
+        _check_reach(self.reach)
+        self._terms = {
+            _pack(m): c.numerator if c.denominator == 1 else c for m, c in clean.items()
+        }
+
+    @staticmethod
+    def _of(terms: dict, reach: int) -> "LaurentPoly":
+        """Wrap a kernel dict with no zero entries, without copying it."""
+        p = LaurentPoly.__new__(LaurentPoly)
+        p._terms, p.reach = terms, reach
+        return p
+
+    # -- constructors
+
+    @staticmethod
+    def zero() -> "LaurentPoly":
+        return LaurentPoly()
+
+    @staticmethod
+    def one() -> "LaurentPoly":
+        return LaurentPoly._of({_ONE_KEY: 1}, 0)
+
+    @staticmethod
+    def monomial(m: Mono, c: Fraction | int = 1) -> "LaurentPoly":
+        return LaurentPoly({m: c})
+
+    # -- views
+
+    @property
+    def coeffs(self) -> "_CoeffView":
+        """``{Mono: Fraction}``, read-only."""
+        return _CoeffView(self._terms)
+
+    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+        """Terms in a deterministic (lexicographic exponent) order."""
+        terms = self._terms
+        pairs = zip(map(_unpack, terms), map(_fraction, terms.values()))
+        return sorted(pairs, key=itemgetter(0))
+
+    # -- predicates
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):  # pragma: no cover - not hashable
+        raise TypeError("LaurentPoly is not hashable")
+
+    # -- arithmetic
+
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        out = dict(self._terms)
+        get = out.get
+        for key, c in other._terms.items():
+            v = get(key, 0) + sign * c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        return LaurentPoly._of(out, max(self.reach, other.reach))
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly._of({key: -c for key, c in self._terms.items()}, self.reach)
+
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        reach = self.reach + other.reach
+        _check_reach(reach)
+        out: dict = {}
+        get = out.get
+        bs = [(kb - _ONE_KEY, cb) for kb, cb in other._terms.items()]
+        for ka, ca in self._terms.items():
+            for db, cb in bs:
+                key = ka + db
+                out[key] = get(key, 0) + ca * cb
+        return LaurentPoly._of(_pruned(out), reach)
+
+    def scale(self, c: Fraction | int) -> "LaurentPoly":
+        c = Fraction(c)
+        if not c:
+            return LaurentPoly()
+        c = c.numerator if c.denominator == 1 else c
+        return LaurentPoly._of({key: v * c for key, v in self._terms.items()}, self.reach)
+
+    # -- structure
+
+    def t_degree(self) -> int:
+        """Largest ``t``-exponent (the zero polynomial has none).
+
+        >>> (LaurentPoly.one() + LaurentPoly.monomial(T_M)).t_degree()
+        1
+        """
+        if not self._terms:
+            raise ValueError("zero polynomial has no t-degree")
+        return max(self._terms) >> _T_SHIFT
+
+    def total(self) -> Fraction:
+        """Value at ``s=q=t=1``, i.e. the sum of all coefficients."""
+        return sum(self._terms.values(), Fraction(0))
+
+    def specialized(self, *, s_one: bool = False, q_one: bool = False) -> "LaurentPoly":
+        """Set the ``s_i`` (and/or ``q``) variables to 1.
+
+        >>> LaurentPoly.monomial(weight_mono(("(12)", 2))).specialized(
+        ...     s_one=True, q_one=True) == LaurentPoly.monomial(T_M)
+        True
+        """
+        clear = (_S_FIELDS if s_one else 0) | (_Q_FIELD if q_one else 0)
+        keep, zero = ~clear, _ONE_KEY & clear
+        out: dict = {}
+        get = out.get
+        for key, c in self._terms.items():
+            key = key & keep | zero
+            out[key] = get(key, 0) + c
+        return LaurentPoly._of(_pruned(out), self.reach)
+
+    def subs_t_qt(self, n: int) -> "LaurentPoly":
+        """Substitute ``t -> q^n t`` (each ``t``-power gains ``n`` loop units)."""
+        terms = self._terms
+        t_reach = max((abs(key >> _T_SHIFT) for key in terms), default=0)
+        reach = self.reach + abs(n) * t_reach
+        _check_reach(reach)
+        shifted = {key + (n * (key >> _T_SHIFT) << _Q_SHIFT): c for key, c in terms.items()}
+        return LaurentPoly._of(shifted, reach)
+
+    def __repr__(self) -> str:
+        if not self._terms:
+            return "LaurentPoly(0)"
+        return "LaurentPoly(%d terms, t-deg %d)" % (len(self._terms), self.t_degree())
+
+
+def _split(d: dict, reach: int, k_max: int) -> list["LaurentPoly"]:
+    """Coefficients of ``t⁰..t^k_max`` of a kernel dict, ``t`` cleared."""
+    out: list[dict] = [{} for _ in range(k_max + 1)]
+    for key, c in d.items():
+        j = key >> _T_SHIFT
+        if c and 0 <= j <= k_max:
+            out[j][key & _SQ_FIELDS] = c
+    return [LaurentPoly._of(p, reach) for p in out]
+
+
+class _CoeffView(Mapping):
+    """Read-only ``{Mono: Fraction}`` view of a kernel dict.  Nothing is
+    stored: ``len`` is the dict's, and each read unpacks the terms it visits."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict):
+        self._terms = terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __iter__(self):
+        return map(_unpack, self._terms)
+
+    def __getitem__(self, m: Mono) -> Fraction:
+        try:
+            return _fraction(self._terms[_pack(m)])
+        except (KeyError, TypeError, struct.error):
+            raise KeyError(m) from None
+
+
+def _div_one_minus(num: LaurentPoly, m: Mono) -> LaurentPoly | None:
+    """Exact quotient ``num / (1 - x^m)`` or None if not divisible.
+
+    Requires ``m`` to have positive ``t``-exponent ``k``.  The quotient's
+    lowest ``t``-degree is the numerator's, ``lo``, so the division runs the
+    remainder's ``t``-degree down and fails on a term below ``lo + k``.
+    """
+    k = m[6]
+    if k < 1:
+        raise ValueError("denominator factor needs positive t-degree")
+    by_deg: dict[int, dict] = {}
+    for key, c in num._terms.items():
+        by_deg.setdefault(key >> _T_SHIFT, {})[key] = c
+    lo, hi = min(by_deg, default=0), max(by_deg, default=0)
+    floor = lo + k
+    # a numerator term is moved by x^-m at most once per step of k from hi
+    # down to the floor; an exact quotient stays within the numerator's reach
+    _check_reach(num.reach + (hi - lo) // k * _span([m]))
+    d_m = _delta(m)
+    quot: dict = {}
+    while by_deg:
+        d = max(by_deg)
+        bucket = by_deg.pop(d)
+        if not bucket:
+            continue
+        if d < floor:
+            return None
+        lower = by_deg.setdefault(d - k, {})
+        for key, c in bucket.items():
+            key -= d_m
+            v = quot.get(key, 0) - c
+            if v:
+                quot[key] = v
+            else:
+                quot.pop(key, None)
+            r = lower.get(key, 0) + c
+            if r:
+                lower[key] = r
+            else:
+                lower.pop(key, None)
+    return LaurentPoly._of(quot, num.reach)
+
+
+# The modular image that screens RationalChar.reduced()'s trial divisions: a
+# numerator N = Σ_j N_j t^j is kept as the list of N_j(pt) mod _P, lowest
+# t-degree first, at a fixed point pt of (s₁..s₅, q) with nonzero coordinates.
+
+_P = (1 << 61) - 1
+_PT = (3, 5, 7, 11, 13, 17)
+
+
+def _sq_value(m: Mono) -> int:
+    """``x^m`` at ``pt`` mod ``_P``, with the ``t``-exponent ignored."""
+    v = 1
+    for x, e in zip(_PT, m):
+        v = v * pow(x, e, _P) % _P
+    return v
+
+
+def _t_image(num: LaurentPoly) -> list[int] | None:
+    """Images ``N_j(pt) mod _P`` for ``j`` from the lowest ``t``-degree up.
+
+    None when a coefficient's denominator is divisible by ``_P``, so that the
+    numerator has no image mod ``_P``.
+    """
+    terms = num._terms
+    if not terms:
+        return []
+    lo = min(terms) >> _T_SHIFT
+    img = [0] * ((max(terms) >> _T_SHIFT) - lo + 1)
+    powers: list[dict[int, int]] = [{} for _ in _PT]  # x^e mod _P, per variable
+    for key, c in terms.items():
+        e = _unpack(key)
+        v = c.numerator
+        for x, seen, k in zip(_PT, powers, e):
+            v = v * (seen[k] if k in seen else seen.setdefault(k, pow(x, k, _P))) % _P
+        if c.denominator != 1:
+            d = c.denominator % _P
+            if not d:
+                return None
+            v = v * pow(d, -1, _P)
+        img[e[6] - lo] = (img[e[6] - lo] + v) % _P
+    return img
+
+
+def _image_vanishes(img: list[int], m: Mono) -> bool:
+    """Whether the image vanishes at ``t₀ = x^m(pt)⁻¹`` (``m`` of t-degree 1)."""
+    t0 = pow(_sq_value(m), -1, _P)
+    v = 0
+    for a in reversed(img):
+        v = (v * t0 + a) % _P
+    return v == 0
+
+
+def _image_div(img: list[int], m: Mono) -> list[int]:
+    """Image of ``N / (1 − x^m)`` by synthetic division, given that it divides."""
+    c, k = _sq_value(m), m[6]
+    out: list[int] = []
+    for i in range(len(img) - k):
+        out.append((img[i] + c * out[i - k]) % _P if i >= k else img[i])
+    return out
+
+
 def _factors_poly(fac: Counter) -> LaurentPoly:
     """Expand a (small) multiset of factors ``Π (1 - x^m)``."""
     out = LaurentPoly.one()
     for m in sorted(fac.elements()):
-        out = out * LaurentPoly({ONE_M: Fraction(1), m: Fraction(-1)})
+        out = out * LaurentPoly({ONE_M: 1, m: -1})
     return out
 
 
@@ -567,7 +628,7 @@ class RationalChar:
         """
         num = self.num
         den = Counter(self.den)
-        img = _t_image(num.coeffs)
+        img = _t_image(num)
         progress = True
         while progress and not num.is_zero():
             progress = False
@@ -575,10 +636,10 @@ class RationalChar:
                 while den[m] > 0:
                     if img is not None and m[6] == 1 and not _image_vanishes(img, m):
                         break
-                    q = _div_one_minus(num.coeffs, m)
+                    q = _div_one_minus(num, m)
                     if q is None:
                         break
-                    num = LaurentPoly(q)
+                    num = q
                     if img is not None:
                         img = _image_div(img, m)
                     den[m] -= 1
@@ -616,7 +677,7 @@ class RationalChar:
         The returned coefficients have their ``t``-exponent cleared, so they
         are directly comparable with :func:`chain_series_direct` output.
         """
-        return _split(self._expand(k_max)[0], k_max)
+        return _split(*self._expand(k_max), k_max)
 
     def _expand(self, k_max: int) -> tuple[dict, int]:
         """Kernel dict of the expansion to ``t^k_max`` (``t`` kept in the
@@ -629,13 +690,15 @@ class RationalChar:
         """
         if k_max < 0:
             raise ValueError("k_max must be >= 0")
-        low = min(0, min((m[6] for m in self.num.coeffs), default=0))
-        reach = _span(self.num.coeffs) + (k_max - low) * _span(self.den)
+        terms = self.num._terms
+        low = min(0, min(terms) >> _T_SHIFT) if terms else 0
+        reach = self.num.reach + (k_max - low) * _span(self.den)
         _check_reach(reach)
         layers: list[dict] = [{} for _ in range(low, k_max + 1)]
-        for m, c in self.num.coeffs.items():
-            if m[6] <= k_max:
-                layers[m[6] - low][_pack(m)] = c.numerator if c.denominator == 1 else c
+        cap = (k_max + 1) << _T_SHIFT
+        for key, c in terms.items():
+            if key < cap:
+                layers[(key >> _T_SHIFT) - low][key] = c
         for m in sorted(self.den.elements()):
             d, g = _delta(m), m[6]
             for j in range(g, len(layers)):
@@ -651,7 +714,7 @@ class RationalChar:
 
     def __repr__(self) -> str:
         return "RationalChar(%d num terms / %d factors)" % (
-            len(self.num.coeffs),
+            len(self.num._terms),
             sum(self.den.values()),
         )
 
@@ -671,7 +734,7 @@ def chain_series_direct(iv: Interval, k_max: int) -> list[LaurentPoly]:
     ...     interval(("(0)", 0), ("(13)", 0)), 3)]
     [Fraction(1, 1), Fraction(3, 1), Fraction(6, 1), Fraction(10, 1)]
     """
-    return _split(_chain_series(iv, k_max)[0], k_max)
+    return _split(*_chain_series(iv, k_max), k_max)
 
 
 def _chain_series(iv: Interval, k_max: int) -> tuple[dict, int]:
@@ -921,35 +984,51 @@ def _character(lo: Weight, hi: Weight, s_one: bool, q_one: bool) -> RationalChar
     # By induction over the Tail and Pair steps below, every term of N_x is a
     # product of at most |[lo, x]| − 1 weight monomials: N_lo = 1, a Tail
     # keeps N_y, and a Pair term has at most |[lo, b]| = |[lo, x]| − 2.
-    _check_reach((len(iv) - 1) * _span(wm.values()))
+    reach = (len(iv) - 1) * _span(wm.values())
+    _check_reach(reach)
+    # reads[x]: the N_y that the step of x reads (a Tail shares N_y's dict).
+    # Walking back from hi, last[y] is the last step that reads N_y among the
+    # steps hi needs; an N_x that none of them reads is never built.
+    steps = {x: decompose_below(iv, x) for x in iv.elements[1:]}
+    reads = {
+        x: (s.below,) if isinstance(s, Tail) else (s.other, meet(s.tail, s.other))
+        for x, s in steps.items()
+    }
+    last = {hi: None}
+    for x in reversed(iv.elements[1:]):
+        if x in last:
+            for y in reads[x]:
+                last.setdefault(y, x)
     # num[x] is the kernel dict of N_x, the numerator of the character of
-    # [lo, x] over Π_{z ∈ [lo, x]} (1 − e_z t).  The apos order is a linear
-    # extension, so x comes after everything below it.
+    # [lo, x] over Π_{z ∈ [lo, x]} (1 − e_z t), dropped after its last read.
+    # The apos order is a linear extension, so x comes after everything
+    # below it.
     num = {lo: {_ONE_KEY: 1}}
     for x in iv.elements[1:]:
-        step = decompose_below(iv, x)
+        if x not in last:
+            continue
+        step = steps[x]
         if isinstance(step, Tail):
             num[x] = num[step.below]
-            continue
-        # [lo, x) = [lo, b] ⊔ {a} with [lo, a) = [lo, m], so
-        # N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z ∈ [lo, b]∖[lo, m]} (1 − e_z t)
-        a, b = step.tail, step.other
-        m = meet(a, b)
-        prod = num[m]
-        for z in iv.elements:
-            if leq(z, b) and not leq(z, m):
-                nxt = dict(prod)
-                _add_into(nxt, prod, _delta(wm[z]), -1)
-                prod = _pruned(nxt)
-        d_a = _delta(wm[a])
-        acc = dict(num[b])
-        _add_into(acc, num[b], d_a, -1)
-        _add_into(acc, prod, d_a)
-        num[x] = _pruned(acc)
-    result = RationalChar(
-        LaurentPoly({_unpack(key): c for key, c in num[hi].items()}),
-        Counter(wm.values()),
-    )
+        else:
+            # [lo, x) = [lo, b] ⊔ {a} with [lo, a) = [lo, m], so
+            # N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z ∈ [lo, b]∖[lo, m]} (1 − e_z t)
+            a, (b, m) = step.tail, reads[x]
+            prod = num[m]
+            for z in iv.elements:
+                if leq(z, b) and not leq(z, m):
+                    nxt = dict(prod)
+                    _add_into(nxt, prod, _delta(wm[z]), -1)
+                    prod = _pruned(nxt)
+            d_a = _delta(wm[a])
+            acc = dict(num[b])
+            _add_into(acc, num[b], d_a, -1)
+            _add_into(acc, prod, d_a)
+            num[x] = _pruned(acc)
+        for y in reads[x]:
+            if last[y] == x:
+                del num[y]
+    result = RationalChar(LaurentPoly._of(num[hi], reach), Counter(wm.values()))
     # Fully specialized characters are small; return those in lowest terms.
     return result.reduced() if (s_one and q_one) else result
 
@@ -1215,21 +1294,23 @@ def delannoy_acceptance(r_max: int = 4, k_max: int = 8) -> bool:
     # with 1, since P has constant term 1
     u = one_minus_t.num
     p = [u * u * u * u * u, -(u * u * u * one_plus_t.num), -(t_char.num * u)]
-    g: list[list[Fraction]] = []
+    g: list[list[Fraction | int]] = []
     for r in range(k_max + 1):
         g.append([])
         for lp in bs[r].series(k_max - r):
-            val = lp.coeffs.get(ONE_M, Fraction(0))
-            if len(lp.coeffs) > (1 if val else 0):
+            val = lp._terms.get(_ONE_KEY, 0)
+            if len(lp._terms) > (1 if val else 0):
                 raise RuntimeError("specialized series is not scalar")
             g[r].append(val)
+    # the p_a are polynomials in t alone, so a key's t-degree is all of it
+    p_t = [[(key >> _T_SHIFT, c) for key, c in pa._terms.items()] for pa in p]
     for r in range(k_max + 1):
         for j in range(k_max + 1 - r):
             val = sum(
-                c * g[r - a][j - m[6]]
+                c * g[r - a][j - i]
                 for a in range(min(r, 2) + 1)
-                for m, c in p[a].coeffs.items()
-                if m[6] <= j
+                for i, c in p_t[a]
+                if i <= j
             )
             if val != (1 if r == j == 0 else 0):
                 return False

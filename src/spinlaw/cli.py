@@ -357,7 +357,7 @@ def cmd_character(args, iv):
         "specialize": {k: 1 for k in sorted(spec)},
         "numerator": format_laurent(c.num),
         "denominator": format_denominator(c.den),
-        "pole_order": cs.pole_order(c),
+        "pole_order": cs.pole_order(cs.character(iv, specialize={"s": 1, "q": 1})),
         "ok": True,
     }
     if args.series is not None:

@@ -452,9 +452,10 @@ def decompose_below(iv: Interval, top: Weight | None = None) -> Tail | Pair:
 def hasse_json(window: tuple[int, int]) -> dict:
     """JSON-serialisable Hasse diagram of the level window (inclusive).
 
-    Schema (version 1): ``nodes`` is a list of ``{"id", "tag", "level",
-    "ht"}`` sorted by position; ``edges`` is a list of ``{"src", "dst"}``
-    referring to node ids, sorted likewise.
+    ``nodes`` is a list of ``{"id", "tag", "level", "ht"}`` sorted by
+    position; ``edges`` is a list of ``{"src", "dst"}`` referring to node
+    ids, sorted likewise.  The CLI's envelope adds the schema version and
+    the window.
     """
     lo_lvl, hi_lvl = window
     nodes = []
@@ -464,9 +465,6 @@ def hasse_json(window: tuple[int, int]) -> dict:
     nodes.sort(key=apos)
     edges = affine_covers(window)
     return {
-        "schema_version": 1,
-        "kind": "hasse",
-        "levels": [lo_lvl, hi_lvl],
         "nodes": [
             {"id": format_weight(w), "tag": w[0], "level": w[1], "ht": ht(w)}
             for w in nodes

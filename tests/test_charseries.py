@@ -4,7 +4,9 @@ The down-set recursion behind `character` is cross-checked against an
 independent dynamic-programming oracle (`chain_series_direct`) and against a
 test-side transfer-matrix climb, the Delannoy polynomials
 against a square-array grid recurrence, and the ladder recursions against
-series expansion with full torus weights.
+series expansion with full torus weights.  The packed-key `LaurentPoly`,
+its trial division and its modular image are checked against the
+tuple-keyed arithmetic kept here as their oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -32,6 +35,109 @@ def tmono(k: int) -> tuple:
 
 def tpoly(coeffs: list[int]) -> cs.LaurentPoly:
     return cs.LaurentPoly({tmono(i): Fraction(c) for i, c in enumerate(coeffs)})
+
+
+# ------------------------------------------------------ tuple-keyed oracle
+#
+# Laurent polynomials as {exponent tuple: Fraction}, the arithmetic the
+# packed kernel replaced, kept as its reference.
+
+
+class TupleLaurent:
+    """Laurent polynomial in (s1..s5, q, t) as ``{Mono: Fraction}``."""
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {m: Fraction(c) for m, c in (coeffs or {}).items() if c}
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = out.get(m, 0) + c
+        return TupleLaurent(out)
+
+    def __neg__(self):
+        return TupleLaurent({m: -c for m, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return TupleLaurent(out)
+
+    def scale(self, c):
+        return TupleLaurent({m: v * c for m, v in self.coeffs.items()})
+
+    def specialized(self, *, s_one=False, q_one=False):
+        out = {}
+        for m, c in self.coeffs.items():
+            m = (*((0,) * 5 if s_one else m[:5]), 0 if q_one else m[5], m[6])
+            out[m] = out.get(m, 0) + c
+        return TupleLaurent(out)
+
+    def subs_t_qt(self, n):
+        return TupleLaurent(
+            {(*m[:5], m[5] + n * m[6], m[6]): c for m, c in self.coeffs.items()}
+        )
+
+    def sorted_terms(self):
+        return sorted(self.coeffs.items())
+
+
+def tuple_div_one_minus(num: dict, m: tuple) -> dict | None:
+    """``num / (1 - x^m)`` by running the t-degree down, or None."""
+    k = m[6]
+    if k < 1:
+        raise ValueError("denominator factor needs positive t-degree")
+    by_deg: dict = {}
+    for e, c in num.items():
+        by_deg.setdefault(e[6], {})[e] = c
+    floor = min(by_deg, default=0) + k
+    quot: dict = {}
+    while by_deg:
+        d = max(by_deg)
+        bucket = by_deg.pop(d)
+        if not bucket:
+            continue
+        if d < floor:
+            return None
+        lower = by_deg.setdefault(d - k, {})
+        for e, c in bucket.items():
+            qe = tuple(x - y for x, y in zip(e, m))
+            quot[qe] = quot.get(qe, 0) - c
+            lower[qe] = lower.get(qe, 0) + c
+            for acc in (quot, lower):
+                if not acc[qe]:
+                    del acc[qe]
+    return quot
+
+
+def tuple_t_image(num: dict) -> list | None:
+    """``N_j(pt) mod P`` for each t-degree j from the lowest up, or None."""
+    if not num:
+        return []
+    lo = min(e[6] for e in num)
+    img = [0] * (max(e[6] for e in num) - lo + 1)
+    for e, c in num.items():
+        if c.denominator % cs._P == 0:
+            return None
+        v = c.numerator * pow(c.denominator, -1, cs._P)
+        for x, k in zip(cs._PT, e):
+            v = v * pow(x, k, cs._P)
+        img[e[6] - lo] = (img[e[6] - lo] + v) % cs._P
+    return img
+
+
+def assert_same(p: cs.LaurentPoly, t: TupleLaurent) -> None:
+    """The packed polynomial has exactly the oracle's terms, no zeros."""
+    assert p.sorted_terms() == t.sorted_terms()
+    assert all(type(c) is Fraction for _, c in p.sorted_terms())
+    assert p.coeffs == t.coeffs and len(p.coeffs) == len(t.coeffs)
+    assert p == cs.LaurentPoly(t.coeffs)
 
 
 # -------------------------------------------------------- Laurent algebra
@@ -56,6 +162,68 @@ def test_laurent_poly_specialize_and_shift():
     shifted = p.subs_t_qt(2)                  # t -> q^2 t adds 2 to the q slot
     (mono, coeff), = shifted.sorted_terms()
     assert coeff == 1 and mono[5] == m[5] + 2 and mono[:5] == m[:5]
+
+
+# exponents in -2..2 (t included), coefficients int or Fraction, zeros
+# allowed (the constructor drops them)
+LAURENT = st.dictionaries(
+    st.tuples(*[st.integers(-2, 2)] * 7),
+    st.one_of(
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=LAURENT, extra=LAURENT, cancel=st.lists(st.booleans(), max_size=5),
+       c=st.sampled_from([0, 1, -2, Fraction(2, 3), Fraction(-3, 1)]),
+       n=st.integers(-3, 3),
+       m=st.sampled_from([T, (1, 0, 0, 0, 0, 0, 1), (0, -1, 0, 0, 0, 1, 2)]))
+def test_packed_matches_tuple_oracle(a, extra, cancel, c, n, m):
+    # b repeats some terms of a with the opposite sign, so a + b cancels them
+    b = dict(extra)
+    for (e, v), flip in zip(a.items(), cancel):
+        if flip:
+            b[e] = -v
+    pa, pb = cs.LaurentPoly(a), cs.LaurentPoly(b)
+    ta, tb = TupleLaurent(a), TupleLaurent(b)
+    assert_same(pa, ta)
+    assert_same(pa + pb, ta + tb)
+    assert_same(pa - pb, ta - tb)
+    assert_same(pa - pa, TupleLaurent())
+    assert_same(-pa, -ta)
+    assert_same(pa * pb, ta * tb)
+    assert_same(pa.scale(c), ta.scale(c))
+    for s_one, q_one in product((False, True), repeat=2):
+        assert_same(pa.specialized(s_one=s_one, q_one=q_one),
+                    ta.specialized(s_one=s_one, q_one=q_one))
+    assert_same(pa.subs_t_qt(n), ta.subs_t_qt(n))
+    if ta.coeffs:
+        assert pa.t_degree() == max(e[6] for e in ta.coeffs)
+    assert pa.total() == sum(ta.coeffs.values())
+    # trial division by 1 - x^m, of a + b (rarely divisible) and of its
+    # multiple, and the modular images of both
+    factor = TupleLaurent({cs.ONE_M: 1, m: -1})
+    for t in (ta + tb, (ta + tb) * factor):
+        want = tuple_div_one_minus(t.coeffs, m)
+        got = cs._div_one_minus(cs.LaurentPoly(t.coeffs), m)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_same(got, TupleLaurent(want))
+        assert cs._t_image(cs.LaurentPoly(t.coeffs)) == tuple_t_image(t.coeffs)
+
+
+def test_coeffs_view_is_read_only():
+    p = tpoly([1, 0, -2])
+    assert p.coeffs == {tmono(0): 1, tmono(2): -2} and len(p.coeffs) == 2
+    assert tmono(1) not in p.coeffs and p.coeffs.get((2**31,) * 7) is None
+    with pytest.raises(TypeError):
+        p.coeffs[tmono(1)] = Fraction(5)
+    with pytest.raises(TypeError):
+        del p.coeffs[tmono(0)]
+    assert p == tpoly([1, 0, -2])
 
 
 def test_rational_char_reduce_and_series():
@@ -86,22 +254,23 @@ def test_rational_char_sum_and_equality():
 
 
 def plain_reduced(c: cs.RationalChar) -> cs.RationalChar:
-    """Oracle for reduced(): trial-divide by every factor, no screening."""
-    num, den = c.num, Counter(c.den)
+    """Oracle for reduced(): trial-divide by every factor, no screening, in
+    the tuple-keyed arithmetic."""
+    num, den = dict(c.num.coeffs), Counter(c.den)
     progress = True
-    while progress and not num.is_zero():
+    while progress and num:
         progress = False
         for m in sorted(den):
             while den[m] > 0:
-                q = cs._div_one_minus(num.coeffs, m)
+                q = tuple_div_one_minus(num, m)
                 if q is None:
                     break
-                num = cs.LaurentPoly(q)
+                num = q
                 den[m] -= 1
                 progress = True
             if den[m] == 0:
                 del den[m]
-    return cs.RationalChar(num, den)
+    return cs.RationalChar(cs.LaurentPoly(num), den)
 
 
 # s and q exponents in -1..1; t-exponents may be negative in numerators
@@ -141,8 +310,9 @@ def test_reduced_matches_plain_trial_division(base, planted, extra):
     for m in planted:
         quot, num = num, num * (ONE - cs.LaurentPoly.monomial(m))
         # the image of a quotient is the synthetic quotient of the image
-        img = cs._t_image(num.coeffs)
-        assert img is None or cs._image_div(img, m) == cs._t_image(quot.coeffs)
+        img = cs._t_image(num)
+        assert img == tuple_t_image(num.coeffs)
+        assert img is None or cs._image_div(img, m) == cs._t_image(quot)
     c = cs.RationalChar(num, Counter(planted + extra))
     r = c.reduced()
     want = plain_reduced(c)
@@ -159,6 +329,11 @@ def test_full_character_reduction_pinned():
     r = c.reduced()
     assert r.num == c.num and r.den == c.den
     assert r.series(3) == cs.chain_series_direct(iv, 3)
+    # the screen's image and one trial division, against the tuple oracle
+    assert cs._t_image(c.num) == tuple_t_image(c.num.coeffs)
+    m = min(c.den)
+    assert cs._div_one_minus(c.num, m) is None
+    assert tuple_div_one_minus(dict(c.num.coeffs), m) is None
 
 
 def test_div_one_minus_below_the_factor_degree():
@@ -168,37 +343,42 @@ def test_div_one_minus_below_the_factor_degree():
     )
     r = c.reduced()                       # (t⁻¹ − 1)/(1 − t) = t⁻¹
     assert r.num == cs.LaurentPoly({tmono(-1): 1}) and not r.den
-    assert cs._div_one_minus({tmono(-2): 1, tmono(0): -1}, tmono(2)) == {
-        tmono(-2): 1
-    }
-    assert cs._div_one_minus({tmono(-1): 1, tmono(0): -2}, T) is None
+    two = {tmono(-2): 1, tmono(0): -1}
+    assert cs._div_one_minus(cs.LaurentPoly(two), tmono(2)) == cs.LaurentPoly(
+        {tmono(-2): 1}
+    )
+    assert tuple_div_one_minus(two, tmono(2)) == {tmono(-2): 1}
+    assert cs._div_one_minus(cs.LaurentPoly({tmono(-1): 1, tmono(0): -2}), T) is None
 
 
 # ---------------------------------------------------------- packed kernel
 
 
-def plain_series(c: cs.RationalChar, k: int) -> list[cs.LaurentPoly]:
-    """Oracle for series(): LaurentPoly products with truncated geometric
+def plain_series(c: cs.RationalChar, k: int) -> list[dict]:
+    """Oracle for series(): tuple-keyed products with truncated geometric
     series, dropping t-degrees above k after each product (no factor lowers
     the t-degree, so those terms never come back)."""
     low = min([m[6] for m in c.num.coeffs] + [0])
-    acc = c.num
+    acc = TupleLaurent(c.num.coeffs)
     for m in c.den.elements():
-        geo = cs.LaurentPoly(
+        geo = TupleLaurent(
             {tuple(i * e for e in m): 1 for i in range((k - low) // m[6] + 1)}
         )
-        acc = cs.LaurentPoly(
+        acc = TupleLaurent(
             {e: v for e, v in (acc * geo).coeffs.items() if e[6] <= k}
         )
     out: list[dict] = [{} for _ in range(k + 1)]
     for e, v in acc.coeffs.items():
         if 0 <= e[6] <= k:
             out[e[6]][(*e[:6], 0)] = v
-    return [cs.LaurentPoly(d) for d in out]
+    return out
 
 
-def all_fractions(series: list[cs.LaurentPoly]) -> bool:
-    return all(type(v) is Fraction for p in series for v in p.coeffs.values())
+def as_dicts(series: list[cs.LaurentPoly]) -> list[dict]:
+    """The tuple-keyed ``Fraction`` coefficients of each entry."""
+    out = [dict(p.coeffs) for p in series]
+    assert all(type(v) is Fraction for d in out for v in d.values())
+    return out
 
 
 # s and q exponents in -2..2, t-exponents in -2..3; coefficients with and
@@ -216,9 +396,7 @@ NUM = st.dictionaries(
        other_den=st.lists(FACTOR, max_size=3), k=st.integers(0, 5))
 def test_series_matches_laurent_expansion(num, den, other, other_den, k):
     c = cs.RationalChar(cs.LaurentPoly(num), Counter(den))
-    got = c.series(k)
-    assert got == plain_series(c, k)
-    assert all_fractions(got)
+    assert as_dicts(c.series(k)) == plain_series(c, k)
     # the truncated product behind the recursion checks, on numerators
     # without negative t-exponents, against the convolution of the series
     a, b = (
@@ -230,32 +408,32 @@ def test_series_matches_laurent_expansion(num, den, other, other_den, k):
     acc: dict = {}
     cs._mul_into(acc, a._expand(k), b._expand(k), (k + 1) << cs._T_SHIFT)
     sa, sb = plain_series(a, k), plain_series(b, k)
-    conv = [cs.LaurentPoly.zero() for _ in range(k + 1)]
+    conv = [TupleLaurent() for _ in range(k + 1)]
     for i in range(k + 1):
         for j in range(k + 1 - i):
-            conv[i + j] = conv[i + j] + sa[i] * sb[j]
-    assert cs._split(acc, k) == conv
+            conv[i + j] = conv[i + j] + TupleLaurent(sa[i]) * TupleLaurent(sb[j])
+    assert as_dicts(cs._split(acc, 0, k)) == [p.coeffs for p in conv]
 
 
-def plain_chain_series(iv: wl.Interval, k: int) -> list[cs.LaurentPoly]:
-    """Oracle for chain_series_direct: the same DP in LaurentPoly arithmetic."""
-    wm = {x: cs.LaurentPoly.monomial(cs.weight_mono(x, 0)) for x in iv.elements}
-    cur, out = dict(wm), [ONE]
+def plain_chain_series(iv: wl.Interval, k: int) -> list[dict]:
+    """Oracle for chain_series_direct: the same DP in tuple-keyed arithmetic."""
+    wm = {x: TupleLaurent({cs.weight_mono(x, 0): 1}) for x in iv.elements}
+    cur, out = dict(wm), [TupleLaurent({cs.ONE_M: 1})]
     for n in range(1, k + 1):
         if n > 1:
             nxt = {}
             for x in iv.elements:
-                below = cs.LaurentPoly.zero()
+                below = TupleLaurent()
                 for y in iv.elements:
                     if wl.leq(y, x):
                         below = below + cur[y]
                 nxt[x] = wm[x] * below
             cur = nxt
-        total = cs.LaurentPoly.zero()
+        total = TupleLaurent()
         for p in cur.values():
             total = total + p
         out.append(total)
-    return out
+    return [p.coeffs for p in out]
 
 
 @settings(max_examples=20, deadline=None)
@@ -267,9 +445,7 @@ def test_chain_series_matches_laurent_dp(data):
     hi = (data.draw(st.sampled_from(tags)), level + data.draw(st.integers(0, 1)))
     assume(wl.leq(lo, hi) and wl.ht(hi) - wl.ht(lo) <= 8)
     iv = wl.interval(lo, hi)
-    got = cs.chain_series_direct(iv, 3)
-    assert got == plain_chain_series(iv, 3)
-    assert all_fractions(got)
+    assert as_dicts(cs.chain_series_direct(iv, 3)) == plain_chain_series(iv, 3)
 
 
 def test_level_40000_character_is_the_shifted_level_0_one():
@@ -292,6 +468,17 @@ def test_exponent_range_guard():
     assert cs.RationalChar(top).series(0) == [top]
     with pytest.raises(ValueError, match="packed range"):
         cs.RationalChar(top * cs.LaurentPoly.monomial((0, 0, 0, 0, 0, 1, 0))).series(0)
+    # products and shifts refuse before forming a key past the range
+    def q(e, t=0):
+        return cs.LaurentPoly.monomial((0, 0, 0, 0, 0, e, t))
+
+    assert q(2**30 - 1) * q(2**30) == q(2**31 - 1)
+    with pytest.raises(ValueError, match="packed range"):
+        q(2**30) * q(2**30)
+    assert q(2**31 - 2, 1).subs_t_qt(1) == q(2**31 - 1, 1)
+    assert q(-(2**31 - 2), 1).subs_t_qt(-1) == q(-(2**31 - 1), 1)
+    with pytest.raises(ValueError, match="packed range"):
+        q(2**31 - 2, 1).subs_t_qt(2)
     # the down-set recursion and the DP refuse before packing, too
     far = wl.interval(W("(0)@200000000"), W("(1)@200000000"))
     with pytest.raises(ValueError, match="packed range"):

@@ -359,14 +359,23 @@ def test_parse_weight_rejects(bad):
 # --------------------------------------------------------------- emitters
 
 
-def test_hasse_json_counts_and_determinism():
+def test_hasse_json_counts_and_determinism(tmp_path, capsys):
+    from spinlaw import cli
+
     data = wl.hasse_json((0, 1))
-    assert data["schema_version"] == 1
+    assert sorted(data) == ["edges", "nodes"]
     assert len(data["nodes"]) == 32
     # 20 same-level arrows per level plus 4 cross arrows
     assert len(data["edges"]) == 44
     again = wl.hasse_json((0, 1))
     assert json.dumps(data, sort_keys=True) == json.dumps(again, sort_keys=True)
+    # the schema version is the CLI envelope's, written once by main
+    out = tmp_path / "hasse.json"
+    assert cli.main(["hasse", "--window", "0..1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["schema_version"] == 1 and report["window"] == [0, 1]
+    assert report["nodes"] == data["nodes"] and report["edges"] == data["edges"]
 
 
 def test_hasse_dot_contains_nodes_and_edges():
