@@ -4,8 +4,11 @@ The ring is Q[lambda^(a)] with one variable per affinized weight `(tag, level)`.
 Internally a variable is identified by its integer position key (see
 :func:`spinlaw.weightlattice.apos`), so a monomial is a tuple of
 ``(key, exponent)`` pairs sorted by key, and a polynomial is a sparse mapping
-from monomials to ``fractions.Fraction`` coefficients.  All arithmetic is
-exact; no floating point enters anywhere.
+from monomials to rational coefficients, each held canonically: an ``int``
+when it is integral, a ``fractions.Fraction`` otherwise (the rule of
+:class:`spinlaw.charseries.LaurentPoly`'s kernel).  The quadrics and Fierz
+elements have ±1 coefficients, so their arithmetic stays on ints.  All
+arithmetic is exact; no floating point enters anywhere.
 
 Monomial order
 --------------
@@ -159,25 +162,39 @@ def monomial_sort_key(m: Monomial) -> tuple:
 # ------------------------------------------------------------ polynomials
 
 
+# A coefficient: an int when it is integral, else a Fraction (denominator > 1).
+Coeff = int | Fraction
+
+
+def _canonical(coeffs: dict[Monomial, Coeff]) -> dict[Monomial, Coeff]:
+    """`coeffs` without its zeros, each integral Fraction made an int."""
+    return {m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in coeffs.items() if c}
+
+
 class Poly:
-    """A sparse polynomial: mapping from monomials to nonzero Fractions."""
+    """A sparse polynomial: mapping from monomials to nonzero coefficients.
+
+    A coefficient is an ``int`` when it is integral and a ``Fraction``
+    otherwise; the constructors and operators all keep this, so arithmetic
+    on integral polynomials runs on ints.
+
+    >>> (Fraction(1, 2) * variable(0) * 2).coeffs
+    {((0, 1),): 1}
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[Monomial, Fraction] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    cleaned[m] = c
-        self.coeffs = cleaned
+    def __init__(self, coeffs: dict | None = None):
+        """`coeffs` may hold any values ``Fraction`` accepts."""
+        self.coeffs = _canonical(
+            {m: c if type(c) is int else Fraction(c) for m, c in (coeffs or {}).items()})
 
     @classmethod
-    def _of(cls, coeffs: dict[Monomial, Fraction]) -> "Poly":
-        """Wrap a dict whose values are already ``Fraction``s; drop the zeros."""
+    def _of(cls, coeffs: dict[Monomial, Coeff]) -> "Poly":
+        """Wrap a dict of ints and Fractions, canonical or not."""
         p = cls.__new__(cls)
-        p.coeffs = {m: c for m, c in coeffs.items() if c}
+        p.coeffs = _canonical(coeffs)
         return p
 
     # -- constructors
@@ -204,14 +221,14 @@ class Poly:
         degs = {monomial_degree(m) for m in self.coeffs}
         return len(degs) <= 1
 
-    def terms_desc(self) -> list[tuple[Monomial, Fraction]]:
+    def terms_desc(self) -> list[tuple[Monomial, Coeff]]:
         """Terms sorted with the leading monomial first."""
         return sorted(
             self.coeffs.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True
         )
 
-    def __getitem__(self, m: Monomial) -> Fraction:
-        return self.coeffs.get(m, Fraction(0))
+    def __getitem__(self, m: Monomial) -> Coeff:
+        return self.coeffs.get(m, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -247,7 +264,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            acc: dict[Monomial, Fraction] = {}
+            acc: dict[Monomial, Coeff] = {}
             for ma, ca in self.coeffs.items():
                 for mb, cb in other.coeffs.items():
                     m = monomial_mul(ma, mb)
@@ -260,12 +277,12 @@ class Poly:
     __rmul__ = __mul__
 
 
-def monomial_poly(m: Monomial, c=1) -> Poly:
-    return Poly({m: Fraction(c)})
+def monomial_poly(m: Monomial, c: Coeff = 1) -> Poly:
+    return Poly({m: c})
 
 
 def variable(key: int) -> Poly:
-    return Poly({((key, 1),): Fraction(1)})
+    return Poly._of({((key, 1),): 1})
 
 
 def lam(w: Weight) -> Poly:
@@ -287,7 +304,7 @@ def tip(f: Poly) -> Monomial:
     return max(f.coeffs, key=monomial_sort_key)
 
 
-def lc(f: Poly) -> Fraction:
+def lc(f: Poly) -> Coeff:
     """Leading coefficient of a nonzero polynomial."""
     return f.coeffs[tip(f)]
 
@@ -300,14 +317,9 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     """
     tf, tg = tip(f), tip(g)
     big = monomial_lcm(tf, tg)
-    left = lc(f) * monomial_poly(monomial_div(big, tg)) * g
-    right = lc(g) * monomial_poly(monomial_div(big, tf)) * f
+    left = monomial_poly(monomial_div(big, tg), lc(f)) * g
+    right = monomial_poly(monomial_div(big, tf), lc(g)) * f
     return left - right
-
-
-def _exact(c: Fraction):
-    """`c` as an int when it is integral, else `c` itself."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _desc_key(m: Monomial) -> tuple:
@@ -321,8 +333,8 @@ def _reducer(basis):
     tips, leading coefficients and tails (the other terms) worked out once."""
     basis = list(basis)
     tips = [tip(g) for g in basis]
-    lcs = [_exact(g.coeffs[t]) for g, t in zip(basis, tips)]
-    tails = [[(m, _exact(c)) for m, c in g.coeffs.items() if m != t]
+    lcs = [g.coeffs[t] for g, t in zip(basis, tips)]
+    tails = [[(m, c) for m, c in g.coeffs.items() if m != t]
              for g, t in zip(basis, tips)]
     # a tip divides only monomials holding its smallest key; a constant, all
     const = next((i for i, t in enumerate(tips) if not t), None)
@@ -332,7 +344,7 @@ def _reducer(basis):
             buckets.setdefault(t[0][0], []).append((i, t))
 
     def run(f: Poly, track: bool = False):
-        r = {m: _exact(c) for m, c in f.coeffs.items()}
+        r = dict(f.coeffs)
         heap = [(_desc_key(m), m) for m in r]
         heapq.heapify(heap)
         quotients: list[dict] = [{} for _ in basis]
@@ -354,7 +366,7 @@ def _reducer(basis):
             del r[m]
             lead = lcs[i]
             exact = type(c) is type(lead) is int and not c % lead
-            q = c // lead if exact else _exact(Fraction(c, lead))
+            q = c // lead if exact else Fraction(c, lead)
             qm = monomial_div(m, tips[i])
             for tm, tc in tails[i]:
                 mm = monomial_mul(qm, tm)
@@ -362,9 +374,8 @@ def _reducer(basis):
                     heapq.heappush(heap, (_desc_key(mm), mm))
                 r[mm] = r.get(mm, 0) - q * tc
             quotients[i][qm] = q
-        rem = Poly._of({m: Fraction(c) for m, c in r.items()})
-        return (rem, [Poly._of({m: Fraction(c) for m, c in qs.items()})
-                      for qs in quotients]) if track else rem
+        rem = Poly._of(r)
+        return (rem, [Poly._of(qs) for qs in quotients]) if track else rem
 
     return run
 

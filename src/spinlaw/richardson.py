@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from . import polyring as pr
@@ -111,7 +110,7 @@ def _clutter_monomials(f: Poly) -> list[tuple[Weight, Weight]]:
 
 
 def _project(f: Poly, keys: set[int]) -> Poly:
-    return Poly(
+    return Poly._of(
         {m: c for m, c in f.coeffs.items() if all(k in keys for k, _ in m)}
     )
 
@@ -312,6 +311,12 @@ def enumerate_obstructions(iv: Interval) -> list[ObstructionPair]:
     triple with three clutter sub-pairs would break the pairing and raises
     (the incomparability graphs here are triangle-free).
 
+    An obstructed triple is a path x–z–y in the incomparability graph, z
+    being the weight in both clutters, so the triples are found by walking
+    the pairs of clutter-neighbours of each z: Σ deg² steps, not all
+    C(n, 3) triples.  A triangle shows up as a neighbour pair that is
+    itself a clutter.
+
     >>> iv = interval(parse_weight("(0)@0"), parse_weight("(1)@0"))
     >>> len(enumerate_obstructions(iv))
     16
@@ -320,24 +325,25 @@ def enumerate_obstructions(iv: Interval) -> list[ObstructionPair]:
     []
     """
     els = iv.elements
+    nbrs: dict[Weight, list[Weight]] = {w: [] for w in els}
+    for x, y in itertools.combinations(els, 2):
+        if _is_clutter_pair(x, y):
+            nbrs[x].append(y)
+            nbrs[y].append(x)
     out: list[ObstructionPair] = []
-    for x, y, z in itertools.combinations(els, 3):
-        splits = [
-            (outer, pair)
-            for outer, pair in ((x, (y, z)), (y, (x, z)), (z, (x, y)))
-            if _is_clutter_pair(*pair)
-        ]
-        if len(splits) == 3:
-            raise RuntimeError(
-                "clutter triangle at "
-                + ", ".join(format_weight(w) for w in (x, y, z))
-            )
-        if len(splits) == 2:
+    for z in els:
+        for x, y in itertools.combinations(nbrs[z], 2):
+            if y in nbrs[x]:
+                raise RuntimeError(
+                    "clutter triangle at "
+                    + ", ".join(format_weight(w) for w in sorted((x, y, z), key=els.index))
+                )
             facts = sorted(
-                (Obstruction(o, frozenset(p)) for o, p in splits),
+                (Obstruction(y, frozenset((x, z))), Obstruction(x, frozenset((y, z)))),
                 key=Obstruction.key,
             )
             out.append((facts[0], facts[1]))
+    # a factorization determines its triple, so the sort keys are distinct
     out.sort(key=lambda p: p[0].key())
     return out
 
@@ -364,7 +370,7 @@ def _coverage_index(span: int) -> dict:
     ``λ^{β} · clutter(Γ^{s^m})`` with coefficient ``c`` times the clutter's
     coefficient inside the quadric; the index records these products.
     """
-    index: dict[tuple[Weight, frozenset[Weight]], dict[tuple[str, int], Fraction]] = {}
+    index: dict[tuple[Weight, frozenset[Weight]], dict[tuple[str, int], int]] = {}
     for alpha in TAGS:
         for n in range(0, 3 * span + 1):
             for c, bw, (s, m) in sa.affine_fierz_terms(alpha, n, (0, span)):

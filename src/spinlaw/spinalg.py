@@ -7,8 +7,8 @@ for ``(0)``, ``v_i∧v_j`` for ``(ij)``, and the complement wedge for ``(k)``.
 Loop modes live in S[z, z⁻¹]; a basis state is a pair ``(subset, z-power)``,
 and an element of ΛW[z, z⁻¹] is a plain dict from basis states to nonzero
 coefficients.  One :func:`clifford_apply` acts on both coefficient kinds:
-Fractions in the Fock model and polynomials for the generic spinor from
-which the quadrics are read off.
+numbers (ints, as the signs are ±1) in the Fock model and polynomials for
+the generic spinor from which the quadrics are read off.
 
 From this model the module derives, with exact rational arithmetic:
 
@@ -20,10 +20,8 @@ From this model the module derives, with exact rational arithmetic:
   expanded reference list, plus their affinized modes Γ^{s^l};
 * the sixteen Fierz elements h_α (and their affinized windows), whose
   substitution x_s → Γ^s collapses to the zero polynomial — checked exactly;
-* products and inverses of torus weights (the weights themselves are
-  :func:`spinlaw.weightlattice.torus_weight`), the involution
-  u = e₂e₃e₄e₅, and the signed-permutation Weyl machinery with the graph
-  construction Q(X, s₁…s₆).
+* the involution u = e₂e₃e₄e₅, and the signed-permutation Weyl machinery
+  with the graph construction Q(X, s₁…s₆).
 
 All tables are computed once, cached, and immutable thereafter.
 """
@@ -62,12 +60,13 @@ _SUBSET_TAG = {s: t for t, s in _TAG_SUBSET.items()}
 
 
 # An element of ΛW[z, z⁻¹] is a plain dict ``{State: coefficient}`` holding no
-# zero coefficients.  The coefficients are Fractions in the Fock model and
-# Polys for the generic spinor Σ λ^α θ_α; both are falsy exactly when zero.
+# zero coefficients.  The coefficients are numbers in the Fock model (ints, as
+# Clifford generators only move signs) and Polys for the generic spinor
+# Σ λ^α θ_α; both are falsy exactly when zero.
 
 
 def fock_basis(subset, level: int = 0) -> dict:
-    return {(frozenset(subset), level): Fraction(1)}
+    return {(frozenset(subset), level): 1}
 
 
 def theta(w: Weight) -> dict:
@@ -172,7 +171,7 @@ def generate_hasse(window: tuple[int, int]):
     nodes = [(t, lvl) for lvl in range(lo, hi + 1) for t in TAGS]
     node_set = set(nodes)
     ops = root_ops()
-    edges: dict[tuple[Weight, Weight], tuple[int, Fraction]] = {}
+    edges: dict[tuple[Weight, Weight], tuple[int, int]] = {}
     for w in nodes:
         x = theta(w)
         for idx, op in enumerate(ops, start=1):
@@ -299,7 +298,12 @@ def gamma_quadrics() -> dict[str, Poly]:
 def pfaffian_minor(i: int) -> Poly:
     """Pfaffian of the skew 4×4 block on rows/columns {1..5} minus i,
     with entries w_ab = λ^(ab):  w_ab w_cd − w_ac w_bd + w_ad w_bc
-    for a<b<c<d."""
+    for a<b<c<d.
+
+    Paper content kept as API: Γ^i = ±(λ^(0) λ^(i) + pfaffian_minor(i)) is
+    the paper's form of the first five quadrics, which the tests check
+    against :func:`gamma_quadrics`; nothing in the package calls it.
+    """
     a, b, c, d = sorted(set(range(1, 6)) - {i})
 
     def w(x, y):
@@ -308,20 +312,22 @@ def pfaffian_minor(i: int) -> Poly:
     return w(a, b) * w(c, d) - w(a, c) * w(b, d) + w(a, d) * w(b, c)
 
 
-def gamma_coeff(s: str, alpha: Weight, beta: Weight) -> Fraction:
+def gamma_coeff(s: str, alpha: Weight, beta: Weight) -> int | Fraction:
     """Symmetric-matrix entry Γ^s_{αβ} with Γ^s = Σ_{α,β} Γ^s_{αβ} λ^α λ^β.
 
     For α ≠ β this is half the coefficient of the monomial λ^α λ^β (the
     ordered double sum counts it twice); on the diagonal it is the
-    coefficient of (λ^α)² (always zero for these quadrics).
+    coefficient of (λ^α)² (always zero for these quadrics).  The half is a
+    ``Fraction``, never a float; a zero entry is the int 0.
+
+    >>> gamma_coeff("5", ("(14)", 0), ("(23)", 0))
+    Fraction(1, 2)
     """
-    g = gamma_quadrics()[s]
-    mono = pr.monomial_from_weights([alpha, beta])
-    c = g[mono]
-    return c if alpha == beta else c / 2
+    c = gamma_quadrics()[s][pr.monomial_from_weights([alpha, beta])]
+    return c if alpha == beta or not c else Fraction(c, 2)
 
 
-def gamma_monomial_coeff(s: str, alpha: Weight, beta: Weight) -> Fraction:
+def gamma_monomial_coeff(s: str, alpha: Weight, beta: Weight) -> int:
     """Full coefficient of the monomial λ^α λ^β in Γ^s (twice gamma_coeff
     off the diagonal); the Fierz tables are written with these ±1 entries."""
     return gamma_quadrics()[s][pr.monomial_from_weights([alpha, beta])]
@@ -385,14 +391,14 @@ def fierz_identities() -> dict[str, dict[str, Poly]]:
 
 def affine_fierz_terms(
     alpha_tag: str, k: int, window: tuple[int, int]
-) -> list[tuple[Fraction, Weight, tuple[str, int]]]:
+) -> list[tuple[int, Weight, tuple[str, int]]]:
     """Window terms of h_{α^k}: triples (c, β^{l'}, (s, l)) with l + l' = k.
 
     Only variables λ^{β^{l'}} with l' inside the window are kept; the
     placeholder modes (s, l) range over l = k − l'.
     """
     lo, hi = window
-    terms: list[tuple[Fraction, Weight, tuple[str, int]]] = []
+    terms: list[tuple[int, Weight, tuple[str, int]]] = []
     fin = fierz_identities()[alpha_tag]
     for s, coeff in fin.items():
         base = {wl.weight_from_apos(key)[0]: c
@@ -419,19 +425,6 @@ def affine_fierz(alpha_tag: str, k: int, window: tuple[int, int]) -> Poly:
             m = pr.monomial_mul(var, mono)
             residue[m] = residue[m] + c * g if m in residue else c * g
     return Poly._of(residue)
-
-
-# ------------------------------------------------------------ torus weights
-
-
-def tw_mul(a, b):
-    """Product of torus weights = componentwise exponent sum."""
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def tw_inv(a):
-    """Inverse of a torus weight = exponent negation."""
-    return tuple(-x for x in a)
 
 
 # --------------------------------------------------------- automorphism u
@@ -465,7 +458,7 @@ def automorphism_u() -> dict[str, tuple[int, str]]:
         (state, coeff), = x.items()
         if coeff not in (1, -1):
             raise RuntimeError(f"u scales {t} by {coeff}")
-        table[t] = (int(coeff), state_weight(state)[0])
+        table[t] = (coeff, state_weight(state)[0])
     for t, (sign, t2) in table.items():
         if t2 != wl.U_TAG[t]:
             raise RuntimeError(f"u permutation mismatch at {t}")
@@ -487,8 +480,7 @@ def u_substitute(f: Poly, table: dict[str, tuple[int, str]] | None = None) -> Po
     if table is None:
         table = automorphism_u()
     acc = Poly.zero()
-    for mono, c in f.coeffs.items():
-        coeff = Fraction(c)
+    for mono, coeff in f.coeffs.items():
         keys = []
         for key, e in mono:
             tag, lvl = wl.weight_from_apos(key)
@@ -636,14 +628,6 @@ FINITE_GENERATORS = (S1, S2, S3, S4, S5)
 AFFINE_GENERATORS = (S1, S2, S3, S4, S5, S6)
 
 
-def m_translation(i: int, j: int) -> SignedPermutation:
-    """The lattice translation by e_i + e_j."""
-    m = [0] * 5
-    m[i - 1] += 1
-    m[j - 1] += 1
-    return SignedPermutation(trans=tuple(m))
-
-
 def psi(w: Weight):
     """The equivariant vertex encoding: (0)↦00000, (ij)↦e_i+e_j, (k)↦1−e_k,
     paired with the loop level."""
@@ -657,13 +641,6 @@ def psi(w: Weight):
         v = [1] * 5
         v[int(digits) - 1] = 0
     return (tuple(v), level)
-
-
-_PSI_INV = {psi((t, 0))[0]: t for t in TAGS}
-
-
-def psi_inv(node) -> Weight:
-    return (_PSI_INV[node[0]], node[1])
 
 
 def weyl_graph(generators, carrier):
@@ -755,20 +732,3 @@ def weyl_orbit_check(window: tuple[int, int] = (0, 1), slack: int = 2) -> dict:
         "l_image_ok": l_image == five,
     }
 
-
-# ----------------------------------------------------------- JSON emitters
-
-
-def tables_json() -> dict:
-    """Deterministic dump of the computed tables for golden-file tests."""
-    fierz = {
-        a: {s: pr.format_poly(p) for s, p in sorted(comps.items())}
-        for a, comps in fierz_identities().items()
-    }
-    return {
-        "schema_version": 1,
-        "kind": "spin_tables",
-        "quadrics": {s: pr.format_poly(gamma_quadrics()[s]) for s in GAMMA_LABELS},
-        "fierz": fierz,
-        "u_table": {t: list(automorphism_u()[t]) for t in TAGS},
-    }

@@ -98,12 +98,6 @@ for _row in _ROWS:
 for _a, _b in _VERTICAL:
     _add_up(_a, _b)
 
-#: The twenty same-level cover arrows of ``E`` as tag pairs.
-FINITE_COVER_TAGS: tuple[tuple[str, str], ...] = tuple(
-    (a, b) for a in TAGS for b in _UP_SAME[a]
-)
-
-
 def _reachable_same(start: str) -> frozenset[str]:
     seen = {start}
     stack = [start]
@@ -273,11 +267,6 @@ def leq(a: Weight, b: Weight) -> bool:
     if d == 1:
         return b[0] in _CROSS_UP[a[0]]
     return True
-
-
-def finite_covers() -> list[tuple[Weight, Weight]]:
-    """The same-level cover arrows of ``E`` at level 0 (twenty pairs)."""
-    return [((a, 0), (b, 0)) for a, b in FINITE_COVER_TAGS]
 
 
 def affine_covers(window: tuple[int, int]) -> list[tuple[Weight, Weight]]:

@@ -148,11 +148,17 @@ def test_ring_axioms(f, g, h):
     assert f + (-f) == pr.Poly.zero()
 
 
+def canonical(p):
+    """Each coefficient is nonzero, and an int unless it is not integral."""
+    return all(type(c) is int and c or type(c) is Fraction and c.denominator > 1
+               for c in p.coeffs.values())
+
+
 @settings(max_examples=150)
 @given(polys(), polys())
 def test_sums_hold_nonzero_fractions(f, g):
     for h in (f + g, f - g, g - f, -f, f * g, 3 * f):
-        assert all(type(c) is Fraction and c != 0 for c in h.coeffs.values())
+        assert canonical(h)
         assert bool(h) == (not h.is_zero())
     assert (f - f).coeffs == {} and not (f - f)
     assert (X0 - X0).coeffs == {}
@@ -228,32 +234,82 @@ def test_buchberger_check_confluent_pair():
     assert out[(0, 1)].is_zero()
 
 
-# --------------------------------------- reduce against a sort-every-step oracle
+# ------------------------------------------------- a Fraction-only oracle
+# Polynomials as plain {monomial: Fraction} dicts: an oracle for Poly's
+# int | Fraction arithmetic that holds no int coefficient anywhere.
+
+
+def fr(p):
+    """`p` as a {monomial: Fraction} dict."""
+    return {m: Fraction(c) for m, c in p.coeffs.items()}
+
+
+def fr_add(a, b, scale=Fraction(1)):
+    """a + scale·b, without zero terms."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + scale * c
+    return {m: c for m, c in out.items() if c}
+
+
+def fr_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = pr.monomial_mul(ma, mb)
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def fr_tip(a):
+    return max(a, key=pr.monomial_sort_key)
+
+
+def fr_s_polynomial(a, b):
+    ta, tb = fr_tip(a), fr_tip(b)
+    big = pr.monomial_lcm(ta, tb)
+    left = fr_mul({pr.monomial_div(big, tb): a[ta]}, b)
+    return fr_add(left, fr_mul({pr.monomial_div(big, ta): b[tb]}, a), Fraction(-1))
 
 
 def reduce_oracle(f, basis):
-    """Division that re-sorts the whole remainder before every step, then
-    rewrites its largest monomial some tip divides by the first such basis
-    element.  Returns ``(remainder, quotients)``."""
-    tips = [pr.tip(g) for g in basis]
-    lcs = [pr.lc(g) for g in basis]
-    r = pr.Poly(dict(f.coeffs))
-    quotients = [pr.Poly.zero() for _ in basis]
+    """Division of the dict `f` by a list of dicts that re-sorts the whole
+    remainder before every step, then rewrites its largest monomial some tip
+    divides by the first such basis element.  Returns ``(remainder,
+    quotients)`` as dicts."""
+    tips = [fr_tip(g) for g in basis]
+    r, quotients = f, [{} for _ in basis]
     while True:
-        hit = None
-        for m in sorted(r.coeffs, key=pr.monomial_sort_key, reverse=True):
-            for i, tg in enumerate(tips):
-                if monomial_divides(tg, m):
-                    hit = (m, i)
-                    break
-            if hit:
-                break
+        hit = next(((m, i) for m in sorted(r, key=pr.monomial_sort_key, reverse=True)
+                    for i, t in enumerate(tips) if monomial_divides(t, m)), None)
         if hit is None:
             return r, quotients
         m, i = hit
-        q = pr.monomial_poly(pr.monomial_div(m, tips[i]), r[m] / lcs[i])
-        r = r - q * basis[i]
-        quotients[i] = quotients[i] + q
+        q = {pr.monomial_div(m, tips[i]): r[m] / basis[i][tips[i]]}
+        r = fr_add(r, fr_mul(q, basis[i]), Fraction(-1))
+        quotients[i] = fr_add(quotients[i], q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys(), st.sampled_from([2, -3, Fraction(1, 2), Fraction(-4, 3)]),
+       st.lists(polys(min_size=1, max_size=4), min_size=1, max_size=3))
+def test_arithmetic_is_canonical_and_matches_fraction_oracle(f, g, s, basis):
+    # no float, no integral Fraction, and the values of the Fraction route
+    a, b = fr(f), fr(g)
+    cases = [
+        (f + g, fr_add(a, b)),
+        (f - g, fr_add(a, b, Fraction(-1))),
+        (f * g, fr_mul(a, b)),
+        (s * f, fr_mul({pr.ONE: Fraction(s)}, a)),
+        (f * Fraction(1, 2) * 2, a),
+    ]
+    if f and g:
+        cases.append((pr.s_polynomial(f, g), fr_s_polynomial(a, b)))
+    r, q = pr.reduce(f, basis, track=True)
+    want_r, want_q = reduce_oracle(a, [fr(x) for x in basis])
+    cases += [(r, want_r), *zip(q, want_q)]
+    for got, want in cases:
+        assert canonical(got) and fr(got) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,12 +329,11 @@ def test_reduce_matches_sort_every_step_oracle(data):
         basis.append(pr.Poly({pr.ONE: data.draw(st.sampled_from([1, -3, Fraction(2, 5)]))}))
     basis = data.draw(st.permutations(basis))
     f = data.draw(polys(min_size=1, max_size=8))
-    want_r, want_q = reduce_oracle(f, basis)
+    want_r, want_q = reduce_oracle(fr(f), [fr(g) for g in basis])
     r, q = pr.reduce(f, basis, track=True)
-    assert r == want_r and q == want_q
-    assert pr.reduce(f, basis) == want_r
-    for p in [r, *q]:
-        assert all(type(c) is Fraction and c != 0 for c in p.coeffs.values())
+    assert fr(r) == want_r and [fr(p) for p in q] == want_q
+    assert pr.reduce(f, basis) == r
+    assert all(canonical(p) for p in [r, *q])
 
 
 def test_reduce_by_a_constant_and_by_repeated_tips():
@@ -296,12 +351,13 @@ def test_buchberger_check_matches_oracle_on_intervals(r):
     bodies = [x.body for x in rich.build_relations(
         wl.interval(W("(0)@0"), W(f"(1)@{r}")))]
     tips = [pr.tip(g) for g in bodies]
+    dicts = [fr(g) for g in bodies]
     want = {
-        (i, j): reduce_oracle(pr.s_polynomial(bodies[i], bodies[j]), bodies)[0]
+        (i, j): reduce_oracle(fr_s_polynomial(dicts[i], dicts[j]), dicts)[0]
         for i in range(len(bodies)) for j in range(i + 1, len(bodies))
         if {k for k, _ in tips[i]} & {k for k, _ in tips[j]}
     }
-    assert pr.buchberger_check(bodies) == want
+    assert {ij: fr(rem) for ij, rem in pr.buchberger_check(bodies).items()} == want
 
 
 # ------------------------------------------------- graded quotient dims

@@ -1,7 +1,9 @@
 """Tests for the Richardson-algebra straightening machinery."""
 
+import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,30 @@ def golden_table(table):
         )
         for key, pairs in table.items()
     }
+
+
+def obstructions_oracle(iv):
+    """:func:`rich.enumerate_obstructions` by brute force over all C(n, 3)
+    triples, each classified by its number of clutter sub-pairs."""
+    out = []
+    for x, y, z in itertools.combinations(iv.elements, 3):
+        splits = [
+            (outer, pair)
+            for outer, pair in ((x, (y, z)), (y, (x, z)), (z, (x, y)))
+            if rich._is_clutter_pair(*pair)
+        ]
+        if len(splits) == 3:
+            raise RuntimeError(
+                "clutter triangle at " + ", ".join(wl.format_weight(w) for w in (x, y, z))
+            )
+        if len(splits) == 2:
+            facts = sorted(
+                (rich.Obstruction(o, frozenset(p)) for o, p in splits),
+                key=rich.Obstruction.key,
+            )
+            out.append((facts[0], facts[1]))
+    out.sort(key=lambda p: p[0].key())
+    return out
 
 
 def coverage_by_pair(iv):
@@ -258,6 +284,28 @@ class TestObstructions:
 
     def test_chain_interval_has_none(self):
         assert rich.enumerate_obstructions(IV("(0)@0", "(15)@0")) == []
+
+    @pytest.mark.parametrize(
+        "ivs",
+        [[wl.interval(W("(0)@0"), (t, lvl)) for t in wl.TAGS] for lvl in range(3)]
+        + [[IV("(0)@0", f"(1)@{r}")] for r in range(3, 6)],
+    )
+    def test_path_walk_matches_all_triples_oracle(self, ivs):
+        for iv in ivs:
+            assert rich.enumerate_obstructions(iv) == obstructions_oracle(iv)
+
+    def test_clutter_triangle_raises(self, monkeypatch):
+        # a chain has no clutters; calling three of its weights pairwise
+        # incomparable makes exactly one triangle
+        tri = {W("(12)@0"), W("(13)@0"), W("(14)@0")}
+        real = rich._is_clutter_pair
+        monkeypatch.setattr(
+            rich, "_is_clutter_pair", lambda a, b: real(a, b) or (a != b and {a, b} <= tri)
+        )
+        msg = re.escape("clutter triangle at (12)@0, (13)@0, (14)@0")
+        for enumerate_ in (rich.enumerate_obstructions, obstructions_oracle):
+            with pytest.raises(RuntimeError, match=msg):
+                enumerate_(IV("(0)@0", "(15)@0"))
 
     def test_finite_table(self):
         table = golden_table(GOLDEN["finite"])

@@ -32,6 +32,16 @@ ALL_SUBSETS = [
 ]
 
 
+def tw_mul(a, b):
+    """Product of torus weights: the componentwise exponent sum."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def tw_inv(a):
+    """Inverse of a torus weight: the negated exponents."""
+    return tuple(-x for x in a)
+
+
 # ------------------------------------------------------------ Clifford model
 
 
@@ -90,14 +100,14 @@ def test_fock_state_helpers():
     st.booleans(),
 )
 def test_anticommutation_on_random_elements(parts, i, j, poly_coeffs):
-    # Fraction coefficients (the Fock model) or Poly coefficients (the
-    # generic spinor of gamma_quadrics); terms that cancel must be dropped
+    # int coefficients (the Fock model) or Poly coefficients (the generic
+    # spinor of gamma_quadrics); terms that cancel must be dropped
     coords: dict = {}
     for sub, lvl, c in parts:
         key = (sub, lvl)
         coords[key] = coords.get(key, 0) + c
     x = {
-        (sub, lvl): c * pr.lam(("(12)", lvl)) if poly_coeffs else Fraction(c)
+        (sub, lvl): c * pr.lam(("(12)", lvl)) if poly_coeffs else c
         for (sub, lvl), c in coords.items()
         if c
     }
@@ -167,7 +177,7 @@ def test_quadric_monomials_share_torus_weight():
         for mono in g.coeffs:
             acc = (0,) * 6
             for w in pr.monomial_weights(mono):
-                acc = sa.tw_mul(acc, wl.torus_weight(w))
+                acc = tw_mul(acc, wl.torus_weight(w))
             seen.add(acc)
         i = int(s.rstrip("*"))
         sign = 2 if s.endswith("*") else -2
@@ -210,6 +220,13 @@ def test_gamma_coeff_convention():
     assert sa.gamma_coeff("1", ("(0)", 0), ("(0)", 0)) == 0
     assert sa.gamma_monomial_coeff("5", ("(14)", 0), ("(23)", 0)) == 1
     assert sa.gamma_monomial_coeff("5", ("(13)", 0), ("(24)", 0)) == -1
+    # every entry is an exact ±½ off the diagonal or an int 0, never a float
+    for s in sa.GAMMA_LABELS:
+        for a in wl.TAGS:
+            for b in wl.TAGS:
+                c = sa.gamma_coeff(s, (a, 0), (b, 0))
+                assert (type(c) is int and c == 0) or (
+                    type(c) is Fraction and a != b and c in (half, -half)), (s, a, b, c)
     # the symmetric matrix reassembles the quadric via the ordered double sum
     for s in ("3", "4*"):
         acc = pr.Poly.zero()
@@ -324,7 +341,9 @@ def test_gamma_affine_equals_termwise_sum(window):
                         )
             g = sa.gamma_affine(s, l, window)
             assert list(g.coeffs.items()) == list(ref.coeffs.items()), (s, l)
-            assert all(type(c) is Fraction for c in g.coeffs.values())
+            # canonical coefficients: nonzero, and an int unless not integral
+            assert all(type(c) is int and c or type(c) is Fraction and c.denominator > 1
+                       for c in g.coeffs.values())
 
 
 # ----------------------------------------------------------- Fierz identities
@@ -366,14 +385,14 @@ def test_fierz_residue_zero_and_scaling():
 def test_fierz_torus_weight():
     # every term λ^β x_s of h_α has torus weight inverse to e_α
     for a, comps in sa.fierz_identities().items():
-        target = sa.tw_inv(wl.torus_weight((a, 0)))
+        target = tw_inv(wl.torus_weight((a, 0)))
         for s, coeff in comps.items():
             i = int(s.rstrip("*"))
             sgn = 2 if s.endswith("*") else -2
             xw = tuple(sgn if k == i - 1 else 0 for k in range(5)) + (0,)
             for mono in coeff.coeffs:
                 (bw,) = pr.monomial_weights(mono)
-                assert sa.tw_mul(wl.torus_weight(bw), xw) == target, (a, s)
+                assert tw_mul(wl.torus_weight(bw), xw) == target, (a, s)
 
 
 def test_affine_fierz_vanishes():
@@ -412,7 +431,7 @@ def test_torus_weight_examples():
     assert wl.torus_weight(("(12)", 0)) == (1, 1, -1, -1, -1, 0)
     assert wl.torus_weight(("(3)", 2)) == (1, 1, -1, 1, 1, 2)
     a = wl.torus_weight(("(14)", 1))
-    assert sa.tw_mul(a, sa.tw_inv(a)) == (0,) * 6
+    assert tw_mul(a, tw_inv(a)) == (0,) * 6
 
 
 def test_torus_weight_psi_relation():
@@ -517,13 +536,15 @@ def test_signed_permutation_validation():
 
 
 def test_psi_roundtrip():
+    tag_of = {sa.psi((t, 0))[0]: t for t in wl.TAGS}
     for t in wl.TAGS:
         for lvl in (-1, 0, 2):
-            assert sa.psi_inv(sa.psi((t, lvl))) == (t, lvl)
+            node = sa.psi((t, lvl))
+            assert (tag_of[node[0]], node[1]) == (t, lvl)
 
 
 def test_m_translation_identities():
-    m12 = sa.m_translation(1, 2)
+    m12 = sa.SignedPermutation(trans=(1, 1, 0, 0, 0))  # translation by e_1 + e_2
     assert m12.apply(sa.psi(("(0)", 1))) == sa.psi(("(0)", 0))
     assert m12.apply(sa.psi(("(1)", 0))) == sa.psi(("(1)", 0))
     assert m12.apply(sa.psi(("(2)", 0))) == sa.psi(("(2)", 0))
@@ -546,11 +567,26 @@ def test_weyl_orbit_check():
 # ---------------------------------------------------------------- JSON dump
 
 
+def tables_json() -> dict:
+    """Deterministic dump of the computed tables, compared with the golden file."""
+    fierz = {
+        a: {s: pr.format_poly(p) for s, p in sorted(comps.items())}
+        for a, comps in sa.fierz_identities().items()
+    }
+    return {
+        "schema_version": 1,
+        "kind": "spin_tables",
+        "quadrics": {s: pr.format_poly(sa.gamma_quadrics()[s]) for s in sa.GAMMA_LABELS},
+        "fierz": fierz,
+        "u_table": {t: list(sa.automorphism_u()[t]) for t in wl.TAGS},
+    }
+
+
 def test_tables_json_deterministic_and_golden():
-    first = json.dumps(sa.tables_json(), sort_keys=True)
-    second = json.dumps(sa.tables_json(), sort_keys=True)
+    first = json.dumps(tables_json(), sort_keys=True)
+    second = json.dumps(tables_json(), sort_keys=True)
     assert first == second
-    tables = sa.tables_json()
+    tables = tables_json()
     assert tables["schema_version"] == 1 and tables["kind"] == "spin_tables"
     for s, text in GOLDEN["quadrics"].items():
         assert pr.parse_poly(tables["quadrics"][s]) == pr.parse_poly(text)

@@ -64,7 +64,7 @@ EXPECTED_HT = {
 
 
 def test_finite_covers_exact_set():
-    covers = wl.finite_covers()
+    covers = wl.affine_covers((0, 0))  # the same-level covers of E at level 0
     assert len(covers) == 20
     assert {(a[0], b[0]) for a, b in covers} == EXPECTED_FINITE_COVERS
     assert all(a[1] == 0 and b[1] == 0 for a, b in covers)
