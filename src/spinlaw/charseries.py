@@ -168,6 +168,13 @@ def _unpack(key: int) -> Mono:
 _fraction = lru_cache(maxsize=1024)(Fraction)
 
 
+def _exact(c) -> Fraction:
+    """``Fraction(c)``, refusing a float: it would keep a binary rounding."""
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    return Fraction(c)
+
+
 def _delta(m: Mono) -> int:
     """The offset that multiplies a key by ``x^m``."""
     return _pack(m) - _ONE_KEY
@@ -230,7 +237,7 @@ class LaurentPoly:
     def __init__(self, coeffs: dict[Mono, Fraction | int] | None = None):
         clean: dict[Mono, Fraction] = {}
         for m, c in (coeffs or {}).items():
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 clean[m] = c
         self.reach = _span(clean)
@@ -324,7 +331,7 @@ class LaurentPoly:
         return LaurentPoly._of(_pruned(out), reach)
 
     def scale(self, c: Fraction | int) -> "LaurentPoly":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return LaurentPoly()
         c = c.numerator if c.denominator == 1 else c

@@ -2,24 +2,27 @@
 
 The ring is Q[lambda^(a)] with one variable per affinized weight `(tag, level)`.
 Internally a variable is identified by its integer position key (see
-:func:`spinlaw.weightlattice.apos`), so a monomial is a tuple of
-``(key, exponent)`` pairs sorted by key, and a polynomial is a sparse mapping
-from monomials to rational coefficients, each held canonically: an ``int``
-when it is integral, a ``fractions.Fraction`` otherwise (the rule of
+:func:`spinlaw.weightlattice.apos`), so a monomial is the sorted tuple of its
+variable keys, one entry per factor — the multichain a1 <= ... <= ak of the
+standard monomial lambda^(a1)...lambda^(ak) — and a polynomial is a sparse
+mapping from monomials to rational coefficients, each held canonically: an
+``int`` when it is integral, a ``fractions.Fraction`` otherwise (the rule of
 :class:`spinlaw.charseries.LaurentPoly`'s kernel).  The quadrics and Fierz
 elements have ±1 coefficients, so their arithmetic stays on ints.  All
 arithmetic is exact; no floating point enters anywhere.
 
 Monomial order
 --------------
-``cmp_monomials`` realizes the graded reverse lexicographic order attached to
-the total variable enumeration: higher total degree wins, and ties are broken
-by scanning exponents upward from the *bottom* variable — at the first key
-where the exponents differ, the monomial with the **smaller** exponent there
-is the **larger** monomial.  With this order the leading monomial of each of
-the defining quadrics is its pair of incomparable weights.
-``monomial_sort_key`` is the same order as a plain tuple key.  Ranks are
-integer eliminations (:class:`Echelon`), graded ones over packed monomials.
+``monomial_sort_key`` realizes the graded reverse lexicographic order attached
+to the total variable enumeration: higher total degree wins, and ties are
+broken by scanning exponents upward from the *bottom* variable — at the first
+key where the exponents differ, the monomial with the **smaller** exponent
+there is the **larger** monomial.  With this order the leading monomial of
+each of the defining quadrics is its pair of incomparable weights.  The key is
+``(len(m), m)``: if two sorted tuples of one length first differ at index i
+with a[i] < b[i], then a[i] is the first key where their exponents differ, and
+a holds more of it, so a is the smaller monomial.  Ranks are integer
+eliminations (:class:`Echelon`), graded ones over packed monomials.
 
 Text syntax
 -----------
@@ -48,8 +51,8 @@ from fractions import Fraction
 
 from .weightlattice import Weight, apos, parse_weight, weight_from_apos
 
-# A monomial: ((key, exponent), ...) with keys strictly increasing, exponents > 0.
-Monomial = tuple[tuple[int, int], ...]
+# A monomial: the variable keys of its factors, in increasing order.
+Monomial = tuple[int, ...]
 
 ONE: Monomial = ()
 
@@ -61,12 +64,9 @@ def monomial(keys) -> Monomial:
     """Build a monomial from an iterable of variable keys (with repetition).
 
     >>> monomial([4, 0, 4])
-    ((0, 1), (4, 2))
+    (0, 4, 4)
     """
-    exps: dict[int, int] = {}
-    for k in keys:
-        exps[k] = exps.get(k, 0) + 1
-    return tuple(sorted(exps.items()))
+    return tuple(sorted(keys))
 
 
 def monomial_from_weights(ws) -> Monomial:
@@ -76,87 +76,40 @@ def monomial_from_weights(ws) -> Monomial:
 
 def monomial_weights(m: Monomial) -> list[Weight]:
     """The multiset of weights dividing `m`, smallest variable first."""
-    out: list[Weight] = []
-    for k, e in m:
-        out.extend([weight_from_apos(k)] * e)
-    return out
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+    return [weight_from_apos(k) for k in m]
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps = dict(a)
-    for k, e in b:
-        exps[k] = exps.get(k, 0) + e
-    return tuple(sorted(exps.items()))
+    return tuple(sorted(a + b))
 
 
 def monomial_div(b: Monomial, a: Monomial) -> Monomial:
     """The quotient monomial b / a; `a` must divide `b`."""
-    exps = dict(b)
-    for k, e in a:
-        r = exps.get(k, 0) - e
-        if r < 0:
+    rest = list(b)
+    for k in a:
+        if k not in rest:
             raise ValueError(f"{a!r} does not divide {b!r}")
-        if r == 0:
-            exps.pop(k, None)
-        else:
-            exps[k] = r
-    return tuple(sorted(exps.items()))
+        rest.remove(k)
+    return tuple(rest)
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    exps = dict(a)
-    for k, e in b:
-        exps[k] = max(exps.get(k, 0), e)
-    return tuple(sorted(exps.items()))
-
-
-def cmp_monomials(a: Monomial, b: Monomial) -> int:
-    """Three-way comparison in the graded reverse lexicographic order.
-
-    Returns -1, 0 or 1 according to a < b, a == b, a > b.  Higher total
-    degree is larger; on equal degrees scan exponents from the smallest
-    variable key upward and at the first difference the monomial with the
-    smaller exponent is the larger one.
-
-    >>> x, y = monomial([0]), monomial([2])
-    >>> cmp_monomials(monomial_mul(x, y), monomial_mul(y, y))
-    -1
-    """
-    da, db = monomial_degree(a), monomial_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        ka, ea = a[ia]
-        kb, eb = b[ib]
-        if ka != kb:
-            # the monomial with exponent 0 at the smaller key is larger
-            return -1 if ka < kb else 1
-        if ea != eb:
-            return 1 if ea < eb else -1
-        ia += 1
-        ib += 1
-    if ia == len(a) and ib == len(b):
-        return 0
-    return 1 if ia == len(a) else -1
-
-
-# above every key: the monomial that ends first is the larger, as in cmp_monomials
-_SENTINEL = math.inf
+    """a times the factors of `b` that `a` lacks."""
+    rest = list(b)
+    for k in a:
+        if k in rest:
+            rest.remove(k)
+    return tuple(sorted([*a, *rest]))
 
 
 def monomial_sort_key(m: Monomial) -> tuple:
-    """:func:`cmp_monomials`'s order as ``(deg, k1, -e1, k2, -e2, ..., SENTINEL)``."""
-    key = []
-    deg = 0
-    for k, e in m:
-        deg += e
-        key += (k, -e)
-    return (deg, *key, _SENTINEL)
+    """The graded reverse lexicographic order as a plain tuple key.
+
+    >>> x, y = monomial([0]), monomial([2])
+    >>> monomial_sort_key(monomial_mul(x, y)) < monomial_sort_key(monomial_mul(y, y))
+    True
+    """
+    return (len(m), m)
 
 
 # ------------------------------------------------------------ polynomials
@@ -164,6 +117,13 @@ def monomial_sort_key(m: Monomial) -> tuple:
 
 # A coefficient: an int when it is integral, else a Fraction (denominator > 1).
 Coeff = int | Fraction
+
+
+def _exact(c) -> Fraction:
+    """``Fraction(c)``, refusing a float: it would keep a binary rounding."""
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    return Fraction(c)
 
 
 def _canonical(coeffs: dict[Monomial, Coeff]) -> dict[Monomial, Coeff]:
@@ -180,15 +140,15 @@ class Poly:
     on integral polynomials runs on ints.
 
     >>> (Fraction(1, 2) * variable(0) * 2).coeffs
-    {((0, 1),): 1}
+    {(0,): 1}
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict | None = None):
-        """`coeffs` may hold any values ``Fraction`` accepts."""
+        """`coeffs` may hold any values ``Fraction`` accepts but floats."""
         self.coeffs = _canonical(
-            {m: c if type(c) is int else Fraction(c) for m, c in (coeffs or {}).items()})
+            {m: c if type(c) is int else _exact(c) for m, c in (coeffs or {}).items()})
 
     @classmethod
     def _of(cls, coeffs: dict[Monomial, Coeff]) -> "Poly":
@@ -215,11 +175,10 @@ class Poly:
         """Total degree (-1 for the zero polynomial)."""
         if not self.coeffs:
             return -1
-        return max(monomial_degree(m) for m in self.coeffs)
+        return max(map(len, self.coeffs))
 
     def is_homogeneous(self) -> bool:
-        degs = {monomial_degree(m) for m in self.coeffs}
-        return len(degs) <= 1
+        return len(set(map(len, self.coeffs))) <= 1
 
     def terms_desc(self) -> list[tuple[Monomial, Coeff]]:
         """Terms sorted with the leading monomial first."""
@@ -282,7 +241,7 @@ def monomial_poly(m: Monomial, c: Coeff = 1) -> Poly:
 
 
 def variable(key: int) -> Poly:
-    return Poly._of({((key, 1),): 1})
+    return Poly._of({(key,): 1})
 
 
 def lam(w: Weight) -> Poly:
@@ -323,9 +282,8 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 
 
 def _desc_key(m: Monomial) -> tuple:
-    """:func:`monomial_sort_key` negated: the largest monomial sorts first (no
-    key is a proper prefix of another, each ends in the sentinel)."""
-    return tuple(-x for x in monomial_sort_key(m))
+    """:func:`monomial_sort_key` negated: the largest monomial sorts first."""
+    return (-len(m), *[-k for k in m])
 
 
 def _reducer(basis):
@@ -338,10 +296,11 @@ def _reducer(basis):
              for g, t in zip(basis, tips)]
     # a tip divides only monomials holding its smallest key; a constant, all
     const = next((i for i, t in enumerate(tips) if not t), None)
-    buckets: dict[int, list[tuple[int, Monomial]]] = {}
+    buckets: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
     for i, t in enumerate(tips):
         if t:
-            buckets.setdefault(t[0][0], []).append((i, t))
+            counts = [(k, t.count(k)) for k in dict.fromkeys(t)]
+            buckets.setdefault(t[0], []).append((i, counts))
 
     def run(f: Poly, track: bool = False):
         r = dict(f.coeffs)
@@ -353,12 +312,12 @@ def _reducer(basis):
             c = r[m]
             if not c:
                 continue  # left as a zero: it is never pushed again
-            em, i = dict(m), const  # the first element whose tip divides m
-            for k in em:
+            i = const  # the first element whose tip divides m
+            for k in set(m):
                 for j, t in buckets.get(k, ()):
                     if i is not None and j >= i:
                         break
-                    if all(em.get(kt, 0) >= e for kt, e in t):
+                    if all(m.count(kt) >= e for kt, e in t):
                         i = j
                         break
             if i is None:
@@ -411,7 +370,7 @@ def buchberger_check(basis) -> dict[tuple[int, int], Poly]:
     """
     basis = list(basis)
     run = _reducer(basis)
-    keys = [{k for k, _ in tip(g)} for g in basis]
+    keys = [set(tip(g)) for g in basis]
     out: dict[tuple[int, int], Poly] = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -517,8 +476,7 @@ def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
     for g in relations + extra:
         if not g.is_homogeneous():
             raise ValueError("relations must be homogeneous")
-        used = {kk for m in g.coeffs for kk, _ in m}
-        if not used <= key_set:
+        if not key_set.issuperset(itertools.chain.from_iterable(g.coeffs)):
             raise ValueError("relation uses a variable outside var_keys")
     if k < 0:
         return [0] * (len(extra) + 1)
@@ -532,7 +490,7 @@ def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
         d = g.degree()
         if 0 <= d <= k:
             den = math.lcm(*[c.denominator for c in g.coeffs.values()])
-            terms = [(sum(field[kk] * e for kk, e in m), c.numerator * (den // c.denominator))
+            terms = [(sum(field[kk] for kk in m), c.numerator * (den // c.denominator))
                      for m, c in g.coeffs.items()]
             if k - d not in multipliers:
                 cwr = itertools.combinations_with_replacement(field.values(), k - d)
@@ -579,12 +537,10 @@ def format_poly(f: Poly) -> str:
         factors: list[str] = []
         if abs(c) != 1 or m == ONE:
             factors.append(str(abs(c)))
-        for key, e in m:
+        for key, run in itertools.groupby(m):
             tag, level = weight_from_apos(key)
-            v = f"l{{{tag}^{level}}}"
-            if e > 1:
-                v += f"^{e}"
-            factors.append(v)
+            e = len(list(run))
+            factors.append(f"l{{{tag}^{level}}}" + (f"^{e}" if e > 1 else ""))
         term = " * ".join(factors)
         if not parts:
             parts.append(term if c > 0 else "-" + term)
@@ -605,7 +561,7 @@ def parse_poly(text: str) -> Poly:
         raise ValueError("empty polynomial text")
     if s == "0":
         return Poly.zero()
-    acc = Poly.zero()
+    acc: dict[Monomial, Fraction] = {}
     for chunk in s.replace(" - ", " + -").split(" + "):
         chunk = chunk.strip()
         sign = Fraction(1)
@@ -615,7 +571,7 @@ def parse_poly(text: str) -> Poly:
         if not chunk:
             raise ValueError(f"dangling sign in {text!r}")
         coeff = sign
-        exps: dict[int, int] = {}
+        keys: list[int] = []
         for factor in chunk.split(" * "):
             factor = factor.strip()
             if _COEFF_RE.match(factor):
@@ -628,8 +584,8 @@ def parse_poly(text: str) -> Poly:
             e = int(mv.group(2)) if mv.group(2) else 1
             if e <= 0:
                 raise ValueError(f"nonpositive exponent in {factor!r}")
-            key = apos(w)
-            exps[key] = exps.get(key, 0) + e
-        acc = acc + Poly({tuple(sorted(exps.items())): coeff})
-    return acc
+            keys += [apos(w)] * e
+        m = monomial(keys)
+        acc[m] = acc.get(m, 0) + coeff
+    return Poly._of(acc)
 

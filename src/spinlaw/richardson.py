@@ -110,9 +110,7 @@ def _clutter_monomials(f: Poly) -> list[tuple[Weight, Weight]]:
 
 
 def _project(f: Poly, keys: set[int]) -> Poly:
-    return Poly._of(
-        {m: c for m, c in f.coeffs.items() if all(k in keys for k, _ in m)}
-    )
+    return Poly._of({m: c for m, c in f.coeffs.items() if keys.issuperset(m)})
 
 
 def relation_projections(
@@ -471,10 +469,10 @@ def regular_sequence_check(iv: Interval, d_max: int) -> bool:
         raise ValueError("d_max must be >= 2")
     rels = [r.body for r in build_relations(iv)]
     keys = [apos(w) for w in iv.elements]
-    by_ht: dict[int, Poly] = {}
+    by_ht: dict[int, dict] = {}
     for w in iv.elements:
-        by_ht[ht(w)] = by_ht.get(ht(w), Poly.zero()) + pr.lam(w)
-    ys = [by_ht[i] for i in sorted(by_ht)]
+        by_ht.setdefault(ht(w), {})[pr.monomial_from_weights([w])] = 1
+    ys = [Poly._of(by_ht[i]) for i in sorted(by_ht)]
     # dims[k][j]: degree-k dimension modulo rels + ys[:j]
     dims = [pr.graded_quotient_dims(rels, ys, keys, k) for k in range(d_max + 1)]
     return all(

@@ -347,7 +347,7 @@ def gamma_affine(s: str, l: int, window: tuple[int, int]) -> Poly:
     g = gamma_quadrics()[s]
     acc: dict = {}
     for mono, c in g.coeffs.items():
-        (a, _), (b, _) = ((wl.weight_from_apos(k), e) for k, e in mono)
+        a, b = map(wl.weight_from_apos, mono)
         for l1 in range(max(lo, l - hi), min(hi, l - lo) + 1):
             m = pr.monomial_from_weights([(a[0], l1), (b[0], l - l1)])
             acc[m] = acc[m] + c if m in acc else c
@@ -373,11 +373,8 @@ def fierz_identities() -> dict[str, dict[str, Poly]]:
         alpha = (a, 0)
         comps: dict[str, Poly] = {}
         for s in GAMMA_LABELS:
-            coeff = Poly.zero()
-            for b in TAGS:
-                c = gamma_monomial_coeff(s, alpha, (b, 0))
-                if c:
-                    coeff = coeff + c * pr.lam((b, 0))
+            coeff = Poly._of({pr.monomial_from_weights([(b, 0)]):
+                              gamma_monomial_coeff(s, alpha, (b, 0)) for b in TAGS})
             if not coeff.is_zero():
                 comps[dual_label(s)] = coeff
         residue = Poly.zero()
@@ -403,7 +400,7 @@ def affine_fierz_terms(
     for s, coeff in fin.items():
         base = {wl.weight_from_apos(key)[0]: c
                 for mono, c in coeff.coeffs.items()
-                for key, _ in mono}
+                for key in mono}
         for b, c in sorted(base.items()):
             for lp in range(lo, hi + 1):
                 terms.append((c, (b, lp), (s, k - lp)))
@@ -420,7 +417,7 @@ def affine_fierz(alpha_tag: str, k: int, window: tuple[int, int]) -> Poly:
     """
     residue: dict = {}
     for c, bw, (s, l) in affine_fierz_terms(alpha_tag, k, window):
-        var = ((wl.apos(bw), 1),)
+        var = (wl.apos(bw),)
         for mono, g in gamma_affine(s, l, window).coeffs.items():
             m = pr.monomial_mul(var, mono)
             residue[m] = residue[m] + c * g if m in residue else c * g
@@ -479,18 +476,19 @@ def u_substitute(f: Poly, table: dict[str, tuple[int, str]] | None = None) -> Po
     """
     if table is None:
         table = automorphism_u()
-    acc = Poly.zero()
+    acc: dict = {}
     for mono, coeff in f.coeffs.items():
         keys = []
-        for key, e in mono:
+        for key in mono:
             tag, lvl = wl.weight_from_apos(key)
             if lvl != 0:
                 raise ValueError("u acts on level-0 variables only")
             sign, tag2 = table[tag]
-            coeff *= sign ** e
-            keys.extend([wl.apos((tag2, 0))] * e)
-        acc = acc + pr.monomial_poly(pr.monomial(keys), coeff)
-    return acc
+            coeff *= sign
+            keys.append(wl.apos((tag2, 0)))
+        m = pr.monomial(keys)
+        acc[m] = acc[m] + coeff if m in acc else coeff
+    return Poly._of(acc)
 
 
 _U_REPAIR_ORBIT = ("(0)", "(1)")

@@ -155,6 +155,19 @@ def test_laurent_poly_arithmetic():
         hash(p)
 
 
+@pytest.mark.parametrize("build", [
+    lambda c: cs.LaurentPoly({T: c}),
+    lambda c: cs.LaurentPoly.monomial(T, c),
+    lambda c: cs.LaurentPoly.monomial(T).scale(c),
+], ids=["init", "monomial", "scale"])
+def test_laurent_poly_refuses_floats(build):
+    # 3/3/7 is the binary fraction 2573485501354569/2^54, not 1/7
+    for c in (3 / 3 / 7, 0.0):
+        with pytest.raises(TypeError):
+            build(c)
+    assert build(Fraction(1, 7)).coeffs[T] == Fraction(1, 7)
+
+
 def test_laurent_poly_specialize_and_shift():
     m = cs.weight_mono(W("(12)@1"))          # s1 s2 s3^-1 s4^-1 s5^-1 q t
     p = cs.LaurentPoly.monomial(m)
