@@ -21,8 +21,10 @@ them:
   inclusion–exclusion over the down-sets ``[lo, x]`` of the distributive
   lattice (Hibi; Stanley's P-partitions);
 * :func:`transfer_matrix` — the 2×2 transfer matrices, one per height (the
-  poset has exactly two elements per height).  Climbing the height ladder
-  with them gives the character again; the test suite checks that it does;
+  poset has exactly two elements per height), each read from a frozen table
+  of eight that repeats one level up every eight heights.  Climbing the
+  height ladder with them gives the character again; the test suite checks
+  that it does;
 * :func:`lower_transfer_matrix` — a companion system relating the characters
   ``A_x^δ̂`` of intervals with a *fixed top* as the bottom ``x`` walks down
   the height pairs (:func:`lower_bound_recursions_check`);
@@ -42,7 +44,7 @@ the Delannoy square array), satisfying
     Σ_r B_r(t) s^r = 1 / ((1−t)·((1−t)⁴ − s(1−t)²(1+t) − t·s²)) ;
 
 :func:`delannoy_acceptance` verifies both statements from the computed
-characters.
+characters, as exact identities of rational functions.
 
 Rational characters are kept with *factored* denominators: a
 :class:`RationalChar` is a Laurent-polynomial numerator over a multiset of
@@ -715,10 +717,6 @@ class RationalChar:
             out.update(layer)
         return out, reach
 
-    def series_equal(self, other: "RationalChar", k_max: int = 10) -> bool:
-        """Compare truncated expansions to order ``k_max`` (default 10)."""
-        return self.series(k_max) == other.series(k_max)
-
     def __repr__(self) -> str:
         return "RationalChar(%d num terms / %d factors)" % (
             len(self.num._terms),
@@ -786,17 +784,8 @@ def _chain_series(iv: Interval, k_max: int) -> tuple[dict, int]:
 _EntrySpec = tuple[Weight | None, Weight] | None
 _MatrixSpec = tuple[tuple[_EntrySpec, _EntrySpec], tuple[_EntrySpec, _EntrySpec]]
 
-# The four 2x2 shapes cycled by the ladder; positions are (T, zero) where T
-# marks the single e·t numerator and the remaining entries are 1.
-_P_SHAPES: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {
-    1: ((0, 0), (0, 1)),
-    2: ((1, 0), (0, 1)),
-    3: ((1, 1), (1, 0)),
-    4: ((0, 1), (1, 0)),
-}
-
-# Frozen transcriptions of the eight base matrices of the upper system; the
-# pattern constructor must reproduce them exactly (consistency guard).
+# Frozen transcriptions of the eight base matrices of the upper system; every
+# other U_l is one of them with its weights moved by whole levels.
 _U_REFERENCE: dict[int, _MatrixSpec] = {
     1: (
         (( ("(0)", 0), ("(12)", 0)), None),
@@ -869,66 +858,30 @@ _L_REFERENCE: dict[int, _MatrixSpec] = {
 }
 
 
-def _matrix_spec(l: int, lower: bool) -> _MatrixSpec:
-    """Structural description of ``U_l`` (or ``L_l``) from the ladder pattern.
-
-    Both systems cycle through the four shapes of ``_P_SHAPES``; the upper
-    system places the ``e·t`` numerator one height below its column factors,
-    the lower system one height above.
-    """
-    if not lower:
-        shape = ((l - 1) % 4) + 1
-        t_pair = ht_pair(l - 1)
-        den_pair = ht_pair(l)
-    else:
-        shape = ((4 - l) % 4) + 1
-        t_pair = ht_pair(l)
-        den_pair = ht_pair(l - 1)
-    (ti, tj), zero_pos = _P_SHAPES[shape]
-    rows = []
-    for i in (0, 1):
-        row: list[_EntrySpec] = []
-        for j in (0, 1):
-            if (i, j) == zero_pos:
-                row.append(None)
-            else:
-                coeff = t_pair[ti] if (i, j) == (ti, tj) else None
-                row.append((coeff, den_pair[j]))
-        rows.append(tuple(row))
-    return tuple(rows)  # type: ignore[return-value]
-
-
 Matrix = tuple[tuple[RationalChar, RationalChar], tuple[RationalChar, RationalChar]]
 
 
-@lru_cache(maxsize=None)
-def _matrix_chars(l: int, lower: bool, s_one: bool, q_one: bool) -> Matrix:
-    spec = _matrix_spec(l, lower)
-    if 1 <= l <= 8:
-        ref = (_L_REFERENCE if lower else _U_REFERENCE)[l]
-        if spec != ref:
-            raise RuntimeError(
-                "transfer-matrix pattern disagrees with the frozen table at "
-                f"l={l} (lower={lower})"
-            )
-    rows = []
-    for i in (0, 1):
-        row = []
-        for j in (0, 1):
-            ent = spec[i][j]
-            if ent is None:
-                row.append(RationalChar.zero())
-            else:
-                coeff, den_w = ent
-                num = (
-                    LaurentPoly.one()
-                    if coeff is None
-                    else LaurentPoly.monomial(weight_mono(coeff))
-                )
-                c = RationalChar(num, Counter({weight_mono(den_w): 1}))
-                row.append(c.specialized(s_one=s_one, q_one=q_one))
-        rows.append(tuple(row))
-    return tuple(rows)  # type: ignore[return-value]
+# Keyed by the caller's l.  lower_bound_recursions_check asks for 8 matrices,
+# L_1..L_8; a climb reads each U_l once.
+@lru_cache(maxsize=8)
+def _matrix_chars(l: int, lower: bool) -> Matrix:
+    """``U_l`` (or ``L_l``): entry ``l − 8k`` of the frozen table, with ``k``
+    the number of whole periods of eight heights, and every weight ``k``
+    levels up."""
+    k, base = divmod(l - 1, 8)
+
+    def mono(w: Weight) -> Mono:  # e_w t, with w moved k levels up
+        return weight_mono((w[0], w[1] + k))
+
+    def entry(ent: _EntrySpec) -> RationalChar:
+        if ent is None:
+            return RationalChar.zero()
+        coeff, den_w = ent
+        num = LaurentPoly.one() if coeff is None else LaurentPoly.monomial(mono(coeff))
+        return RationalChar(num, Counter({mono(den_w): 1}))
+
+    spec = (_L_REFERENCE if lower else _U_REFERENCE)[base + 1]
+    return tuple(tuple(map(entry, row)) for row in spec)  # type: ignore[return-value]
 
 
 def transfer_matrix(l: int) -> Matrix:
@@ -936,8 +889,10 @@ def transfer_matrix(l: int) -> Matrix:
 
     Row ``i`` indexes the height-``l−1`` pair, column ``j`` the height-``l``
     pair; the climb ``row_{l} = row_{l-1} · U_l`` extends partial interval
-    characters by one height.  The base matrices ``U₁..U₈`` are pinned to a
-    frozen table, and ``U_{l+8}(s,q,t) = U_l(s,q,qt)``.  :func:`character`
+    characters by one height.  Every ``U_l`` is read from the frozen table
+    of ``U₁..U₈``: ``U_{l+8}(s,q,t) = U_l(s,q,qt)``, so ``U_l`` is the entry
+    ``l − 8k`` with every weight ``k`` levels up.  The test suite checks the
+    table against the ladder rule the matrices follow.  :func:`character`
     does not climb; the test suite runs this climb as its oracle.
 
     >>> u6 = transfer_matrix(6)
@@ -946,7 +901,7 @@ def transfer_matrix(l: int) -> Matrix:
     >>> u6[1][0].num == LaurentPoly.monomial(weight_mono(("(34)", 0)))
     True
     """
-    return _matrix_chars(l, False, False, False)
+    return _matrix_chars(l, False)
 
 
 def lower_transfer_matrix(l: int) -> Matrix:
@@ -956,27 +911,31 @@ def lower_transfer_matrix(l: int) -> Matrix:
     ``(A_{x}^δ̂)_{x ∈ pair(l−1)} = (A_{y}^δ̂)_{y ∈ pair(l)} · L_l`` whenever
     the top ``δ̂`` lies strictly above height ``l``.
     """
-    return _matrix_chars(l, True, False, False)
+    return _matrix_chars(l, True)
 
 
 # ------------------------------------------------------- character formula
 
 
 def _parse_specialize(specialize) -> tuple[bool, bool]:
+    """``(s_one, q_one)`` of a specialization such as ``{"s": 1, "q": 1}``."""
     if specialize is None:
         return False, False
     flags = {"s": False, "q": False}
     for key, val in dict(specialize).items():
         if key not in flags:
-            raise ValueError(f"unknown specialization variable {key!r}")
+            raise ValueError(f"unknown specialization variable {key!r} (expected s or q)")
         if val != 1:
-            raise ValueError(f"only specialization to 1 is supported, got {key}={val}")
+            raise ValueError(
+                f"unsupported specialization {key}={val}: denominators are stored "
+                "as factors (1-monomial), which only substitution by 1 preserves"
+            )
         flags[key] = True
     return flags["s"], flags["q"]
 
 
 # One CLI run or benchmark job asks for at most 17 distinct arguments:
-# `character` and `dims` for one, `delannoy-check` for max(r_max, k_max, 2) + 1
+# `character` and `dims` for one, `delannoy-check` for max(r_max, k_max) + 1
 # (17 at --r-max 12 --k-max 16, 9 by default), recursion_check_J(1, 4) for 8
 # (and 4 repeats).  delannoy_acceptance holds the characters it asked for, so
 # a longer ladder is computed once whatever the size.
@@ -1188,7 +1147,7 @@ def lower_bound_recursions_check(k_max: int = 4) -> bool:
     for l in range(1, 9):
         top: Weight = ("(1)", 0) if l <= 7 else ("(1)", 1)
         prev, nxt = ht_pair(l - 1), ht_pair(l)
-        lmat = _matrix_chars(l, True, False, False)
+        lmat = _matrix_chars(l, True)
         dp = {x: _chain_series(interval(x, top), k_max) for x in (*prev, *nxt)}
         for j in (0, 1):
             rhs: dict = {}
@@ -1258,15 +1217,13 @@ def delannoy_acceptance(r_max: int = 4, k_max: int = 8) -> bool:
     """Delannoy shape of the specialized characters along J.
 
     Checks, for ``r ≤ r_max``, that ``B_r(t) = A_{(0)}^{δ_r}(1,1,t)`` equals
-    ``D_r(t)/(1−t)^{5+2r}`` both exactly (cross-multiplied) and as series to
-    order ``k_max``; that the two-term recursion
-    ``B_r = (1+t)/(1−t)²·B_{r−1} + t/(1−t)⁴·B_{r−2}`` holds; and that the
-    closed generating function
+    ``D_r(t)/(1−t)^{5+2r}`` and that the two-term recursion
+    ``B_r = (1+t)/(1−t)²·B_{r−1} + t/(1−t)⁴·B_{r−2}`` holds; and, for
+    ``r ≤ k_max``, the closed generating function
 
-        Σ_r B_r(t) s^r = 1 / ((1−t)·((1−t)⁴ − s(1−t)²(1+t) − t s²))
+        Σ_r B_r(t) s^r = 1 / ((1−t)·((1−t)⁴ − s(1−t)²(1+t) − t s²)).
 
-    matches the computed characters as a bivariate series in ``(s, t)`` up
-    to total degree ``k_max``.
+    Every check is an exact identity of rational functions (cross-multiplied).
 
     >>> delannoy_acceptance(1, 3)
     True
@@ -1274,22 +1231,17 @@ def delannoy_acceptance(r_max: int = 4, k_max: int = 8) -> bool:
     if r_max < 0 or k_max < 0:
         raise ValueError("r_max and k_max must be >= 0")
     lo: Weight = ("(0)", 0)
-    r_top = max(r_max, k_max, 2)
+    r_top = max(r_max, k_max)
     bs = [_character(lo, j_sequence(r), True, True) for r in range(r_top + 1)]
+    one_minus_t = RationalChar(LaurentPoly({ONE_M: 1, T_M: -1}))
+    one_plus_t = RationalChar(LaurentPoly({ONE_M: 1, T_M: 1}))
+    t_char = RationalChar(LaurentPoly.monomial(T_M))
     # closed form with Delannoy numerator
     for r in range(r_max + 1):
-        num = LaurentPoly(
-            {(0, 0, 0, 0, 0, 0, i): Fraction(c) for i, c in enumerate(delannoy(r))}
-        )
-        rhs = RationalChar(num, Counter({T_M: 5 + 2 * r}))
-        if bs[r] != rhs or not bs[r].series_equal(rhs, k_max):
+        num = LaurentPoly({(0, 0, 0, 0, 0, 0, i): c for i, c in enumerate(delannoy(r))})
+        if bs[r] != RationalChar(num, Counter({T_M: 5 + 2 * r})):
             return False
     # two-term recursion  B_r (1-t)^4 = (1+t)(1-t)^2 B_{r-1} + t B_{r-2}
-    one_minus_t = RationalChar(
-        LaurentPoly({ONE_M: Fraction(1), T_M: Fraction(-1)})
-    )
-    one_plus_t = RationalChar(LaurentPoly({ONE_M: Fraction(1), T_M: Fraction(1)}))
-    t_char = RationalChar(LaurentPoly.monomial(T_M))
     for r in range(2, r_max + 1):
         lhs = bs[r] * one_minus_t * one_minus_t * one_minus_t * one_minus_t
         rhs = one_plus_t * one_minus_t * one_minus_t * bs[r - 1] + t_char * bs[r - 2]
@@ -1297,28 +1249,18 @@ def delannoy_acceptance(r_max: int = 4, k_max: int = 8) -> bool:
             return False
     # closed generating function: with P = p₀ + p₁s + p₂s², where
     #   p₀ = (1-t)^5,  p₁ = -(1-t)^3 (1+t),  p₂ = -t (1-t),
-    # Σ_r B_r s^r = 1/P holds to total degree k_max iff P · Σ_r B_r s^r does
-    # with 1, since P has constant term 1
-    u = one_minus_t.num
-    p = [u * u * u * u * u, -(u * u * u * one_plus_t.num), -(t_char.num * u)]
-    g: list[list[Fraction | int]] = []
+    # Σ_r B_r s^r = 1/P iff the coefficient of s^r in P · Σ_r B_r s^r,
+    # p₀B_r + p₁B_{r−1} + p₂B_{r−2}, is [r = 0] for every r
+    u2 = one_minus_t * one_minus_t
+    p = [
+        u2 * u2 * one_minus_t,
+        -(u2 * one_minus_t * one_plus_t),
+        -(t_char * one_minus_t),
+    ]
     for r in range(k_max + 1):
-        g.append([])
-        for lp in bs[r].series(k_max - r):
-            val = lp._terms.get(_ONE_KEY, 0)
-            if len(lp._terms) > (1 if val else 0):
-                raise RuntimeError("specialized series is not scalar")
-            g[r].append(val)
-    # the p_a are polynomials in t alone, so a key's t-degree is all of it
-    p_t = [[(key >> _T_SHIFT, c) for key, c in pa._terms.items()] for pa in p]
-    for r in range(k_max + 1):
-        for j in range(k_max + 1 - r):
-            val = sum(
-                c * g[r - a][j - i]
-                for a in range(min(r, 2) + 1)
-                for i, c in p_t[a]
-                if i <= j
-            )
-            if val != (1 if r == j == 0 else 0):
-                return False
+        lhs = RationalChar.zero()
+        for a in range(min(r, 2) + 1):
+            lhs = lhs + p[a] * bs[r - a]
+        if lhs != (RationalChar.one() if r == 0 else RationalChar.zero()):
+            return False
     return True

@@ -165,21 +165,16 @@ def parse_interval(args) -> wl.Interval:
 
 
 def parse_specialize(text: str) -> dict:
-    """``"s=1,q=1"`` → ``{"s": 1, "q": 1}``; only the value 1 is substitutable."""
+    """``"s=1,q=1"`` → ``{"s": 1, "q": 1}``; :func:`spinlaw.charseries.character`
+    decides which names and values it accepts."""
     spec = {}
     if not text:
         return spec
     for item in text.split(","):
         name, sep, value = item.partition("=")
-        name = name.strip()
-        if not sep or name not in ("s", "q"):
-            raise ValueError(f"bad specialization {item!r} (expected s=1 or q=1)")
-        if Fraction(value.strip()) != 1:
-            raise ValueError(
-                f"unsupported specialization {item!r}: denominators are stored "
-                "as factors (1-monomial), which only substitution by 1 preserves"
-            )
-        spec[name] = 1
+        if not sep:
+            raise ValueError(f"bad specialization {item!r} (expected name=value)")
+        spec[name.strip()] = Fraction(value.strip())
     return spec
 
 

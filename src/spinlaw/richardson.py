@@ -28,7 +28,7 @@ an independent oracle here or raised as a hard error when falsified.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from . import polyring as pr
@@ -67,8 +67,7 @@ __all__ = [
 # ------------------------------------------------------------- relations
 
 
-@dataclass(frozen=True)
-class AffineRelation:
+class AffineRelation(namedtuple("AffineRelation", "s l body clutter")):
     """One retained relation of a Richardson algebra.
 
     ``body`` is the mode-``l`` coefficient of the affinized quadric
@@ -78,14 +77,12 @@ class AffineRelation:
     smaller weight first.
     """
 
-    s: str
-    l: int
-    body: Poly
-    clutter: tuple[Weight, Weight] = field(compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.body.is_homogeneous() or self.body.degree() != 2:
+    def __new__(cls, s: str, l: int, body: Poly, clutter: tuple[Weight, Weight]):
+        if not body.is_homogeneous() or body.degree() != 2:
             raise ValueError("relation body must be homogeneous of degree 2")
+        return super().__new__(cls, s, l, body, clutter)
 
 
 def _monomial_pair(m: pr.Monomial) -> tuple[Weight, Weight]:
@@ -274,8 +271,7 @@ def straightened_law_report(iv: Interval, k_max: int) -> dict:
 # ----------------------------------------------------------- obstructions
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(namedtuple("Obstruction", "outer inner")):
     """One clutter factorization ``λ^{outer} · (λ^a λ^b)`` of a cubic monomial.
 
     ``inner`` is an unordered clutter pair; ``outer`` is incomparable to at
@@ -283,15 +279,15 @@ class Obstruction:
     clutter), which is validated on construction.
     """
 
-    outer: Weight
-    inner: frozenset[Weight]
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b = sorted(self.inner, key=apos)
+    def __new__(cls, outer: Weight, inner: frozenset[Weight]):
+        a, b = sorted(inner, key=apos)
         if not _is_clutter_pair(a, b):
             raise ValueError("inner pair is not a clutter")
-        if not any(_is_clutter_pair(self.outer, w) for w in (a, b)):
+        if not any(_is_clutter_pair(outer, w) for w in (a, b)):
             raise ValueError("outer weight clutters with no inner weight")
+        return super().__new__(cls, outer, inner)
 
     def key(self) -> tuple:
         return (apos(self.outer), tuple(sorted(map(apos, self.inner))))

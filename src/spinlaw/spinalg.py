@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,15 +47,7 @@ State = tuple[frozenset, int]
 
 FULL = frozenset({1, 2, 3, 4, 5})
 
-_TAG_SUBSET: dict[str, frozenset] = {}
-for _t in TAGS:
-    _digits = _t.strip("()")
-    if _digits == "0":
-        _TAG_SUBSET[_t] = frozenset()
-    elif len(_digits) == 2:
-        _TAG_SUBSET[_t] = frozenset({int(_digits[0]), int(_digits[1])})
-    else:
-        _TAG_SUBSET[_t] = FULL - {int(_digits)}
+_TAG_SUBSET = wl.TAG_SUBSET
 _SUBSET_TAG = {s: t for t, s in _TAG_SUBSET.items()}
 
 
@@ -580,8 +572,7 @@ def u_stability_check() -> dict:
 # ------------------------------------------------------------- Weyl groups
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(namedtuple("SignedPermutation", "perm eps trans")):
     """Element (σ, ε, m) of S₅ ⋉ (Z₂)⁵even ⋉ Z⁵even acting on N̂ = N × Z by
 
         (σ, ε, m)(η, n) = (σ(ε + η),  n − ½ Σ_i (−1)^{η_i} m_i).
@@ -590,17 +581,21 @@ class SignedPermutation:
     `trans` even coordinate sum (the coroot lattice).
     """
 
-    perm: tuple[int, int, int, int, int] = (1, 2, 3, 4, 5)
-    eps: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
-    trans: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.perm) != [1, 2, 3, 4, 5]:
+    def __new__(
+        cls,
+        perm: tuple[int, ...] = (1, 2, 3, 4, 5),
+        eps: tuple[int, ...] = (0, 0, 0, 0, 0),
+        trans: tuple[int, ...] = (0, 0, 0, 0, 0),
+    ):
+        if sorted(perm) != [1, 2, 3, 4, 5]:
             raise ValueError("perm must be a permutation of 1..5")
-        if any(e not in (0, 1) for e in self.eps) or sum(self.eps) % 2:
+        if any(e not in (0, 1) for e in eps) or sum(eps) % 2:
             raise ValueError("eps must be a Z2 vector with even sum")
-        if sum(self.trans) % 2:
+        if sum(trans) % 2:
             raise ValueError("translation must have even coordinate sum")
+        return super().__new__(cls, perm, eps, trans)
 
     def apply(self, node):
         eta, n = node
@@ -630,15 +625,8 @@ def psi(w: Weight):
     """The equivariant vertex encoding: (0)↦00000, (ij)↦e_i+e_j, (k)↦1−e_k,
     paired with the loop level."""
     tag, level = w
-    digits = tag.strip("()")
-    v = [0] * 5
-    if len(digits) == 2:
-        v[int(digits[0]) - 1] = 1
-        v[int(digits[1]) - 1] = 1
-    elif digits != "0":
-        v = [1] * 5
-        v[int(digits) - 1] = 0
-    return (tuple(v), level)
+    sub = wl.TAG_SUBSET[tag]
+    return (tuple(int(i in sub) for i in range(1, 6)), level)
 
 
 def weyl_graph(generators, carrier):

@@ -26,8 +26,8 @@ pairs").  Weights are represented as ``(tag, level)`` tuples such as
 This module owns the pure combinatorics: covers, the order relation, meets
 and joins, intervals, clutters (incomparable pairs), height bookkeeping, the
 total-order position of each element used by the polynomial layer, the level
-shift, the order-reversing involution, the torus weight of each element, and
-DOT/JSON emitters for Hasse diagrams.
+shift, the order-reversing involution, the subset of {1..5} each tag names,
+the torus weight of each element, and DOT/JSON emitters for Hasse diagrams.
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ TAGS: tuple[str, ...] = (
     "(0)", "(12)", "(13)", "(14)", "(23)", "(15)", "(24)", "(25)",
     "(34)", "(35)", "(5)", "(45)", "(4)", "(3)", "(2)", "(1)",
 )
+
+#: The subset of {1..5} each tag names: ``(0)`` ↦ ∅, ``(ij)`` ↦ {i, j} and
+#: ``(k)`` ↦ {1..5}∖{k}.  The torus weight, the Fock basis and the vertex
+#: encoding ψ all read it.
+TAG_SUBSET: dict[str, frozenset[int]] = {
+    "(0)": frozenset(),
+    **{f"({i}{j})": frozenset({i, j}) for i in range(1, 6) for j in range(i + 1, 6)},
+    **{f"({k})": frozenset({1, 2, 3, 4, 5} - {k}) for k in range(1, 6)},
+}
 
 #: Height offset ``c(tag)``; ``ht((a)^r) = 8*r + c(a)``.
 HT_OFFSET: dict[str, int] = {
@@ -211,17 +220,8 @@ def torus_weight(w: Weight) -> tuple[int, int, int, int, int, int]:
     (1, 1, -1, 1, 1, 2)
     """
     tag, level = w
-    digits = tag.strip("()")
-    if digits == "0":
-        s = [-1] * 5
-    elif len(digits) == 2:
-        s = [-1] * 5
-        s[int(digits[0]) - 1] = 1
-        s[int(digits[1]) - 1] = 1
-    else:
-        s = [1] * 5
-        s[int(digits) - 1] = -1
-    return (*s, level)
+    sub = TAG_SUBSET[tag]
+    return (*(1 if i in sub else -1 for i in range(1, 6)), level)
 
 
 def covers_up(w: Weight) -> tuple[Weight, ...]:

@@ -2,9 +2,10 @@
 
 The down-set recursion behind `character` is cross-checked against an
 independent dynamic-programming oracle (`chain_series_direct`) and against a
-test-side transfer-matrix climb, the Delannoy polynomials
-against a square-array grid recurrence, and the ladder recursions against
-series expansion with full torus weights.  The packed-key `LaurentPoly`,
+test-side transfer-matrix climb, the frozen transfer-matrix tables against
+the ladder rule, the Delannoy polynomials against a square-array grid
+recurrence, and the ladder recursions against series expansion with full
+torus weights.  The packed-key `LaurentPoly`,
 its trial division and its modular image are checked against the
 tuple-keyed arithmetic kept here as their oracle.
 """
@@ -249,7 +250,7 @@ def test_rational_char_reduce_and_series():
     geo = cs.RationalChar(ONE, Counter({T: 1}))
     assert geo.series(5) == [ONE] * 6
     assert cs.RationalChar.zero().series(2) == [cs.LaurentPoly.zero()] * 3
-    assert geo.series_equal(geo * cs.RationalChar.one())
+    assert geo.series(10) == (geo * cs.RationalChar.one()).series(10)
     with pytest.raises(ValueError):
         geo.series(-1)
     with pytest.raises(ValueError):
@@ -539,10 +540,45 @@ def test_transfer_matrix_golden_u6():
     assert u6[1][1] == cs.RationalChar.single(W("(5)@0"))
 
 
+# The ladder rule the transfer matrices follow, the oracle for the frozen
+# tables.  Both systems cycle through four 2×2 shapes, each given as (the
+# position of the single e·t numerator, the position of the zero); the other
+# entries have numerator 1.  The upper system takes its numerator weight one
+# height below its column factors, the lower system one height above.
+LADDER_SHAPES = {
+    1: ((0, 0), (0, 1)),
+    2: ((1, 0), (0, 1)),
+    3: ((1, 1), (1, 0)),
+    4: ((0, 1), (1, 0)),
+}
+
+
+def ladder_matrix(l: int, lower: bool) -> list[list[cs.RationalChar]]:
+    if lower:
+        shape, t_pair, den_pair = (4 - l) % 4 + 1, wl.ht_pair(l), wl.ht_pair(l - 1)
+    else:
+        shape, t_pair, den_pair = (l - 1) % 4 + 1, wl.ht_pair(l - 1), wl.ht_pair(l)
+    (ti, tj), zero_pos = LADDER_SHAPES[shape]
+
+    def entry(i, j):
+        if (i, j) == zero_pos:
+            return cs.RationalChar.zero()
+        num = ONE
+        if (i, j) == (ti, tj):
+            num = cs.LaurentPoly.monomial(cs.weight_mono(t_pair[ti]))
+        return cs.RationalChar(num, Counter({cs.weight_mono(den_pair[j]): 1}))
+
+    return [[entry(i, j) for j in (0, 1)] for i in (0, 1)]
+
+
 def test_transfer_matrix_pattern_and_periodicity():
-    for l in range(1, 9):
-        cs.transfer_matrix(l)          # raises if pattern deviates from table
-        cs.lower_transfer_matrix(l)
+    for l in range(-16, 41):
+        for lower in (False, True):
+            got = (cs.lower_transfer_matrix if lower else cs.transfer_matrix)(l)
+            want = ladder_matrix(l, lower)
+            for i, j in product((0, 1), (0, 1)):
+                assert got[i][j].num == want[i][j].num, (l, lower, i, j)
+                assert got[i][j].den == want[i][j].den, (l, lower, i, j)
     for l in (1, 4, 7):
         u_hi, u_lo = cs.transfer_matrix(l + 8), cs.transfer_matrix(l)
         for i in (0, 1):
@@ -628,7 +664,10 @@ def climb_character(lo, hi, s_one=False, q_one=False) -> cs.RationalChar:
         for y in wl.ht_pair(h0 + 1)
     ]
     for l in range(h0 + 2, h1 + 1):
-        u = cs._matrix_chars(l, False, s_one, q_one)
+        u = [
+            [c.specialized(s_one=s_one, q_one=q_one) for c in row]
+            for row in cs.transfer_matrix(l)
+        ]
         row = [row[0] * u[0][j] + row[1] * u[1][j] for j in (0, 1)]
     assert wl.ht_pair(h1)[wl.column_of(hi[0])] == hi
     return row[wl.column_of(hi[0])]
@@ -708,7 +747,7 @@ def test_tail_and_pair_rules():
                 + cs.character(wl.interval(iv.lo, dec.other))
                 - cs.character(wl.interval(iv.lo, m))
             ) * top_factor
-        assert cs.character(iv).series_equal(rhs, 8)
+        assert cs.character(iv).series(8) == rhs.series(8)
 
 
 def test_shift_covariance_exact():
@@ -729,7 +768,7 @@ def test_shift_covariance_property(data):
     assume(wl.leq(lo, hi) and wl.ht(hi) - wl.ht(lo) <= 10)
     n = data.draw(st.integers(1, 2))
     moved = cs.character(wl.interval(wl.shift(lo, n), wl.shift(hi, n)))
-    assert moved.series_equal(cs.character(wl.interval(lo, hi)).subs_t_qt(n), 4)
+    assert moved.series(4) == cs.character(wl.interval(lo, hi)).subs_t_qt(n).series(4)
 
 
 # ------------------------------------------------------------- recursions

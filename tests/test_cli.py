@@ -524,8 +524,9 @@ class TestDeterminismAndPlumbing:
 CHARACTER_PATH = {"spinlaw", "spinlaw.cli", "spinlaw.weightlattice",
                   "spinlaw.charseries"}
 LATTICE_PATH = {"spinlaw", "spinlaw.cli", "spinlaw.weightlattice"}
-STRAIGHTEN_PATH = {"spinlaw", "spinlaw.cli", "spinlaw.weightlattice",
-                   "spinlaw.polyring", "spinlaw.spinalg", "spinlaw.richardson"}
+SPINALG_PATH = {"spinlaw", "spinlaw.cli", "spinlaw.weightlattice",
+                "spinlaw.polyring", "spinlaw.spinalg"}
+STRAIGHTEN_PATH = SPINALG_PATH | {"spinlaw.richardson"}
 
 LOADED_MODULES = """\
 import json, sys
@@ -550,9 +551,11 @@ class TestImportSets:
             (["--help"], LATTICE_PATH),
             (["straightened-check", "--lo", "(0)@0", "--hi", "(5)@0", "--k-max", "2"],
              STRAIGHTEN_PATH),
+            (["weyl-check", "--window", "0..0"], SPINALG_PATH),
+            (["fierz-check", "--window", "0..0"], SPINALG_PATH),
         ],
         ids=["character", "dims", "delannoy-check", "hasse", "help",
-             "straightened-check"],
+             "straightened-check", "weyl-check", "fierz-check"],
     )
     def test_subcommand_loads_only_its_layers(self, argv, expected, tmp_path):
         listing = tmp_path / "modules.json"
@@ -568,7 +571,7 @@ class TestImportSets:
              "import sys; print('dataclasses' in sys.modules)"],
             capture_output=True, text=True, check=True,
         )
-        if bare.stdout.strip() == "False" and "spinlaw.spinalg" not in expected:
-            # dataclasses imports inspect, which imports ast and dis; spinalg
-            # and richardson define dataclasses, the other layers import none
+        if bare.stdout.strip() == "False":
+            # dataclasses imports inspect, which imports ast and dis; no layer
+            # imports it
             assert "dataclasses" not in loaded

@@ -435,12 +435,17 @@ def test_torus_weight_examples():
 
 
 def test_torus_weight_psi_relation():
-    # e_α doubles the vertex encoding: a_i = 2ψ(α)_i − 1
+    # e_α doubles the vertex encoding: a_i = 2ψ(α)_i − 1; both, and the Fock
+    # basis, read the one tag → subset table
+    assert sa._TAG_SUBSET == wl.TAG_SUBSET
+    assert sorted(wl.TAG_SUBSET) == sorted(wl.TAGS)
     for t in wl.TAGS:
         tv = wl.torus_weight((t, 3))
         node = sa.psi((t, 3))
         assert tv[:5] == tuple(2 * x - 1 for x in node[0])
         assert tv[5] == node[1] == 3
+        assert {i + 1 for i, x in enumerate(node[0]) if x} == wl.TAG_SUBSET[t]
+        assert sa.theta((t, 0)) == {(wl.TAG_SUBSET[t], 0): 1}
 
 
 # ------------------------------------------------------------ automorphism u
