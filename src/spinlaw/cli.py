@@ -172,9 +172,15 @@ def parse_specialize(text: str) -> dict:
         return spec
     for item in text.split(","):
         name, sep, value = item.partition("=")
+        name = name.strip()
         if not sep:
             raise ValueError(f"bad specialization {item!r} (expected name=value)")
-        spec[name.strip()] = Fraction(value.strip())
+        if name in spec:
+            raise ValueError(f"bad specialization {item!r} ({name} given twice)")
+        try:
+            spec[name] = Fraction(value.strip())
+        except ValueError:
+            raise ValueError(f"bad specialization {item!r} (value is not a number)") from None
     return spec
 
 

@@ -47,8 +47,7 @@ State = tuple[frozenset, int]
 
 FULL = frozenset({1, 2, 3, 4, 5})
 
-_TAG_SUBSET = wl.TAG_SUBSET
-_SUBSET_TAG = {s: t for t, s in _TAG_SUBSET.items()}
+_SUBSET_TAG = {s: t for t, s in wl.TAG_SUBSET.items()}
 
 
 # An element of ΛW[z, z⁻¹] is a plain dict ``{State: coefficient}`` holding no
@@ -64,7 +63,7 @@ def fock_basis(subset, level: int = 0) -> dict:
 def theta(w: Weight) -> dict:
     """The weight-line basis vector θ_α z^r for a (parsed) weight."""
     tag, level = w
-    return fock_basis(_TAG_SUBSET[tag], level)
+    return fock_basis(wl.TAG_SUBSET[tag], level)
 
 
 def state_weight(state: State) -> Weight:
@@ -227,7 +226,7 @@ GAMMA_REFERENCE_TEXT: dict[str, str] = {
 
 def _generic_even() -> dict:
     """A generic even element Σ_α λ^α θ_α with polynomial coordinates."""
-    return {(_TAG_SUBSET[t], 0): pr.lam((t, 0)) for t in TAGS}
+    return {(wl.TAG_SUBSET[t], 0): pr.lam((t, 0)) for t in TAGS}
 
 
 def _wedge(a: dict, b: dict) -> dict:

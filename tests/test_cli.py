@@ -336,6 +336,8 @@ class TestExitCodes:
              "--specialize", "s=2"],
             ["character", "--lo", "(0)@0", "--hi", "(1)@0",
              "--specialize", "t=1"],
+            ["character", "--lo", "(0)@0", "--hi", "(1)@0",
+             "--specialize", "s=2,s=1"],
             ["hasse", "--window", "1..0"],
             ["hasse", "--window", "01"],
             ["regseq-check", "--lo", "(0)@0", "--hi", "(5)@0", "--d-max", "1"],
@@ -370,6 +372,16 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and exc.__name__ in captured.err
         assert captured.out == ""
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("s", "expected name=value"), ("s=2,s=1", "s given twice"),
+         ("s=x", "value is not a number")],
+    )
+    def test_specialize_errors_name_the_item(self, text, reason):
+        with pytest.raises(ValueError) as exc:
+            cli.parse_specialize(text)
+        assert reason in str(exc.value) and repr(text.split(",")[-1]) in str(exc.value)
 
     def test_unknown_command_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -437,7 +437,6 @@ def test_torus_weight_examples():
 def test_torus_weight_psi_relation():
     # e_α doubles the vertex encoding: a_i = 2ψ(α)_i − 1; both, and the Fock
     # basis, read the one tag → subset table
-    assert sa._TAG_SUBSET == wl.TAG_SUBSET
     assert sorted(wl.TAG_SUBSET) == sorted(wl.TAGS)
     for t in wl.TAGS:
         tv = wl.torus_weight((t, 3))
