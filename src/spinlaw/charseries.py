@@ -197,9 +197,13 @@ def _add_into(acc: dict, src: dict, d: int, sign: int = 1) -> None:
         acc[key] = get(key, 0) + sign * c
 
 
-def _mul_into(acc: dict, a: tuple[dict, int], b: tuple[dict, int], cap: int) -> None:
+def _mul_into(
+    acc: dict, a: tuple[dict, int], b: tuple[dict, int], cap: int = 1 << 224
+) -> None:
     """``acc += a · b`` over the product keys below ``cap``, for expansions
-    given as ``(dict, reach)`` pairs with no negative ``t``-degree."""
+    given as ``(dict, reach)`` pairs; cancelled terms stay as zeros.  With
+    ``cap = (k + 1) << _T_SHIFT`` the products of ``t``-degree above ``k``
+    are skipped; the default is above every key while ``reach < 2³¹``."""
     (a, reach_a), (b, reach_b) = a, b
     _check_reach(reach_a + reach_b)
     bs = sorted(b.items())
@@ -302,14 +306,8 @@ class LaurentPoly:
 
     def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         out = dict(self._terms)
-        get = out.get
-        for key, c in other._terms.items():
-            v = get(key, 0) + sign * c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-        return LaurentPoly._of(out, max(self.reach, other.reach))
+        _add_into(out, other._terms, 0, sign)
+        return LaurentPoly._of(_pruned(out), max(self.reach, other.reach))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._plus(other, 1)
@@ -321,23 +319,9 @@ class LaurentPoly:
         return LaurentPoly._of({key: -c for key, c in self._terms.items()}, self.reach)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        reach = self.reach + other.reach
-        _check_reach(reach)
         out: dict = {}
-        get = out.get
-        bs = [(kb - _ONE_KEY, cb) for kb, cb in other._terms.items()]
-        for ka, ca in self._terms.items():
-            for db, cb in bs:
-                key = ka + db
-                out[key] = get(key, 0) + ca * cb
-        return LaurentPoly._of(_pruned(out), reach)
-
-    def scale(self, c: Fraction | int) -> "LaurentPoly":
-        c = _exact(c)
-        if not c:
-            return LaurentPoly()
-        c = c.numerator if c.denominator == 1 else c
-        return LaurentPoly._of({key: v * c for key, v in self._terms.items()}, self.reach)
+        _mul_into(out, (self._terms, self.reach), (other._terms, other.reach))
+        return LaurentPoly._of(_pruned(out), self.reach + other.reach)
 
     # -- structure
 
@@ -931,18 +915,37 @@ def _parse_specialize(specialize) -> tuple[bool, bool]:
     return flags["s"], flags["q"]
 
 
-# One CLI run or benchmark job asks for at most 17 distinct arguments:
-# `character` and `dims` for one, `delannoy-check` for max(r_max, k_max) + 1
-# (17 at --r-max 12 --k-max 16, 9 by default), recursion_check_J(1, 4) for 8
-# (and 4 repeats).  delannoy_acceptance holds the characters it asked for, so
-# a longer ladder is computed once whatever the size.
-@lru_cache(maxsize=32)
-def _character(lo: Weight, hi: Weight, s_one: bool, q_one: bool) -> RationalChar:
-    if lo == hi:
-        return RationalChar.single(lo).specialized(s_one=s_one, q_one=q_one)
-    if not leq(lo, hi):
-        return RationalChar.zero()
-    iv = interval(lo, hi)
+def character(iv: Interval, *, specialize=None) -> RationalChar:
+    """Exact rational chain series of the interval, by a down-set recursion.
+
+    Write ``N_x`` for the numerator of the character of ``[lo, x]`` over
+    ``Π_{z∈[lo,x]} (1 − e_z t)``.  Walking the interval in ``apos`` order,
+    :func:`~spinlaw.weightlattice.decompose_below` classifies each ``x``:
+    a Tail (one maximal element ``y`` below ``x``) gives ``N_x = N_y``; a
+    Pair (tail ``a``, other ``b``, ``m = a ∧ b``, ``[lo, a) = [lo, m]``)
+    splits the multichains below ``x`` by whether they reach ``a``, so
+    ``N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z∈[lo,b]∖[lo,m]} (1 − e_z t)``.
+    The result is ``N_hi`` over one factor per element, so a one-point
+    interval gives ``1/(1 − e_lo t)``.  On every full character the tests
+    draw, ``reduced()`` finds nothing to cancel; a specialization can make
+    factors coincide, and then it does.  ``specialize`` may map ``"s"``
+    and/or ``"q"`` to 1 to collapse the corresponding variables first; with
+    both, the result is returned reduced.  Nothing is cached: each call
+    builds its own result, whose ``den`` the caller may change.
+
+    Agrees with :func:`chain_series_direct` to every truncation — that
+    equivalence is the module's core correctness property and is enforced
+    by the test suite on a spread of intervals.
+
+    >>> c = character(interval(("(0)", 0), ("(12)", 0)))
+    >>> c.num == LaurentPoly.one() and sum(c.den.values()) == 2
+    True
+    >>> b0 = character(interval(("(0)", 0), ("(15)", 0)), specialize={"s": 1})
+    >>> b0 == RationalChar(LaurentPoly.one(), Counter({T_M: 5}))
+    True
+    """
+    s_one, q_one = _parse_specialize(specialize)
+    lo, hi = iv.lo, iv.hi
     wm = {x: _mono_spec(weight_mono(x), s_one, q_one) for x in iv.elements}
     # By induction over the Tail and Pair steps below, every term of N_x is a
     # product of at most |[lo, x]| − 1 weight monomials: N_lo = 1, a Tail
@@ -994,37 +997,6 @@ def _character(lo: Weight, hi: Weight, s_one: bool, q_one: bool) -> RationalChar
     result = RationalChar(LaurentPoly._of(num[hi], reach), Counter(wm.values()))
     # Fully specialized characters are small; return those in lowest terms.
     return result.reduced() if (s_one and q_one) else result
-
-
-def character(iv: Interval, *, specialize=None) -> RationalChar:
-    """Exact rational chain series of the interval, by a down-set recursion.
-
-    Write ``N_x`` for the numerator of the character of ``[lo, x]`` over
-    ``Π_{z∈[lo,x]} (1 − e_z t)``.  Walking the interval in ``apos`` order,
-    :func:`~spinlaw.weightlattice.decompose_below` classifies each ``x``:
-    a Tail (one maximal element ``y`` below ``x``) gives ``N_x = N_y``; a
-    Pair (tail ``a``, other ``b``, ``m = a ∧ b``, ``[lo, a) = [lo, m]``)
-    splits the multichains below ``x`` by whether they reach ``a``, so
-    ``N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z∈[lo,b]∖[lo,m]} (1 − e_z t)``.
-    The result is ``N_hi`` over one factor per element.  On every full
-    character the tests draw, ``reduced()`` finds nothing to cancel; a
-    specialization can make factors coincide, and then it does.
-    ``specialize`` may map ``"s"`` and/or ``"q"`` to 1 to collapse the
-    corresponding variables first; with both, the result is returned reduced.
-
-    Agrees with :func:`chain_series_direct` to every truncation — that
-    equivalence is the module's core correctness property and is enforced
-    by the test suite on a spread of intervals.
-
-    >>> c = character(interval(("(0)", 0), ("(12)", 0)))
-    >>> c.num == LaurentPoly.one() and sum(c.den.values()) == 2
-    True
-    >>> b0 = character(interval(("(0)", 0), ("(15)", 0)), specialize={"s": 1})
-    >>> b0 == RationalChar(LaurentPoly.one(), Counter({T_M: 5}))
-    True
-    """
-    s_one, q_one = _parse_specialize(specialize)
-    return _character(iv.lo, iv.hi, s_one, q_one)
 
 
 def pole_order(c: RationalChar) -> int:
@@ -1096,7 +1068,7 @@ def _j_recursion_sides(kind: str, r: int) -> tuple[RationalChar, RationalChar]:
         return LaurentPoly.monomial(weight_mono((w[0], w[1] + r)))
 
     def char(w: Weight) -> RationalChar:
-        return _character(("(0)", 0), (w[0], w[1] + r), False, False)
+        return character(interval(("(0)", 0), (w[0], w[1] + r)))
 
     den = Counter(weight_mono((f[0], f[1] + r)) for f in facs)
     one = LaurentPoly.one()
@@ -1232,7 +1204,8 @@ def delannoy_acceptance(r_max: int = 4, k_max: int = 8) -> bool:
         raise ValueError("r_max and k_max must be >= 0")
     lo: Weight = ("(0)", 0)
     r_top = max(r_max, k_max)
-    bs = [_character(lo, j_sequence(r), True, True) for r in range(r_top + 1)]
+    ivs = [interval(lo, j_sequence(r)) for r in range(r_top + 1)]
+    bs = [character(iv, specialize={"s": 1, "q": 1}) for iv in ivs]
     one_minus_t = RationalChar(LaurentPoly({ONE_M: 1, T_M: -1}))
     one_plus_t = RationalChar(LaurentPoly({ONE_M: 1, T_M: 1}))
     t_char = RationalChar(LaurentPoly.monomial(T_M))

@@ -45,18 +45,18 @@ MONO_VARS_TEX = ("s_1", "s_2", "s_3", "s_4", "s_5", "q", "t")
 # -------------------------------------------------------------- rendering
 
 
-def format_mono(m, names=MONO_VARS, *, tex: bool = False) -> str:
+def format_mono(m, *, tex: bool = False) -> str:
     """Render an exponent vector: ``(0,…,0,2)`` → ``"t^2"``, zeros → ``"1"``.
 
     >>> format_mono((0, 0, 0, 0, 0, 0, 2))
     't^2'
     >>> format_mono((0,) * 7)
     '1'
-    >>> format_mono((1, 0, 0, 0, 0, 3, 1), MONO_VARS_TEX, tex=True)
+    >>> format_mono((1, 0, 0, 0, 0, 3, 1), tex=True)
     's_1q^{3}t'
     """
     parts = []
-    for name, e in zip(names, m):
+    for name, e in zip(MONO_VARS_TEX if tex else MONO_VARS, m):
         if e == 0:
             continue
         if e == 1:
@@ -74,10 +74,9 @@ def format_laurent(p, *, tex: bool = False) -> str:
     """Render a :class:`~spinlaw.charseries.LaurentPoly`: ``1+5t+5t^2+t^3``."""
     if p.is_zero():
         return "0"
-    names = MONO_VARS_TEX if tex else MONO_VARS
     out = []
     for m, c in p.sorted_terms():
-        mono = format_mono(m, names, tex=tex)
+        mono = format_mono(m, tex=tex)
         if mono == "1":
             term = str(c)
         elif c == 1:
@@ -100,11 +99,10 @@ def format_denominator(den, *, tex: bool = False) -> str:
     """
     if not den:
         return "1"
-    names = MONO_VARS_TEX if tex else MONO_VARS
     parts = []
     for m in sorted(den):
         e = den[m]
-        base = f"(1-{format_mono(m, names, tex=tex)})"
+        base = f"(1-{format_mono(m, tex=tex)})"
         if e == 1:
             parts.append(base)
         elif tex:

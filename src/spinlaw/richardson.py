@@ -40,7 +40,6 @@ from .weightlattice import (
     TAGS,
     Interval,
     Weight,
-    anti_auto,
     apos,
     format_weight,
     ht,
@@ -54,7 +53,6 @@ __all__ = [
     "AffineRelation",
     "Obstruction",
     "build_relations",
-    "relation_projections",
     "straightening_shape_check",
     "standard_monomials",
     "straightened_law_report",
@@ -84,6 +82,10 @@ class AffineRelation(namedtuple("AffineRelation", "s l body clutter")):
             raise ValueError("relation body must be homogeneous of degree 2")
         return super().__new__(cls, s, l, body, clutter)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate there too
+        return cls(*iterable)
+
 
 def _monomial_pair(m: pr.Monomial) -> tuple[Weight, Weight]:
     """The (multiset) pair of weights of a degree-2 monomial."""
@@ -110,45 +112,14 @@ def _project(f: Poly, keys: set[int]) -> Poly:
     return Poly._of({m: c for m, c in f.coeffs.items() if keys.issuperset(m)})
 
 
-def relation_projections(
-    iv: Interval,
-) -> tuple[list[AffineRelation], list[Poly]]:
-    """Project every relevant quadric mode to the interval.
-
-    Returns ``(retained, discarded)``: the projections holding exactly one
-    clutter (packaged as :class:`AffineRelation`) and the nonzero
-    clutter-free projections.  A projection with several clutters would
-    falsify the unique-clutter proposition and raises instead.
-    """
-    lo_lvl, hi_lvl = iv.lo[1], iv.hi[1]
-    window = (lo_lvl, hi_lvl)
-    keys = {apos(w) for w in iv.elements}
-    retained: list[AffineRelation] = []
-    discarded: list[Poly] = []
-    for l in range(2 * lo_lvl, 2 * hi_lvl + 1):
-        for s in GAMMA_LABELS:
-            proj = _project(sa.gamma_affine(s, l, window), keys)
-            if proj.is_zero():
-                continue
-            cls = _clutter_monomials(proj)
-            if len(cls) > 1:
-                raise RuntimeError(
-                    f"projection of {s}^{l} has {len(cls)} clutters"
-                )
-            if cls:
-                retained.append(AffineRelation(s, l, proj, cls[0]))
-            else:
-                discarded.append(proj)
-    return retained, discarded
-
-
 def build_relations(iv: Interval) -> list[AffineRelation]:
     """The relations of the Richardson algebra on the interval.
 
-    Every quadric mode is projected to the interval's variables; exactly
-    the projections with a (necessarily unique) clutter are retained, and
-    the retained clutters must biject onto
-    :func:`~spinlaw.weightlattice.clutters` — any mismatch is a hard error,
+    Every quadric mode is projected to the interval's variables, and every
+    nonzero projection is retained with its clutter.  A projection with no
+    clutter or with several would falsify the unique-clutter proposition,
+    and the retained clutters must biject onto
+    :func:`~spinlaw.weightlattice.clutters`; each mismatch is a hard error,
     not a warning.
 
     >>> len(build_relations(interval(parse_weight("(0)@0"), parse_weight("(1)@0"))))
@@ -159,7 +130,19 @@ def build_relations(iv: Interval) -> list[AffineRelation]:
     >>> (r.s, r.l, len(r.body.coeffs)), [format_weight(w) for w in r.clutter]
     (('5', 0, 4), ['(14)@0', '(23)@0'])
     """
-    retained, _ = relation_projections(iv)
+    lo_lvl, hi_lvl = iv.lo[1], iv.hi[1]
+    window = (lo_lvl, hi_lvl)
+    keys = {apos(w) for w in iv.elements}
+    retained: list[AffineRelation] = []
+    for l in range(2 * lo_lvl, 2 * hi_lvl + 1):
+        for s in GAMMA_LABELS:
+            proj = _project(sa.gamma_affine(s, l, window), keys)
+            if proj.is_zero():
+                continue
+            cls = _clutter_monomials(proj)
+            if len(cls) != 1:
+                raise RuntimeError(f"projection of {s}^{l} has {len(cls)} clutters")
+            retained.append(AffineRelation(s, l, proj, cls[0]))
     got = sorted(r.clutter for r in retained)
     want = wl.clutters(iv)
     if got != sorted(want):
@@ -289,6 +272,10 @@ class Obstruction(namedtuple("Obstruction", "outer inner")):
             raise ValueError("outer weight clutters with no inner weight")
         return super().__new__(cls, outer, inner)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate there too
+        return cls(*iterable)
+
     def key(self) -> tuple:
         return (apos(self.outer), tuple(sorted(map(apos, self.inner))))
 
@@ -406,28 +393,18 @@ def _find_cover(pair: ObstructionPair) -> tuple[str, int] | None:
     return None
 
 
-def _map_pair(pair: ObstructionPair, f) -> ObstructionPair:
-    mapped = tuple(
-        Obstruction(f(ob.outer), frozenset(f(w) for w in ob.inner))
-        for ob in pair
-    )
-    return tuple(sorted(mapped, key=Obstruction.key))  # type: ignore[return-value]
-
-
 def obstruction_coverage(iv: Interval) -> list[dict]:
     """Per-pair coverage report: which ``h_{α^n}`` resolves each obstruction.
 
-    Pairs that no element covers directly are retried through the
-    order-reversing involution (``route: "anti_auto"``); a pair uncovered on
-    both routes falsifies the central resolution claim and raises.
+    Every pair is covered directly (``route: "direct"``): incomparable
+    weights are at most one level apart, :func:`_find_cover` shifts a pair to
+    start at level 0, and the tests cover every pair of ``[(0)@0, (1)@2]``,
+    which holds all weights of levels 0–2.  An uncovered pair would falsify
+    the central resolution claim and raises.
     """
     report = []
     for pair in enumerate_obstructions(iv):
         cover = _find_cover(pair)
-        route = "direct"
-        if cover is None:  # pragma: no cover - never needed on these windows
-            cover = _find_cover(_map_pair(pair, anti_auto))
-            route = "anti_auto"
         if cover is None:
             raise RuntimeError(
                 "uncovered obstruction pair: "
@@ -443,7 +420,7 @@ def obstruction_coverage(iv: Interval) -> list[dict]:
                 "pair": pair,
                 "element": (alpha, n),
                 "label": f"o_{format_weight((alpha, n))}",
-                "route": route,
+                "route": "direct",
             }
         )
     return report

@@ -596,6 +596,10 @@ class SignedPermutation(namedtuple("SignedPermutation", "perm eps trans")):
             raise ValueError("translation must have even coordinate sum")
         return super().__new__(cls, perm, eps, trans)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: validate there too
+        return cls(*iterable)
+
     def apply(self, node):
         eta, n = node
         flipped = tuple((a + b) % 2 for a, b in zip(self.eps, eta))
@@ -664,13 +668,13 @@ def weyl_hasse_check(window: tuple[int, int]) -> dict:
     }
 
 
-def weyl_orbit_check(window: tuple[int, int] = (0, 1), slack: int = 2) -> dict:
+def weyl_orbit_check(window: tuple[int, int] = (0, 1)) -> dict:
     """Check that every clutter lies in a single orbit on unordered pairs.
 
     Finite part: the orbit of ψ((14)^0),ψ((23)^0) under s₁..s₅ contains the
     ψ-image of all ten incomparable pairs of E.  Affine part: the orbit of
     ψ((14)^lo),ψ((23)^lo) under s₁..s₆, explored inside the window widened
-    by `slack` levels, contains the ψ-image of every clutter of
+    by two levels on each side, contains the ψ-image of every clutter of
     [ (0)^lo, (1)^hi ].
     """
     lo, hi = window
@@ -697,9 +701,7 @@ def weyl_orbit_check(window: tuple[int, int] = (0, 1), slack: int = 2) -> dict:
         frozenset((psi(a), psi(b)))
         for a, b in wl.clutters(wl.interval(("(0)", 0), ("(1)", 0)))
     }
-    affine_orbit = orbit(
-        AFFINE_GENERATORS, lo, lambda x: lo - slack <= x[1] <= hi + slack
-    )
+    affine_orbit = orbit(AFFINE_GENERATORS, lo, lambda x: lo - 2 <= x[1] <= hi + 2)
     window_clutters = {
         frozenset((psi(a), psi(b)))
         for a, b in wl.clutters(wl.interval(("(0)", lo), ("(1)", hi)))

@@ -348,9 +348,6 @@ class Interval:
         els.sort(key=apos)
         self.elements: tuple[Weight, ...] = tuple(els)
 
-    def __contains__(self, w: Weight) -> bool:
-        return leq(self.lo, w) and leq(w, self.hi)
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -28,6 +28,6 @@ def test_every_cache_is_bounded():
         for attr, fn in vars(importlib.import_module(f"spinlaw.{info.name}")).items()
         if hasattr(fn, "cache_parameters")
     }
-    assert "charseries._character" in caches
+    assert "spinalg.gamma_affine" in caches
     unbounded = [k for k, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []

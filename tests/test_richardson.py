@@ -120,14 +120,28 @@ class TestBuildRelations:
 
     def test_nonzero_projections_always_carry_clutter(self):
         # Every monomial of a quadric brackets its clutter in the order, so
-        # on an interval a nonzero projection keeps the clutter: no relation
-        # is ever discarded.  relation_projections' discard channel exists
-        # purely as a falsification detector.
+        # on an interval a nonzero projection keeps the clutter: every
+        # nonzero projection is a relation.
         for iv in (IV("(0)@0", "(5)@0"), IV("(0)@0", "(45)@0"),
                    IV("(12)@0", "(13)@1"), IV("(0)@0", "(1)@1")):
-            retained, discarded = rich.relation_projections(iv)
-            assert discarded == []
-            assert len(retained) == len(wl.clutters(iv))
+            window = (iv.lo[1], iv.hi[1])
+            keys = {wl.apos(w) for w in iv.elements}
+            nonzero = [
+                (s, l)
+                for l in range(2 * window[0], 2 * window[1] + 1)
+                for s in sa.GAMMA_LABELS
+                if not rich._project(sa.gamma_affine(s, l, window), keys).is_zero()
+            ]
+            rels = rich.build_relations(iv)
+            assert [(r.s, r.l) for r in rels] == nonzero
+            assert len(rels) == len(wl.clutters(iv))
+
+    def test_clutter_free_projection_raises(self, monkeypatch):
+        # a nonzero projection with no clutter would falsify the
+        # unique-clutter proposition: it raises, as one with two does
+        monkeypatch.setattr(rich, "_clutter_monomials", lambda f: [])
+        with pytest.raises(RuntimeError, match="has 0 clutters"):
+            rich.build_relations(IV("(0)@0", "(5)@0"))
 
     def test_sub_interval_restriction(self):
         iv = IV("(0)@0", "(1)@1")
@@ -395,6 +409,34 @@ class TestObstructions:
         }
         got = {norm_pair(p) for p in rich.enumerate_obstructions(ivu)}
         assert got == want
+
+    def test_every_pair_is_covered_directly(self):
+        # [(0)@0,(1)@2] holds every weight of levels 0..2, and _find_cover
+        # shifts a pair to start at level 0, so its pairs stand for those of
+        # every interval: each spans at most one level and is covered
+        iv = IV("(0)@0", "(1)@2")
+        assert len(iv) == 48
+        pairs = rich.enumerate_obstructions(iv)
+        assert len(pairs) == 112
+        for pair in pairs:
+            levels = {w[1] for ob in pair for w in (ob.outer, *ob.inner)}
+            assert max(levels) - min(levels) <= 1
+            assert rich._find_cover(pair) is not None
+
+    def test_records_validate_on_replace(self):
+        # namedtuple's _replace builds through _make, which must validate
+        [rel] = rich.build_relations(IV("(0)@0", "(5)@0"))
+        ob = rich.enumerate_obstructions(IV("(0)@0", "(1)@0"))[0][0]
+        for record, bad in (
+            (rel, {"body": pr.lam(W("(0)@0"))}),
+            (ob, {"outer": W("(0)@0")}),
+            (sa.S1, {"eps": (1, 0, 0, 0, 0)}),
+        ):
+            with pytest.raises(ValueError):
+                record._replace(**bad)
+            with pytest.raises(ValueError):
+                type(record)._make({**record._asdict(), **bad}.values())
+        assert sa.S1._replace(eps=(1, 1, 0, 0, 0)).eps == (1, 1, 0, 0, 0)
 
     def test_coverage_check_windows(self):
         # obstruction_coverage raises on a pair it cannot resolve
