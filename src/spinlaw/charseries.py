@@ -48,11 +48,11 @@ characters, as exact identities of rational functions.
 
 Rational characters are kept with *factored* denominators: a
 :class:`RationalChar` is a Laurent-polynomial numerator over a multiset of
-factors ``(1 − x^m)`` with ``m`` a monomial of positive ``t``-degree.  Sums
-expand only the factors missing from the least common denominator, equality
-is decided by the cross-multiplied numerator identity (exact, zero
-tolerance), and :meth:`RationalChar.series` provides truncated expansions
-for oracle comparisons.
+factors ``(1 − x^m)`` with ``m`` a monomial of ``t``-degree 1, as the
+lattice's elements give them.  Sums expand only the factors missing from the
+least common denominator, equality is decided by the cross-multiplied
+numerator identity (exact, zero tolerance), and :meth:`RationalChar.series`
+provides truncated expansions for oracle comparisons.
 
 All arithmetic runs on dicts keyed by one int per monomial: seven 32-bit
 fields, ``s₁..s₅, q`` biased by 2³¹ and ``t`` signed on top.  A monomial
@@ -75,7 +75,8 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from math import lcm
+from operator import attrgetter, itemgetter
 
 from .weightlattice import (
     Interval,
@@ -299,9 +300,6 @@ class LaurentPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):  # pragma: no cover - not hashable
-        raise TypeError("LaurentPoly is not hashable")
-
     # -- arithmetic
 
     def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
@@ -405,48 +403,22 @@ class _CoeffView(Mapping):
 def _div_one_minus(num: LaurentPoly, m: Mono) -> LaurentPoly | None:
     """Exact quotient ``num / (1 - x^m)`` or None if not divisible.
 
-    Requires ``m`` to have positive ``t``-exponent ``k``.  The quotient's
-    lowest ``t``-degree is the numerator's, ``lo``, so the division runs the
-    remainder's ``t``-degree down and fails on a term below ``lo + k``.
+    The series ``Σ_j S_j t^j`` of ``num / (1 − x^m)``, ``m`` of ``t``-degree
+    1, has ``S_{j+1} = x^m S_j`` above the numerator's ``t``-degree ``hi``: it
+    is the quotient, a polynomial, exactly when its expansion to ``t^hi`` has
+    no term at ``t^hi``.  The quotient's exponents lie in the convex hull of
+    the numerator's, so it keeps the numerator's ``reach``.
     """
-    k = m[6]
-    if k < 1:
-        raise ValueError("denominator factor needs positive t-degree")
-    by_deg: dict[int, dict] = {}
-    for key, c in num._terms.items():
-        by_deg.setdefault(key >> _T_SHIFT, {})[key] = c
-    lo, hi = min(by_deg, default=0), max(by_deg, default=0)
-    floor = lo + k
-    # a numerator term is moved by x^-m at most once per step of k from hi
-    # down to the floor; an exact quotient stays within the numerator's reach
-    _check_reach(num.reach + (hi - lo) // k * _span([m]))
-    d_m = _delta(m)
-    quot: dict = {}
-    while by_deg:
-        d = max(by_deg)
-        bucket = by_deg.pop(d)
-        if not bucket:
-            continue
-        if d < floor:
-            return None
-        lower = by_deg.setdefault(d - k, {})
-        for key, c in bucket.items():
-            key -= d_m
-            v = quot.get(key, 0) - c
-            if v:
-                quot[key] = v
-            else:
-                quot.pop(key, None)
-            r = lower.get(key, 0) + c
-            if r:
-                lower[key] = r
-            else:
-                lower.pop(key, None)
-    return LaurentPoly._of(quot, num.reach)
+    if not num:
+        return num
+    hi = num.t_degree()
+    terms, _ = RationalChar(num, Counter({m: 1}))._expand(hi)
+    quot = {key: c for key, c in terms.items() if c}
+    return None if max(quot) >> _T_SHIFT == hi else LaurentPoly._of(quot, num.reach)
 
 
 # The modular image that screens RationalChar.reduced()'s trial divisions: a
-# numerator N = Σ_j N_j t^j is kept as the list of N_j(pt) mod _P, lowest
+# numerator N = Σ_j N_j t^j is kept as the list of (L·N_j)(pt) mod _P, lowest
 # t-degree first, at a fixed point pt of (s₁..s₅, q) with nonzero coordinates.
 
 _P = (1 << 61) - 1
@@ -461,28 +433,23 @@ def _sq_value(m: Mono) -> int:
     return v
 
 
-def _t_image(num: LaurentPoly) -> list[int] | None:
-    """Images ``N_j(pt) mod _P`` for ``j`` from the lowest ``t``-degree up.
-
-    None when a coefficient's denominator is divisible by ``_P``, so that the
-    numerator has no image mod ``_P``.
-    """
+def _t_image(num: LaurentPoly) -> list[int]:
+    """Images ``(L·N_j)(pt) mod _P`` for ``j`` from the lowest ``t``-degree
+    up, with ``L`` the lcm of the coefficients' denominators."""
     terms = num._terms
     if not terms:
         return []
+    # L = 1 on an int-valued numerator, as every character built here is
+    integral = set(map(type, terms.values())) == {int}
+    scale = 1 if integral else lcm(*map(attrgetter("denominator"), terms.values()))
     lo = min(terms) >> _T_SHIFT
     img = [0] * ((max(terms) >> _T_SHIFT) - lo + 1)
     powers: list[dict[int, int]] = [{} for _ in _PT]  # x^e mod _P, per variable
     for key, c in terms.items():
         e = _unpack(key)
-        v = c.numerator
+        v = c.numerator if scale == 1 else c.numerator * (scale // c.denominator)
         for x, seen, k in zip(_PT, powers, e):
             v = v * (seen[k] if k in seen else seen.setdefault(k, pow(x, k, _P))) % _P
-        if c.denominator != 1:
-            d = c.denominator % _P
-            if not d:
-                return None
-            v = v * pow(d, -1, _P)
         img[e[6] - lo] = (img[e[6] - lo] + v) % _P
     return img
 
@@ -498,10 +465,11 @@ def _image_vanishes(img: list[int], m: Mono) -> bool:
 
 def _image_div(img: list[int], m: Mono) -> list[int]:
     """Image of ``N / (1 − x^m)`` by synthetic division, given that it divides."""
-    c, k = _sq_value(m), m[6]
+    c, v = _sq_value(m), 0
     out: list[int] = []
-    for i in range(len(img) - k):
-        out.append((img[i] + c * out[i - k]) % _P if i >= k else img[i])
+    for a in img[:-1]:
+        v = (a + c * v) % _P
+        out.append(v)
     return out
 
 
@@ -517,11 +485,11 @@ class RationalChar:
     """Rational character ``num / Π (1 − x^m)`` with a factored denominator.
 
     ``den`` is a multiset (Counter) of monomials ``m``, each standing for a
-    factor ``1 − x^m``; every ``m`` must have positive ``t``-degree so that
-    the ``t``-expansion is well defined.  Denominators are never expanded in
-    full: sums multiply each numerator only by the factors it is missing
-    from the least common denominator, and equality is the cross-multiplied
-    numerator identity over that least common denominator — exact, with zero
+    factor ``1 − x^m``; every ``m`` must have ``t``-degree 1, as every factor
+    of a lattice character does.  Denominators are never expanded in full:
+    sums multiply each numerator only by the factors it is missing from the
+    least common denominator, and equality is the cross-multiplied numerator
+    identity over that least common denominator — exact, with zero
     tolerance.  Instances are immutable by convention.
 
     >>> g = RationalChar.single(("(0)", 0))      # 1/(1 - e_(0) t)
@@ -538,8 +506,8 @@ class RationalChar:
     def __init__(self, num: LaurentPoly, den: Counter | None = None):
         den = Counter(den) if den else Counter()
         for m, mult in den.items():
-            if m[6] < 1:
-                raise ValueError("denominator factor needs positive t-degree")
+            if m[6] != 1:
+                raise ValueError("denominator factor needs t-degree 1")
             if mult < 0:
                 raise ValueError("negative factor multiplicity")
         if num.is_zero():
@@ -572,9 +540,6 @@ class RationalChar:
             return NotImplemented
         return (self - other).num.is_zero()
 
-    def __hash__(self):  # pragma: no cover - not hashable
-        raise TypeError("RationalChar is not hashable")
-
     # -- arithmetic
 
     def __mul__(self, other: "RationalChar") -> "RationalChar":
@@ -603,42 +568,34 @@ class RationalChar:
         """Cancel denominator factors that divide the numerator exactly.
 
         Exact division by ``(1 − x^m)`` is the only way a factor is
-        cancelled.  A failed trial scans the whole numerator, so a trial by a
-        factor of ``t``-degree 1 is first screened mod the prime
-        ``P = 2⁶¹ − 1``: with ``s₁..s₅, q`` at a fixed point ``pt`` and
-        ``t₀ = x^m(pt)⁻¹``, the trial is skipped when ``N(pt, t₀) ≢ 0``.
+        cancelled.  A failed trial scans the whole numerator, so every trial
+        is first screened mod the prime ``P = 2⁶¹ − 1``: with ``s₁..s₅, q`` at
+        a fixed point ``pt`` and ``t₀ = x^m(pt)⁻¹``, the trial is skipped when
+        ``(L·N)(pt, t₀) ≢ 0``, ``L`` the lcm of the numerator's denominators.
 
-        The skip is exact.  The quotient that ``_div_one_minus`` builds has
-        coefficients in the ℤ-span of the numerator's, so when no numerator
-        denominator is divisible by ``P``, a successful division gives
-        ``N ≡ (1 − x^m)·Q mod P`` as Laurent polynomials, and ``N`` vanishes
-        mod ``P`` wherever ``x^m = 1``.  A nonzero value therefore means the
-        trial would fail.  The image ``N_j(pt) mod P`` of each ``t``-coefficient
-        is taken in one pass and updated by synthetic division after each
-        cancellation.  Factors of higher ``t``-degree, and numerators with a
-        denominator divisible by ``P``, get the plain trial.  The same
-        factors are cancelled in the same order as by trial division alone.
+        The skip is exact.  ``L·N`` has integer coefficients, and any divisor
+        of ``N`` divides it; the quotient that ``_div_one_minus`` builds has
+        coefficients in the ℤ-span of the dividend's.  So a successful
+        division gives ``L·N ≡ (1 − x^m)·L·Q mod P`` as Laurent polynomials,
+        and ``L·N`` vanishes mod ``P`` wherever ``x^m = 1``: a nonzero value
+        means the trial would fail.  The image of ``L·N_j`` for each
+        ``t``-coefficient is taken in one pass and updated by synthetic
+        division after each cancellation.
+
+        One pass over the factors suffices: a factor that does not divide
+        ``N`` divides no quotient of ``N``.
         """
         num = self.num
-        den = Counter(self.den)
         img = _t_image(num)
-        progress = True
-        while progress and not num.is_zero():
-            progress = False
-            for m in sorted(den):
-                while den[m] > 0:
-                    if img is not None and m[6] == 1 and not _image_vanishes(img, m):
-                        break
-                    q = _div_one_minus(num, m)
-                    if q is None:
-                        break
-                    num = q
-                    if img is not None:
-                        img = _image_div(img, m)
-                    den[m] -= 1
-                    progress = True
-                if den[m] == 0:
-                    del den[m]
+        den = Counter()
+        for m, mult in sorted(self.den.items()):
+            while mult and _image_vanishes(img, m):
+                q = _div_one_minus(num, m)
+                if q is None:
+                    break
+                num, img, mult = q, _image_div(img, m), mult - 1
+            if mult:
+                den[m] = mult
         return RationalChar(num, den)
 
     # -- substitutions
@@ -659,7 +616,7 @@ class RationalChar:
         """
         den = Counter()
         for m, mult in self.den.items():
-            den[(*m[:5], m[5] + n * m[6], m[6])] += mult
+            den[(*m[:5], m[5] + n, 1)] += mult
         return RationalChar(self.num.subs_t_qt(n), den)
 
     # -- expansion
@@ -670,6 +627,8 @@ class RationalChar:
         The returned coefficients have their ``t``-exponent cleared, so they
         are directly comparable with :func:`chain_series_direct` output.
         """
+        if k_max < 0:
+            raise ValueError("k_max must be >= 0")
         return _split(*self._expand(k_max), k_max)
 
     def _expand(self, k_max: int) -> tuple[dict, int]:
@@ -677,12 +636,10 @@ class RationalChar:
         keys), and the ``reach`` of its exponents (see :func:`_check_reach`).
 
         The terms are held in layers by ``t``-degree.  Taken upward, each
-        layer gains ``x^m`` times the layer ``g`` below it, already divided,
-        which divides by ``1 − x^m`` for ``m`` of ``t``-degree ``g``.  A term
-        of ``t``-degree ``j`` meets at most ``k_max − j`` factors.
+        layer gains ``x^m`` times the layer below it, already divided, which
+        divides by ``1 − x^m``.  A term of ``t``-degree ``j`` meets at most
+        ``k_max − j`` factors.  ``k_max`` may be negative.
         """
-        if k_max < 0:
-            raise ValueError("k_max must be >= 0")
         terms = self.num._terms
         low = min(0, min(terms) >> _T_SHIFT) if terms else 0
         reach = self.num.reach + (k_max - low) * _span(self.den)
@@ -693,9 +650,9 @@ class RationalChar:
             if key < cap:
                 layers[(key >> _T_SHIFT) - low][key] = c
         for m in sorted(self.den.elements()):
-            d, g = _delta(m), m[6]
-            for j in range(g, len(layers)):
-                _add_into(layers[j], layers[j - g], d)
+            d = _delta(m)
+            for j in range(1, len(layers)):
+                _add_into(layers[j], layers[j - 1], d)
         out: dict = {}
         for layer in layers:
             out.update(layer)
@@ -925,13 +882,14 @@ def character(iv: Interval, *, specialize=None) -> RationalChar:
     Pair (tail ``a``, other ``b``, ``m = a ∧ b``, ``[lo, a) = [lo, m]``)
     splits the multichains below ``x`` by whether they reach ``a``, so
     ``N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z∈[lo,b]∖[lo,m]} (1 − e_z t)``.
-    The result is ``N_hi`` over one factor per element, so a one-point
-    interval gives ``1/(1 − e_lo t)``.  On every full character the tests
-    draw, ``reduced()`` finds nothing to cancel; a specialization can make
+    The result is always ``N_hi`` over one factor per element, so a
+    one-point interval gives ``1/(1 − e_lo t)``; callers that want lowest
+    terms call ``reduced()``.  On every full character the tests draw,
+    ``reduced()`` finds nothing to cancel; a specialization can make
     factors coincide, and then it does.  ``specialize`` may map ``"s"``
-    and/or ``"q"`` to 1 to collapse the corresponding variables first; with
-    both, the result is returned reduced.  Nothing is cached: each call
-    builds its own result, whose ``den`` the caller may change.
+    and/or ``"q"`` to 1 to collapse the corresponding variables first.
+    Nothing is cached: each call builds its own result, whose ``den`` the
+    caller may change.
 
     Agrees with :func:`chain_series_direct` to every truncation — that
     equivalence is the module's core correctness property and is enforced
@@ -994,9 +952,7 @@ def character(iv: Interval, *, specialize=None) -> RationalChar:
         for y in reads[x]:
             if last[y] == x:
                 del num[y]
-    result = RationalChar(LaurentPoly._of(num[hi], reach), Counter(wm.values()))
-    # Fully specialized characters are small; return those in lowest terms.
-    return result.reduced() if (s_one and q_one) else result
+    return RationalChar(LaurentPoly._of(num[hi], reach), Counter(wm.values()))
 
 
 def pole_order(c: RationalChar) -> int:
@@ -1087,8 +1043,8 @@ def recursion_check_J(r_max: int, k_max: int) -> bool:
     >>> recursion_check_J(1, 0)    # every side has constant term 1
     True
     """
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
+    if r_max < 1 or k_max < 0:
+        raise ValueError("r_max must be >= 1 and k_max >= 0")
     cap = (k_max + 1) << _T_SHIFT
     for r in range(1, r_max + 1):
         for kind in ("(5)", "(15)", "(1)", "(0)"):
@@ -1205,7 +1161,7 @@ def delannoy_acceptance(r_max: int = 4, k_max: int = 8) -> bool:
     lo: Weight = ("(0)", 0)
     r_top = max(r_max, k_max)
     ivs = [interval(lo, j_sequence(r)) for r in range(r_top + 1)]
-    bs = [character(iv, specialize={"s": 1, "q": 1}) for iv in ivs]
+    bs = [character(iv, specialize={"s": 1, "q": 1}).reduced() for iv in ivs]
     one_minus_t = RationalChar(LaurentPoly({ONE_M: 1, T_M: -1}))
     one_plus_t = RationalChar(LaurentPoly({ONE_M: 1, T_M: 1}))
     t_char = RationalChar(LaurentPoly.monomial(T_M))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import lru_cache
 
 from . import polyring as pr
 from . import spinalg as sa
@@ -329,55 +328,49 @@ def enumerate_obstructions(iv: Interval) -> list[ObstructionPair]:
     return out
 
 
-# Obstruction pairs span at most two adjacent levels, so a run asks for spans
-# 0 and 1 only: 10·(2·span + 1) arguments each, 40 in all (measured on all 628
-# intervals with lo at level 0 and hi at levels 0..2, and [(0)@0,(1)@r] for
-# r ≤ 5).
-@lru_cache(maxsize=64)
-def _affine_clutter(s: str, l: int, span: int) -> frozenset[Weight] | None:
-    """The unique clutter of the mode-``l`` quadric on the window ``[0, span]``."""
-    cls = _clutter_monomials(sa.gamma_affine(s, l, (0, span)))
-    if len(cls) > 1:  # pragma: no cover - would falsify the unique-clutter law
-        raise RuntimeError(f"quadric {s}^{l} has several clutters on the window")
-    return frozenset(cls[0]) if cls else None
-
-
-@lru_cache(maxsize=4)  # spans 0 and 1, see _affine_clutter
 def _coverage_index(span: int) -> dict:
     """Map (outer weight, inner clutter) -> {(α, n): product coefficient}.
 
     Substituting the quadric for the placeholder in a term
     ``c · λ^{β} x_{s^m}`` of ``h_{α^n}`` produces the cubic monomial
     ``λ^{β} · clutter(Γ^{s^m})`` with coefficient ``c`` times the clutter's
-    coefficient inside the quadric; the index records these products.
+    coefficient inside the quadric; the index records these products.  The
+    unique clutter of each quadric mode on the window ``[0, span]`` and its
+    coefficient are found once per mode.
     """
+    clutters: dict[tuple[str, int], tuple[frozenset[Weight], int]] = {}
+    for s in sa.GAMMA_LABELS:
+        for m in range(2 * span + 1):
+            quad = sa.gamma_affine(s, m, (0, span))
+            cls = _clutter_monomials(quad)
+            if len(cls) > 1:  # pragma: no cover - would falsify the unique-clutter law
+                raise RuntimeError(f"quadric {s}^{m} has several clutters on the window")
+            if cls:
+                clutters[(s, m)] = frozenset(cls[0]), quad[pr.monomial_from_weights(cls[0])]
     index: dict[tuple[Weight, frozenset[Weight]], dict[tuple[str, int], int]] = {}
     for alpha in TAGS:
         for n in range(0, 3 * span + 1):
-            for c, bw, (s, m) in sa.affine_fierz_terms(alpha, n, (0, span)):
-                if m < 0 or m > 2 * span:
-                    continue
-                cl = _affine_clutter(s, m, span)
-                if cl is None:
-                    continue
-                cc = sa.gamma_affine(s, m, (0, span))[
-                    pr.monomial_from_weights(sorted(cl, key=apos))
-                ]
-                index.setdefault((bw, cl), {})[(alpha, n)] = c * cc
+            for c, bw, sm in sa.affine_fierz_terms(alpha, n, (0, span)):
+                if sm in clutters:
+                    cl, cc = clutters[sm]
+                    index.setdefault((bw, cl), {})[(alpha, n)] = c * cc
     return index
 
 
-def _find_cover(pair: ObstructionPair) -> tuple[str, int] | None:
+def _find_cover(pair: ObstructionPair, indexes: dict) -> tuple[str, int] | None:
     """A Fierz element ``h_{α^n}`` resolving the pair, if one exists.
 
     The pair is first shifted so its lowest level is zero; both its
     factorizations must appear in the same element with opposite unit
-    product coefficients.
+    product coefficients.  ``indexes`` maps a span to its
+    :func:`_coverage_index`; a missing span is built and added.
     """
     levels = [w[1] for ob in pair for w in (ob.outer, *ob.inner)]
     base = min(levels)
     span = max(levels) - base
-    idx = _coverage_index(span)
+    if span not in indexes:
+        indexes[span] = _coverage_index(span)
+    idx = indexes[span]
     hits = []
     for ob in pair:
         key = (
@@ -403,8 +396,9 @@ def obstruction_coverage(iv: Interval) -> list[dict]:
     the central resolution claim and raises.
     """
     report = []
+    indexes: dict = {}
     for pair in enumerate_obstructions(iv):
-        cover = _find_cover(pair)
+        cover = _find_cover(pair, indexes)
         if cover is None:
             raise RuntimeError(
                 "uncovered obstruction pair: "

@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -114,16 +114,16 @@ def tuple_div_one_minus(num: dict, m: tuple) -> dict | None:
     return quot
 
 
-def tuple_t_image(num: dict) -> list | None:
-    """``N_j(pt) mod P`` for each t-degree j from the lowest up, or None."""
+def tuple_t_image(num: dict) -> list:
+    """``(L·N_j)(pt) mod P`` for each t-degree j from the lowest up, with L
+    the lcm of the coefficients' denominators."""
     if not num:
         return []
+    scale = lcm(*(c.denominator for c in num.values()))
     lo = min(e[6] for e in num)
     img = [0] * (max(e[6] for e in num) - lo + 1)
     for e, c in num.items():
-        if c.denominator % cs._P == 0:
-            return None
-        v = c.numerator * pow(c.denominator, -1, cs._P)
+        v = int(c * scale)
         for x, k in zip(cs._PT, e):
             v = v * pow(x, k, cs._P)
         img[e[6] - lo] = (img[e[6] - lo] + v) % cs._P
@@ -148,8 +148,9 @@ def test_laurent_poly_arithmetic():
     assert tpoly([0, 1]).t_degree() == 1
     with pytest.raises(ValueError):
         cs.LaurentPoly.zero().t_degree()
-    with pytest.raises(TypeError):
-        hash(p)
+    for unhashable in (p, cs.RationalChar(p, Counter({T: 1}))):
+        with pytest.raises(TypeError):
+            hash(unhashable)
 
 
 @pytest.mark.parametrize("build", [
@@ -188,7 +189,7 @@ LAURENT = st.dictionaries(
 @settings(max_examples=200, deadline=None)
 @given(a=LAURENT, extra=LAURENT, cancel=st.lists(st.booleans(), max_size=5),
        n=st.integers(-3, 3),
-       m=st.sampled_from([T, (1, 0, 0, 0, 0, 0, 1), (0, -1, 0, 0, 0, 1, 2)]))
+       m=st.sampled_from([T, (1, 0, 0, 0, 0, 0, 1), (0, -1, 0, 0, 0, 1, 1)]))
 def test_packed_matches_tuple_oracle(a, extra, cancel, n, m):
     # b repeats some terms of a with the opposite sign, so a + b cancels them
     b = dict(extra)
@@ -246,8 +247,13 @@ def test_rational_char_reduce_and_series():
     assert geo.series(10) == (geo * cs.RationalChar.one()).series(10)
     with pytest.raises(ValueError):
         geo.series(-1)
-    with pytest.raises(ValueError):
-        cs.RationalChar(ONE, Counter({(0, 0, 0, 0, 0, 1, 0): 1}))
+
+
+@pytest.mark.parametrize("m", [(0, 0, 0, 0, 0, 1, 0), tmono(2)], ids=["t0", "t2"])
+def test_rational_char_refuses_nonlinear_factors(m):
+    # every factor of a lattice character has t-degree 1
+    with pytest.raises(ValueError, match="t-degree 1"):
+        cs.RationalChar(ONE, Counter({m: 1}))
 
 
 def test_rational_char_sum_and_equality():
@@ -283,8 +289,8 @@ def plain_reduced(c: cs.RationalChar) -> cs.RationalChar:
 # s and q exponents in -1..1; t-exponents may be negative in numerators
 SQ_EXP = st.tuples(*[st.integers(-1, 1)] * 6)
 # 2^61 - 1 is the screening prime: a coefficient whose denominator it
-# divides has no image mod the prime, so reduced() must fall back to plain
-# trials
+# divides has no inverse mod the prime, so the screen images L·N, with L the
+# lcm of the denominators
 P = 2**61 - 1
 COEFF = st.builds(
     Fraction, st.integers(-3, 3).filter(bool),
@@ -294,9 +300,9 @@ COEFF = st.builds(
 FACTOR = st.one_of(
     st.sampled_from([
         T, (1, 0, 0, 0, 0, 0, 1), (0, -1, 0, 0, 0, 1, 1),
-        cs.weight_mono(W("(12)@0")), (0, 0, 0, 0, 0, 1, 2), (-1, 0, 0, 0, 0, 0, 2),
+        cs.weight_mono(W("(12)@0")), (0, 0, 0, 0, 0, 1, 1), (-1, 0, 0, 0, 0, 0, 1),
     ]),
-    st.builds(lambda sq, k: (*sq, k), SQ_EXP, st.sampled_from([1, 1, 1, 2])),
+    st.builds(lambda sq: (*sq, 1), SQ_EXP),
 )
 
 
@@ -310,7 +316,8 @@ FACTOR = st.one_of(
     extra=st.lists(FACTOR, max_size=3),
 )
 # the numerator (1 - t)^2 / (2P) has the coefficients 1/(2P), -1/P, 1/(2P),
-# which have no image mod P: both factors cancel only through plain trials
+# whose denominators P divides: the screen images 2P·N = (1 - t)^2, and both
+# factors cancel through it
 @example(base={cs.ONE_M: Fraction(1, 2 * P)}, planted=[T, T], extra=[])
 def test_reduced_matches_plain_trial_division(base, planted, extra):
     num = cs.LaurentPoly(base)
@@ -319,12 +326,16 @@ def test_reduced_matches_plain_trial_division(base, planted, extra):
         # the image of a quotient is the synthetic quotient of the image
         img = cs._t_image(num)
         assert img == tuple_t_image(num.coeffs)
-        assert img is None or cs._image_div(img, m) == cs._t_image(quot)
+        assert cs._image_div(img, m) == cs._t_image(quot)
+    # the screen lets every planted factor through to its trial
+    assert all(cs._image_vanishes(cs._t_image(num), m) for m in planted)
     c = cs.RationalChar(num, Counter(planted + extra))
     r = c.reduced()
     want = plain_reduced(c)
     assert r.num == want.num and r.den == want.den
     assert r == c
+    rr = r.reduced()
+    assert rr.num == r.num and rr.den == r.den
 
 
 def test_full_character_reduction_pinned():
@@ -350,12 +361,14 @@ def test_div_one_minus_below_the_factor_degree():
     )
     r = c.reduced()                       # (t⁻¹ − 1)/(1 − t) = t⁻¹
     assert r.num == cs.LaurentPoly({tmono(-1): 1}) and not r.den
-    two = {tmono(-2): 1, tmono(0): -1}
-    assert cs._div_one_minus(cs.LaurentPoly(two), tmono(2)) == cs.LaurentPoly(
-        {tmono(-2): 1}
-    )
-    assert tuple_div_one_minus(two, tmono(2)) == {tmono(-2): 1}
+    # t⁻² − x^m t⁻¹ = t⁻²(1 − x^m) has no term of t-degree 0 or above
+    m = (1, 0, 0, 0, 0, 0, 1)
+    neg = {tmono(-2): 1, (1, 0, 0, 0, 0, 0, -1): -1}
+    assert cs._div_one_minus(cs.LaurentPoly(neg), m) == cs.LaurentPoly({tmono(-2): 1})
+    assert tuple_div_one_minus(neg, m) == {tmono(-2): 1}
     assert cs._div_one_minus(cs.LaurentPoly({tmono(-1): 1, tmono(0): -2}), T) is None
+    zero = cs.LaurentPoly.zero()
+    assert cs._div_one_minus(zero, T) == zero
 
 
 # ---------------------------------------------------------- packed kernel
@@ -699,8 +712,9 @@ def test_character_in_lowest_terms(data):
     oracle = cs.chain_series_direct(iv, 3)
     for spec in ({}, {"s": 1}, {"q": 1}, {"s": 1, "q": 1}):
         flags = {"s_one": "s" in spec, "q_one": "q" in spec}
-        got = cs.character(iv, specialize=spec or None).series(3)
-        assert got == [p.specialized(**flags) for p in oracle], spec
+        c = cs.character(iv, specialize=spec or None)
+        assert sum(c.den.values()) == len(iv)  # one factor per element, unreduced
+        assert c.series(3) == [p.specialized(**flags) for p in oracle], spec
 
 
 def test_character_matches_oracle_random():
@@ -772,6 +786,8 @@ def test_recursion_check_J():
     assert cs.recursion_check_J(1, 0)
     with pytest.raises(ValueError):
         cs.recursion_check_J(0, 3)
+    with pytest.raises(ValueError):
+        cs.recursion_check_J(1, -1)
 
 
 def test_lower_bound_recursions():

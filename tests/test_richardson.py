@@ -418,10 +418,12 @@ class TestObstructions:
         assert len(iv) == 48
         pairs = rich.enumerate_obstructions(iv)
         assert len(pairs) == 112
+        indexes: dict = {}
         for pair in pairs:
             levels = {w[1] for ob in pair for w in (ob.outer, *ob.inner)}
             assert max(levels) - min(levels) <= 1
-            assert rich._find_cover(pair) is not None
+            assert rich._find_cover(pair, indexes) is not None
+        assert sorted(indexes) == [0, 1]
 
     def test_records_validate_on_replace(self):
         # namedtuple's _replace builds through _make, which must validate
