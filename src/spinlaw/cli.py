@@ -153,13 +153,7 @@ def parse_window(text: str) -> tuple[int, int]:
 
 
 def parse_interval(args) -> wl.Interval:
-    lo = wl.parse_weight(args.lo)
-    hi = wl.parse_weight(args.hi)
-    if not wl.leq(lo, hi):
-        raise ValueError(
-            f"{wl.format_weight(lo)} is not below {wl.format_weight(hi)}"
-        )
-    return wl.interval(lo, hi)
+    return wl.interval(wl.parse_weight(args.lo), wl.parse_weight(args.hi))
 
 
 def parse_specialize(text: str) -> dict:

@@ -117,34 +117,22 @@ def z_shift(x: dict, k: int = 1) -> dict:
 # ------------------------------------------------------------ root operators
 
 
-def root_ops():
-    """The six raising operators on S[z, z⁻¹], in label order 1..6.
+#: The six raising operators R₁..R₆ on S[z, z⁻¹], as the Clifford generators
+#: each applies, first to last ("z" is the loop shift).  R₂ = v₁v₂ (double
+#: wedge); Rᵢ = vᵢ v*ᵢ₋₁ for i ∈ {3, 4, 5} and the same shape with indices
+#: (2, 1) for R₁; R₆ = v*₅ v*₄ z (double contraction after a loop shift), the
+#: affine operator pairing the level-crossing covers such as (45)⁰ → (0)¹.
+ROOT_OPS = (
+    ("v1*", "v2"), ("v2", "v1"), ("v2*", "v3"), ("v3*", "v4"), ("v4*", "v5"),
+    ("z", "v4*", "v5*"),
+)
 
-    R₂ = v₁v₂ (double wedge); Rᵢ = vᵢ v*ᵢ₋₁ for i ∈ {3, 4, 5} and the same
-    shape with indices (2, 1) for R₁; R₆ = v*₅ v*₄ z (double contraction
-    after a loop shift), the affine operator pairing the level-crossing
-    covers such as (45)⁰ → (0)¹.
-    """
 
-    def r1(x):
-        return clifford_apply("v2", clifford_apply("v1*", x))
-
-    def r2(x):
-        return clifford_apply("v1", clifford_apply("v2", x))
-
-    def r3(x):
-        return clifford_apply("v3", clifford_apply("v2*", x))
-
-    def r4(x):
-        return clifford_apply("v4", clifford_apply("v3*", x))
-
-    def r5(x):
-        return clifford_apply("v5", clifford_apply("v4*", x))
-
-    def r6(x):
-        return clifford_apply("v5*", clifford_apply("v4*", z_shift(x)))
-
-    return [r1, r2, r3, r4, r5, r6]
+def root_op(gens: tuple[str, ...], x: dict) -> dict:
+    """Apply the generators of one :data:`ROOT_OPS` entry, first to last."""
+    for g in gens:
+        x = z_shift(x) if g == "z" else clifford_apply(g, x)
+    return x
 
 
 def generate_hasse(window: tuple[int, int]):
@@ -158,15 +146,13 @@ def generate_hasse(window: tuple[int, int]):
     >>> len(generate_hasse((0, 0)))
     20
     """
-    lo, hi = window
-    nodes = [(t, lvl) for lvl in range(lo, hi + 1) for t in TAGS]
+    nodes = wl.window_weights(window)
     node_set = set(nodes)
-    ops = root_ops()
     edges: dict[tuple[Weight, Weight], tuple[int, int]] = {}
     for w in nodes:
         x = theta(w)
-        for idx, op in enumerate(ops, start=1):
-            y = op(x)
+        for idx, gens in enumerate(ROOT_OPS, start=1):
+            y = root_op(gens, x)
             if not y:
                 continue
             if len(y) != 1:
@@ -484,8 +470,8 @@ def u_substitute(f: Poly, table: dict[str, tuple[int, str]] | None = None) -> Po
 
 _U_REPAIR_ORBIT = ("(0)", "(1)")
 
-# one tag per u-orbit {t, u(t)} of weight lines: the column-0 tags
-_U_ORBIT_REPS = ("(0)", "(12)", "(13)", "(14)", "(15)", "(23)", "(24)", "(25)")
+# one tag per u-orbit {t, u(t)} of weight lines: the eight reference rows
+_U_ORBIT_REPS = tuple(_U_REFERENCE)
 
 
 def u_stability_check() -> dict:
@@ -651,9 +637,7 @@ def weyl_hasse_check(window: tuple[int, int]) -> dict:
     Raises on isomorphism failure (the identification is ψ, label for
     label) and reports edge counts otherwise.
     """
-    lo, hi = window
-    weights = [(t, lvl) for lvl in range(lo, hi + 1) for t in TAGS]
-    carrier = [psi(w) for w in weights]
+    carrier = [psi(w) for w in wl.window_weights(window)]
     edges = weyl_graph(AFFINE_GENERATORS, carrier)
     expected = sorted(
         tuple(sorted((psi(a), psi(b)))) for a, b in wl.affine_covers(window)

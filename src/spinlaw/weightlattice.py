@@ -20,14 +20,18 @@ adds four cross-level arrows per level:
 
 Every cover raises the height ``ht((a)^r) = 8*r + c(a)`` by exactly one, so
 ``Ê`` is graded with exactly two elements at every height (the "column
-pairs").  Weights are represented as ``(tag, level)`` tuples such as
-``("(12)", 0)`` and printed ``(12)@0``.
+pairs"), and each column is a chain of covers.  The pairs of heights 0..7
+(``_PAIRS``) state the grid once: the offsets ``c``, the columns, the order
+of ``TAGS`` and the involution ``U_TAG`` are read off them.  Weights are
+represented as ``(tag, level)`` tuples such as ``("(12)", 0)`` and printed
+``(12)@0``.
 
 This module owns the pure combinatorics: covers, the order relation, meets
-and joins, intervals, clutters (incomparable pairs), height bookkeeping, the
-total-order position of each element used by the polynomial layer, the level
-shift, the order-reversing involution, the subset of {1..5} each tag names,
-the torus weight of each element, and DOT/JSON emitters for Hasse diagrams.
+and joins, intervals (a level window is the interval ``[(0)^lo, (1)^hi]``),
+clutters (incomparable pairs), height bookkeeping, the total-order position
+of each element used by the polynomial layer, the level shift, the
+order-reversing involution, the subset of {1..5} each tag names, the torus
+weight of each element, and DOT/JSON emitters for Hasse diagrams.
 """
 
 from __future__ import annotations
@@ -37,12 +41,33 @@ from collections import namedtuple
 
 Weight = tuple[str, int]
 
+#: The height pairs of level 0: row ``c`` holds the two weights of height
+#: ``c`` as (first column, second column).  Every table of the grid below is
+#: read off these eight rows.
+_PAIRS: tuple[tuple[Weight, Weight], ...] = (
+    (("(0)", 0), ("(3)", -1)),
+    (("(12)", 0), ("(2)", -1)),
+    (("(13)", 0), ("(1)", -1)),
+    (("(14)", 0), ("(23)", 0)),
+    (("(15)", 0), ("(24)", 0)),
+    (("(25)", 0), ("(34)", 0)),
+    (("(35)", 0), ("(5)", 0)),
+    (("(45)", 0), ("(4)", 0)),
+)
+
+#: Height offset ``c(tag)``; ``ht((a)^r) = 8*r + c(a)``.
+HT_OFFSET: dict[str, int] = {
+    tag: c - 8 * lvl for c, row in enumerate(_PAIRS) for tag, lvl in row
+}
+
+#: Column of each tag inside its height pair (0 = first column).
+COLUMN: dict[str, int] = {
+    tag: col for row in _PAIRS for col, (tag, _) in enumerate(row)
+}
+
 #: The sixteen tags, listed in the increasing total order used for level-0
 #: polynomial variables.
-TAGS: tuple[str, ...] = (
-    "(0)", "(12)", "(13)", "(14)", "(23)", "(15)", "(24)", "(25)",
-    "(34)", "(35)", "(5)", "(45)", "(4)", "(3)", "(2)", "(1)",
-)
+TAGS: tuple[str, ...] = tuple(sorted(HT_OFFSET, key=lambda t: (HT_OFFSET[t], COLUMN[t])))
 
 #: The subset of {1..5} each tag names: ``(0)`` ↦ ∅, ``(ij)`` ↦ {i, j} and
 #: ``(k)`` ↦ {1..5}∖{k}.  The torus weight, the Fock basis and the vertex
@@ -51,13 +76,6 @@ TAG_SUBSET: dict[str, frozenset[int]] = {
     "(0)": frozenset(),
     **{f"({i}{j})": frozenset({i, j}) for i in range(1, 6) for j in range(i + 1, 6)},
     **{f"({k})": frozenset({1, 2, 3, 4, 5} - {k}) for k in range(1, 6)},
-}
-
-#: Height offset ``c(tag)``; ``ht((a)^r) = 8*r + c(a)``.
-HT_OFFSET: dict[str, int] = {
-    "(0)": 0, "(12)": 1, "(13)": 2, "(14)": 3, "(23)": 3, "(15)": 4,
-    "(24)": 4, "(25)": 5, "(34)": 5, "(35)": 6, "(5)": 6, "(45)": 7,
-    "(4)": 7, "(3)": 8, "(2)": 9, "(1)": 10,
 }
 
 _ROWS = (
@@ -78,41 +96,31 @@ CROSS_COVERS: dict[str, str] = {
 }
 
 #: The order-reversing involution on tags (extended to weights by
-#: ``anti_auto``).
+#: ``anti_auto``): the tag at height offset ``10 - c`` in the other column.
 U_TAG: dict[str, str] = {
-    "(0)": "(1)", "(12)": "(2)", "(13)": "(3)", "(14)": "(4)",
-    "(15)": "(5)", "(23)": "(45)", "(24)": "(35)", "(25)": "(34)",
-}
-U_TAG.update({v: k for k, v in U_TAG.items()})
-
-#: Column of each tag inside its height pair (0 = first column).
-COLUMN: dict[str, int] = {
-    "(0)": 0, "(12)": 0, "(13)": 0, "(14)": 0, "(15)": 0, "(25)": 0,
-    "(35)": 0, "(45)": 0,
-    "(3)": 1, "(2)": 1, "(1)": 1, "(23)": 1, "(24)": 1, "(34)": 1,
-    "(5)": 1, "(4)": 1,
+    a: b for a in TAGS for b in TAGS
+    if HT_OFFSET[a] + HT_OFFSET[b] == 10 and COLUMN[a] != COLUMN[b]
 }
 
-# Same-level cover adjacency, as tag -> tuple of tags.
-_UP_SAME: dict[str, tuple[str, ...]] = {t: () for t in TAGS}
+# The cover arrows a^r -> b^{r+step}, as _UP[a] = [(b, step), ...] and
+# _DOWN[b] = [(a, step), ...]: rows, then verticals, then cross-level arrows.
+_UP: dict[str, list[tuple[str, int]]] = {t: [] for t in TAGS}
+_DOWN: dict[str, list[tuple[str, int]]] = {t: [] for t in TAGS}
+for _a, _b, _step in (
+    *((a, b, 0) for row in _ROWS for a, b in zip(row, row[1:])),
+    *((a, b, 0) for a, b in _VERTICAL),
+    *((a, b, 1) for a, b in CROSS_COVERS.items()),
+):
+    _UP[_a].append((_b, _step))
+    _DOWN[_b].append((_a, _step))
 
-
-def _add_up(src: str, dst: str) -> None:
-    _UP_SAME[src] = _UP_SAME[src] + (dst,)
-
-
-for _row in _ROWS:
-    for _a, _b in zip(_row, _row[1:]):
-        _add_up(_a, _b)
-for _a, _b in _VERTICAL:
-    _add_up(_a, _b)
 
 def _reachable_same(start: str) -> frozenset[str]:
     seen = {start}
     stack = [start]
     while stack:
-        for nxt in _UP_SAME[stack.pop()]:
-            if nxt not in seen:
+        for nxt, step in _UP[stack.pop()]:
+            if step == 0 and nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return frozenset(seen)
@@ -124,12 +132,7 @@ _FINITE_UP: dict[str, frozenset[str]] = {t: _reachable_same(t) for t in TAGS}
 # _CROSS_UP[a] = set of tags b with a^r <= b^{r+1}.
 _CROSS_UP: dict[str, frozenset[str]] = {
     a: frozenset(
-        b
-        for b in TAGS
-        if any(
-            x in _FINITE_UP[a] and b in _FINITE_UP[target]
-            for x, target in CROSS_COVERS.items()
-        )
+        b for x, y in CROSS_COVERS.items() if x in _FINITE_UP[a] for b in _FINITE_UP[y]
     )
     for a in TAGS
 }
@@ -161,31 +164,15 @@ def ht(w: Weight) -> int:
     return 8 * w[1] + HT_OFFSET[w[0]]
 
 
-def column_of(tag: str) -> int:
-    """Column (0 or 1) of a tag inside its height pair."""
-    return COLUMN[tag]
-
-
 def ht_pair(m: int) -> tuple[Weight, Weight]:
     """The two elements of height ``m``, as (first column, second column)."""
-    r, c = divmod(m, 8)
-    table = (
-        (("(0)", 0), ("(3)", -1)),
-        (("(12)", 0), ("(2)", -1)),
-        (("(13)", 0), ("(1)", -1)),
-        (("(14)", 0), ("(23)", 0)),
-        (("(15)", 0), ("(24)", 0)),
-        (("(25)", 0), ("(34)", 0)),
-        (("(35)", 0), ("(5)", 0)),
-        (("(45)", 0), ("(4)", 0)),
-    )[c]
-    return tuple((tag, lvl + r) for tag, lvl in table)  # type: ignore[return-value]
+    return (weight_from_apos(2 * m), weight_from_apos(2 * m + 1))
 
 
 def apos(w: Weight) -> int:
     """Position of a weight in the global variable order (smaller = earlier).
 
-    Equals ``2*ht(w) + column_of(tag)``; consecutive positions walk the two
+    Equals ``2*ht(w) + COLUMN[tag]``; consecutive positions walk the two
     height columns in lockstep, so the map is a bijection ``Ê -> Z``.
     """
     return 2 * ht(w) + COLUMN[w[0]]
@@ -194,7 +181,8 @@ def apos(w: Weight) -> int:
 def weight_from_apos(key: int) -> Weight:
     """Inverse of :func:`apos`."""
     m, col = divmod(key, 2)
-    return ht_pair(m)[col]
+    tag, lvl = _PAIRS[m % 8][col]
+    return (tag, lvl + m // 8)
 
 
 def shift(w: Weight, k: int = 1) -> Weight:
@@ -226,28 +214,12 @@ def torus_weight(w: Weight) -> tuple[int, int, int, int, int, int]:
 
 def covers_up(w: Weight) -> tuple[Weight, ...]:
     """All covers of ``w`` (same-level arrows, plus cross-level if any)."""
-    tag, lvl = w
-    out = [(b, lvl) for b in _UP_SAME[tag]]
-    if tag in CROSS_COVERS:
-        out.append((CROSS_COVERS[tag], lvl + 1))
-    return tuple(out)
-
-
-_DOWN_SAME: dict[str, tuple[str, ...]] = {t: () for t in TAGS}
-for _a in TAGS:
-    for _b in _UP_SAME[_a]:
-        _DOWN_SAME[_b] = _DOWN_SAME[_b] + (_a,)
-_CROSS_DOWN: dict[str, tuple[str, ...]] = {t: () for t in TAGS}
-for _a, _b in CROSS_COVERS.items():
-    _CROSS_DOWN[_b] = _CROSS_DOWN[_b] + (_a,)
+    return tuple((b, w[1] + step) for b, step in _UP[w[0]])
 
 
 def covers_down(w: Weight) -> tuple[Weight, ...]:
     """All elements covered by ``w``."""
-    tag, lvl = w
-    out = [(b, lvl) for b in _DOWN_SAME[tag]]
-    out.extend((b, lvl - 1) for b in _CROSS_DOWN[tag])
-    return tuple(out)
+    return tuple((a, w[1] - step) for a, step in _DOWN[w[0]])
 
 
 def leq(a: Weight, b: Weight) -> bool:
@@ -275,52 +247,42 @@ def affine_covers(window: tuple[int, int]) -> list[tuple[Weight, Weight]]:
     ``window = (lo_level, hi_level)`` is inclusive.
     """
     lo_lvl, hi_lvl = window
-    out: list[tuple[Weight, Weight]] = []
-    for lvl in range(lo_lvl, hi_lvl + 1):
-        for tag in TAGS:
-            w = (tag, lvl)
-            for c in covers_up(w):
-                if lo_lvl <= c[1] <= hi_lvl:
-                    out.append((w, c))
+    out = [
+        (w, c) for w in window_weights(window) for c in covers_up(w)
+        if lo_lvl <= c[1] <= hi_lvl
+    ]
     out.sort(key=lambda e: (apos(e[0]), apos(e[1])))
     return out
 
 
-def _bound_candidates(a: Weight, b: Weight, lower: bool) -> list[Weight]:
+def _bound(a: Weight, b: Weight, lower: bool) -> Weight:
+    """The greatest lower (``lower``) or least upper bound of ``a`` and ``b``.
+
+    ``toward(x, y)`` reads "x lies on the bound's side of y".  When neither
+    is the bound it is sought on the lower (upper) level; raises unless unique.
+    """
+    toward = leq if lower else (lambda x, y: leq(y, x))
+    if toward(a, b):
+        return a
+    if toward(b, a):
+        return b
     lvl = min(a[1], b[1]) if lower else max(a[1], b[1])
-    cands = []
-    for tag in TAGS:
-        x = (tag, lvl)
-        ok = (leq(x, a) and leq(x, b)) if lower else (leq(a, x) and leq(b, x))
-        if ok:
-            cands.append(x)
-    return cands
+    cands = [(t, lvl) for t in TAGS if toward((t, lvl), a) and toward((t, lvl), b)]
+    best = [x for x in cands if not any(toward(x, y) and x != y for y in cands)]
+    if len(best) != 1:
+        kind = "meet" if lower else "join"
+        raise ValueError(f"{kind} not unique for {format_weight(a)}, {format_weight(b)}")
+    return best[0]
 
 
 def meet(a: Weight, b: Weight) -> Weight:
     """Greatest lower bound.  Raises if the bound is not unique."""
-    if leq(a, b):
-        return a
-    if leq(b, a):
-        return b
-    cands = _bound_candidates(a, b, lower=True)
-    maxima = [x for x in cands if not any(leq(x, y) and x != y for y in cands)]
-    if len(maxima) != 1:
-        raise ValueError(f"meet not unique for {format_weight(a)}, {format_weight(b)}")
-    return maxima[0]
+    return _bound(a, b, lower=True)
 
 
 def join(a: Weight, b: Weight) -> Weight:
     """Least upper bound.  Raises if the bound is not unique."""
-    if leq(a, b):
-        return b
-    if leq(b, a):
-        return a
-    cands = _bound_candidates(a, b, lower=False)
-    minima = [x for x in cands if not any(leq(y, x) and x != y for y in cands)]
-    if len(minima) != 1:
-        raise ValueError(f"join not unique for {format_weight(a)}, {format_weight(b)}")
-    return minima[0]
+    return _bound(a, b, lower=False)
 
 
 class Interval:
@@ -339,14 +301,11 @@ class Interval:
             )
         self.lo = lo
         self.hi = hi
-        els = []
-        for lvl in range(lo[1], hi[1] + 1):
-            for tag in TAGS:
-                w = (tag, lvl)
-                if leq(lo, w) and leq(w, hi):
-                    els.append(w)
-        els.sort(key=apos)
-        self.elements: tuple[Weight, ...] = tuple(els)
+        # apos is a linear extension, so [lo, hi] lies in [apos(lo), apos(hi)]
+        self.elements: tuple[Weight, ...] = tuple(
+            w for w in map(weight_from_apos, range(apos(lo), apos(hi) + 1))
+            if leq(lo, w) and leq(w, hi)
+        )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -358,6 +317,16 @@ class Interval:
 def interval(lo: Weight, hi: Weight) -> Interval:
     """Construct the closed interval ``[lo, hi]``."""
     return Interval(lo, hi)
+
+
+def window_weights(window: tuple[int, int]) -> tuple[Weight, ...]:
+    """All weights with level in ``window`` (inclusive), sorted by :func:`apos`.
+
+    They are the interval ``[(0)^lo, (1)^hi]``; an empty window (``lo > hi``)
+    has none.
+    """
+    lo, hi = window
+    return Interval(("(0)", lo), ("(1)", hi)).elements if lo <= hi else ()
 
 
 def clutters(iv: Interval) -> list[tuple[Weight, Weight]]:
@@ -443,20 +412,14 @@ def hasse_json(window: tuple[int, int]) -> dict:
     ids, sorted likewise.  The CLI's envelope adds the schema version and
     the window.
     """
-    lo_lvl, hi_lvl = window
-    nodes = []
-    for lvl in range(lo_lvl, hi_lvl + 1):
-        for tag in TAGS:
-            nodes.append((tag, lvl))
-    nodes.sort(key=apos)
-    edges = affine_covers(window)
     return {
         "nodes": [
             {"id": format_weight(w), "tag": w[0], "level": w[1], "ht": ht(w)}
-            for w in nodes
+            for w in window_weights(window)
         ],
         "edges": [
-            {"src": format_weight(a), "dst": format_weight(b)} for a, b in edges
+            {"src": format_weight(a), "dst": format_weight(b)}
+            for a, b in affine_covers(window)
         ],
     }
 

@@ -675,8 +675,8 @@ def climb_character(lo, hi, s_one=False, q_one=False) -> cs.RationalChar:
             for row in cs.transfer_matrix(l)
         ]
         row = [row[0] * u[0][j] + row[1] * u[1][j] for j in (0, 1)]
-    assert wl.ht_pair(h1)[wl.column_of(hi[0])] == hi
-    return row[wl.column_of(hi[0])]
+    assert wl.ht_pair(h1)[wl.COLUMN[hi[0]]] == hi
+    return row[wl.COLUMN[hi[0]]]
 
 
 @pytest.mark.parametrize(

@@ -360,6 +360,14 @@ class TestExitCodes:
         assert "error:" in captured.err
         assert not (tmp_path / "x").exists()
 
+    def test_empty_interval_names_both_endpoints(self, tmp_path, capsys):
+        code = cli.main(["dims", "--lo", "(1)@0", "--hi", "(0)@0",
+                         "--out", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: empty interval: (1)@0 is not <= (0)@0\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
     def test_resource_errors_exit_2(self, exc, tmp_path, capsys, monkeypatch):
         def exhausted(args, window):

@@ -99,7 +99,7 @@ def test_two_elements_per_height():
         assert len(pair) == 2
         for col, w in enumerate(pair):
             assert wl.ht(w) == m
-            assert wl.column_of(w[0]) == col
+            assert wl.COLUMN[w[0]] == col
     # all sixteen tags appear across eight consecutive heights
     tags = {w[0] for m in range(8) for w in wl.ht_pair(m)}
     assert tags == set(wl.TAGS)
@@ -108,11 +108,54 @@ def test_two_elements_per_height():
 def test_apos_is_two_ht_plus_column_and_invertible():
     for w in ALL_WINDOW:
         key = wl.apos(w)
-        assert key == 2 * wl.ht(w) + wl.column_of(w[0])
+        assert key == 2 * wl.ht(w) + wl.COLUMN[w[0]]
         assert wl.weight_from_apos(key) == w
     # the level-0 variable order starts at the bottom tag
     order = sorted([(t, 0) for t in wl.TAGS], key=wl.apos)
     assert [t for t, _ in order] == list(wl.TAGS)
+
+
+EXPECTED_TAGS = (
+    "(0)", "(12)", "(13)", "(14)", "(23)", "(15)", "(24)", "(25)",
+    "(34)", "(35)", "(5)", "(45)", "(4)", "(3)", "(2)", "(1)",
+)
+
+EXPECTED_COLUMN_0 = {"(0)", "(12)", "(13)", "(14)", "(15)", "(25)", "(35)", "(45)"}
+
+
+def test_grid_tables_match_frozen_literals():
+    assert wl.TAGS == EXPECTED_TAGS
+    assert wl.HT_OFFSET == EXPECTED_HT
+    assert set(wl.COLUMN) == set(EXPECTED_TAGS)
+    assert {t for t, col in wl.COLUMN.items() if col == 0} == EXPECTED_COLUMN_0
+
+
+def test_columns_are_cover_chains():
+    for m in range(-8, 17):
+        for col in (0, 1):
+            assert wl.ht_pair(m + 1)[col] in wl.covers_up(wl.ht_pair(m)[col])
+
+
+def test_covers_down_inverts_covers_up():
+    els = wl.window_weights((-1, 2))
+    inside = set(els)
+    up = [(w, c) for w in els for c in wl.covers_up(w) if c in inside]
+    down = [(d, w) for w in els for d in wl.covers_down(w) if d in inside]
+    assert sorted(up) == sorted(down) == sorted(wl.affine_covers((-1, 2)))
+    for w in els:
+        assert all(w in wl.covers_down(c) for c in wl.covers_up(w))
+        assert all(w in wl.covers_up(d) for d in wl.covers_down(w))
+
+
+@pytest.mark.parametrize("window", [(-2, 1), (0, 0), (3, 5)])
+def test_window_weights_is_the_level_product(window):
+    lo, hi = window
+    product = [(t, lvl) for lvl in range(lo, hi + 1) for t in wl.TAGS]
+    assert wl.window_weights(window) == tuple(sorted(product, key=wl.apos))
+
+
+def test_window_weights_empty_window():
+    assert wl.window_weights((1, 0)) == ()
 
 
 def test_total_order_around_level_boundary():
