@@ -390,22 +390,40 @@ class Echelon:
     gcd), dividing out the content when ``a ≠ 1``; what is left becomes a pivot
     with a positive leading entry and content 1.  :meth:`add` first clears denominators.
 
+    A pivot is a dict, or a reference ``(u, terms)`` standing for the row
+    ``{u + t: c for t, c in terms}``, which must already be the dict it
+    stands for: its smallest column is the pivot's, with a positive entry,
+    content 1 and ``int`` entries.  :func:`graded_quotient_dims` stores a row
+    whose leading column is free this way; :meth:`pivot` expands it, in the
+    table, the first time it is read.
+
     >>> e = Echelon()
     >>> [e.add(r) for r in ({0: -2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(-2, 3)},
     ...                     {0: 3, 2: 6})]
     [True, False, True]
     >>> e.pivots == {0: {0: 1, 1: -2}, 1: {1: 1, 2: 1}}, e.rank
     (True, 2)
+    >>> e.pivots[5] = (4, [(1, 1), (3, -1)])
+    >>> e.pivot(5), e.rank
+    ({5: 1, 7: -1}, 3)
     """
 
     __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
+        self.pivots: dict[int, dict[int, int] | tuple[int, list[tuple[int, int]]]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def pivot(self, col: int) -> dict[int, int]:
+        """The pivot row at `col` as a dict, expanding a reference in place."""
+        prow = self.pivots[col]
+        if type(prow) is tuple:
+            u, terms = prow
+            prow = self.pivots[col] = {u + t: c for t, c in terms}
+        return prow
 
     def add(self, row) -> bool:
         """Reduce `row`; True when it is independent of the rows added before."""
@@ -425,6 +443,8 @@ class Echelon:
                     g = -g
                 pivots[col] = row if g == 1 else {c: v // g for c, v in row.items()}
                 return True
+            if type(prow) is tuple:
+                prow = self.pivot(col)
             a, b = prow[col], row[col]
             g = math.gcd(a, b)
             a, b = a // g, b // g
@@ -457,14 +477,25 @@ def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
     """Degree-`k` dimensions of Q[vars] / (relations, extra[:j]), j = 0..len(extra).
 
     `relations` and `extra` must be homogeneous polynomials in the variables
-    listed in `var_keys`.  A dimension is ``C(n + k − 1, k)``, the number of
-    degree-`k` monomials in ``n`` variables, minus the rank of the ideal's
-    degree-`k` slice, spanned by all products u·g, u a monomial of degree
-    k − deg g; the rows of `relations`, then of each ``extra[j]``, go into one
-    :class:`Echelon`, read after each prefix.  Monomials are packed ints,
-    variable ``i`` (in key order) being the field ``1 << (bits·i)``, ``bits =
-    max(1, k.bit_length())``: no exponent in degree `k` reaches ``2**bits``,
-    so keys cannot alias, and the key of u·m is the sum of theirs.
+    listed in `var_keys`, which must not repeat.  A dimension is
+    ``C(n + k − 1, k)``, the number of degree-`k` monomials in ``n``
+    variables, minus the rank of the ideal's degree-`k` slice, spanned by all
+    products u·g, u a monomial of degree k − deg g; the rows of `relations`,
+    then of each ``extra[j]``, go into one :class:`Echelon`, read after each
+    prefix.  Monomials are packed ints, variable ``i`` (in key order) being
+    the field ``1 << (bits·i)``, ``bits = max(1, k.bit_length())``: no
+    exponent in degree `k` reaches ``2**bits``, so keys cannot alias, and the
+    key of u·m is the sum of theirs.
+
+    Each generator's terms are packed, sorted, cleared of denominators and
+    divided by their content once, with the lowest column's entry made
+    positive; packing keeps order, so the leading column of u·g is
+    ``u + t₀``, ``t₀`` the smallest term key.  A prefix's rows go in two
+    passes: each u·g whose leading column has no pivot yet becomes the pivot
+    ``(u, terms)`` by reference, then only the rows that collided go through
+    :meth:`Echelon.eliminate`.  Rows with distinct free leading columns are
+    triangular, hence independent, and a prefix's rank does not depend on the
+    order of its rows.
 
     >>> x, y = variable(0), variable(1)
     >>> graded_quotient_dims([x * y], [x, y], [0, 1], 2)
@@ -472,6 +503,8 @@ def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
     """
     keys = sorted(var_keys)
     key_set = set(keys)
+    if len(key_set) != len(keys):
+        raise ValueError("var_keys repeats a variable")
     relations, extra = list(relations), list(extra)
     for g in relations + extra:
         if not g.is_homogeneous():
@@ -485,23 +518,37 @@ def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
     ncols = math.comb(len(keys) + k - 1, k) if keys else int(k == 0)
     multipliers: dict[int, list[int]] = {}  # by degree, packed once per call
     echelon = Echelon()
+    pivots = echelon.pivots
 
-    def add_rows(g: Poly) -> int:
-        d = g.degree()
-        if 0 <= d <= k:
+    def add_rows(gens) -> int:
+        collided = []
+        for g in gens:
+            d = g.degree()
+            if not 0 <= d <= k:
+                continue
             den = math.lcm(*[c.denominator for c in g.coeffs.values()])
-            terms = [(sum(field[kk] for kk in m), c.numerator * (den // c.denominator))
-                     for m, c in g.coeffs.items()]
+            terms = sorted(
+                (sum(field[kk] for kk in m), c.numerator * (den // c.denominator))
+                for m, c in g.coeffs.items())
+            content = math.gcd(*[c for _, c in terms])
+            if terms[0][1] < 0:
+                content = -content
+            if content != 1:
+                terms = [(t, c // content) for t, c in terms]
             if k - d not in multipliers:
                 cwr = itertools.combinations_with_replacement(field.values(), k - d)
                 multipliers[k - d] = [sum(c) for c in cwr]
+            t0 = terms[0][0]
             for u in multipliers[k - d]:
-                echelon.eliminate({u + t: c for t, c in terms})
+                if u + t0 in pivots:
+                    collided.append((u, terms))
+                else:
+                    pivots[u + t0] = (u, terms)
+        for u, terms in collided:
+            echelon.eliminate({u + t: c for t, c in terms})
         return ncols - echelon.rank
 
-    for g in relations:
-        add_rows(g)
-    return [ncols - echelon.rank] + [add_rows(g) for g in extra]
+    return [add_rows(relations)] + [add_rows([g]) for g in extra]
 
 
 def graded_quotient_dim(relations, var_keys, k: int) -> int:

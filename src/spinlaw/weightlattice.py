@@ -246,13 +246,14 @@ def affine_covers(window: tuple[int, int]) -> list[tuple[Weight, Weight]]:
 
     ``window = (lo_level, hi_level)`` is inclusive.
     """
-    lo_lvl, hi_lvl = window
-    out = [
-        (w, c) for w in window_weights(window) for c in covers_up(w)
-        if lo_lvl <= c[1] <= hi_lvl
-    ]
-    out.sort(key=lambda e: (apos(e[0]), apos(e[1])))
-    return out
+    return _covers_from(window_weights(window), window[1])
+
+
+def _covers_from(weights, hi_lvl: int) -> list[tuple[Weight, Weight]]:
+    """:func:`affine_covers` given the window's weights (sorted by
+    :func:`apos`) and its top level: covers never go down a level."""
+    return [(w, c) for w in weights for c in sorted(covers_up(w), key=apos)
+            if c[1] <= hi_lvl]
 
 
 def _bound(a: Weight, b: Weight, lower: bool) -> Weight:
@@ -323,10 +324,13 @@ def window_weights(window: tuple[int, int]) -> tuple[Weight, ...]:
     """All weights with level in ``window`` (inclusive), sorted by :func:`apos`.
 
     They are the interval ``[(0)^lo, (1)^hi]``; an empty window (``lo > hi``)
-    has none.
+    has none.  The positions ``apos((0)^lo)`` to ``apos((1)^hi)`` hold them
+    and some weights of the neighbouring levels, which the level test drops.
     """
     lo, hi = window
-    return Interval(("(0)", lo), ("(1)", hi)).elements if lo <= hi else ()
+    return tuple(
+        w for w in map(weight_from_apos, range(apos(("(0)", lo)), apos(("(1)", hi)) + 1))
+        if lo <= w[1] <= hi)
 
 
 def clutters(iv: Interval) -> list[tuple[Weight, Weight]]:
@@ -412,14 +416,15 @@ def hasse_json(window: tuple[int, int]) -> dict:
     ids, sorted likewise.  The CLI's envelope adds the schema version and
     the window.
     """
+    weights = window_weights(window)
     return {
         "nodes": [
             {"id": format_weight(w), "tag": w[0], "level": w[1], "ht": ht(w)}
-            for w in window_weights(window)
+            for w in weights
         ],
         "edges": [
             {"src": format_weight(a), "dst": format_weight(b)}
-            for a, b in affine_covers(window)
+            for a, b in _covers_from(weights, window[1])
         ],
     }
 

@@ -262,15 +262,18 @@ class TestChecks:
              "96a76d30aa262e49b7ac260db43b35fb5d8fced8b5d486e274aaebeae15d98ad"),
             (["relations", "--lo", "(0)@0", "--hi", "(1)@2", "--format", "csv"],
              "a17fb7412ab34fc99b7bd6b6a0f47f0644b7fdca3c26335b71f406d09429bd90"),
+            (["regseq-check", "--lo", "(0)@0", "--hi", "(1)@0", "--d-max", "4"],
+             "dc6cb0ed23d03a857803535fbec963081c9abf880cfd0398d2bef8d73885f841"),
         ],
         ids=["groebner-(1)@3", "fierz-0..3", "weyl-0..3", "straightened-(1)@1",
-             "relations-(1)@2-csv"],
+             "relations-(1)@2-csv", "regseq-(1)@0-d4"],
     )
     def test_check_artifacts_pinned(self, argv, digest, tmp_path, capsys):
         # SHA-256s of the artifacts written by the sort-every-step reduce,
         # the term-by-term Fierz residue sum, the unmemoised Weyl orbits, the
-        # straightened-law loop formerly inside the CLI and the quadrics of the
-        # wedge helpers that clifford_apply replaced
+        # straightened-law loop formerly inside the CLI, the quadrics of the
+        # wedge helpers that clifford_apply replaced and the graded ranks
+        # that eliminated every row
         code, text, artifact = run(argv, tmp_path, capsys)
         assert code == 0 and text == artifact
         assert hashlib.sha256(artifact.encode()).hexdigest() == digest

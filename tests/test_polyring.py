@@ -6,8 +6,10 @@ lexicographic key on dense exponent vectors (an independent implementation).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import unittest.mock
 from collections import Counter
 from fractions import Fraction
 
@@ -463,16 +465,21 @@ def graded_quotient_dims_oracle(relations, extra, var_keys, k):
     echelon = pr.Echelon()
 
     def add_rows(g):
-        d = g.degree()
-        if 0 <= d <= k:
-            for c in itertools.combinations_with_replacement(keys, k - d):
-                echelon.add({index[tuple(sorted(c + m))]: coeff
-                             for m, coeff in g.coeffs.items()})
+        for row in oracle_rows(g, keys, k, index):
+            echelon.add(row)
         return len(index) - echelon.rank
 
     for g in relations:
         add_rows(g)
     return [len(index) - echelon.rank] + [add_rows(g) for g in extra]
+
+
+def oracle_rows(g, keys, k, index):
+    """The rows ``monomial · g`` of degree `k`, columns taken from `index`."""
+    d = g.degree()
+    if 0 <= d <= k:
+        for c in itertools.combinations_with_replacement(keys, k - d):
+            yield {index[tuple(sorted(c + m))]: coeff for m, coeff in g.coeffs.items()}
 
 
 def homogeneous(keys, d):
@@ -536,6 +543,114 @@ def test_packed_keys_do_not_alias_at_field_boundaries(k):
                               ([X0], [X1 * X2 - X1 * X1], [k + 1, min(k + 1, 2)])):
         assert pr.graded_quotient_dims(rels, extra, [0, 1, 2], k) == (
             graded_quotient_dims_oracle(rels, extra, [0, 1, 2], k)) == want
+
+
+def test_graded_quotient_dims_refuse_repeated_var_keys():
+    # counted twice, the key 0 would make [3] of the two variables' [2]
+    with pytest.raises(ValueError, match="repeats"):
+        pr.graded_quotient_dims([], [], [0, 0, 1], 1)
+    assert pr.graded_quotient_dims([], [], [1, 0], 1) == [2]
+
+
+@contextlib.contextmanager
+def recorded_echelons():
+    """Collect every :class:`pr.Echelon` that polyring makes meanwhile."""
+    made = []
+
+    class Recording(pr.Echelon):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    with unittest.mock.patch.object(pr, "Echelon", Recording):
+        yield made
+
+
+def check_expanded_pivots(relations, extra, var_keys, k):
+    """Run :func:`pr.graded_quotient_dims`, compare it with the oracle, then
+    expand every pivot of its :class:`pr.Echelon` and check each one: its
+    smallest column is its own, with a positive entry; its entries are
+    nonzero ints of content 1; and it lies in the span of all the rows."""
+    with recorded_echelons() as made:
+        dims = pr.graded_quotient_dims(relations, extra, var_keys, k)
+    assert dims == graded_quotient_dims_oracle(relations, extra, var_keys, k)
+    echelon, = made
+    keys = sorted(var_keys)
+    index = {
+        c: i for i, c in enumerate(itertools.combinations_with_replacement(keys, k))
+    }
+    assert echelon.rank == len(index) - dims[-1]
+    span = pr.Echelon()
+    for g in [*relations, *extra]:
+        for row in oracle_rows(g, keys, k, index):
+            span.add(row)
+    bits = max(1, k.bit_length())
+
+    def monomial_of(col):  # the inverse of the packing
+        return tuple(kk for i, kk in enumerate(keys)
+                     for _ in range(col >> (bits * i) & (1 << bits) - 1))
+
+    for col in list(echelon.pivots):
+        prow = echelon.pivot(col)
+        assert echelon.pivots[col] is prow
+        assert min(prow) == col and prow[col] > 0
+        assert all(type(v) is int and v for v in prow.values())
+        assert math.gcd(*prow.values()) == 1
+        assert not span.add({index[monomial_of(c)]: v for c, v in prow.items()})
+    return dims
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_by_reference_pivots_expand_to_echelon_rows(data):
+    var_keys = data.draw(st.lists(st.integers(0, 40), min_size=2, max_size=4, unique=True))
+    # a scale gives a generator content, a negative lead or a denominator
+    scales = st.sampled_from([1, 2, -1, -6, Fraction(1, 2), Fraction(-4, 3)])
+    gen = st.tuples(st.integers(0, 3).flatmap(lambda d: homogeneous(var_keys, d)),
+                    scales).map(lambda gs: gs[0] * gs[1])
+    rels, extra = data.draw(st.lists(gen, max_size=3)), data.draw(st.lists(gen, max_size=3))
+    check_expanded_pivots(rels, extra, var_keys, data.draw(st.integers(0, 4)))
+
+
+@pytest.mark.parametrize("relations, extra, k", [
+    ([2 * X0 * X0 + 4 * X0 * X1], [6 * X0 * X1 - 4 * X1 * X1], 2),  # content 2
+    ([-X0 + 3 * X1], [X1 - X2, -2 * X0 - 6 * X2], 3),  # negative leads
+    ([Fraction(1, 2) * X0 * X1 - Fraction(1, 3) * X2 * X2],
+     [Fraction(-2, 3) * X0 + Fraction(5, 6) * X1], 3),  # denominators
+    ([X0 * X1], [pr.Poly({pr.ONE: -3})], 2),  # a degree-0 constant
+    ([X0 * X1 * X2, X0 * X0], [X0 - X1, X0 * X1 * X2 * X2], 2),  # degrees above k
+], ids=["content-2", "negative-lead", "fractions", "constant", "degree-above-k"])
+def test_by_reference_pivots_explicit_cases(relations, extra, k):
+    check_expanded_pivots(relations, extra, [0, 1, 2], k)
+
+
+def test_by_reference_pivot_is_normalised_once():
+    # −2·x0² − 4·x0·x1 at k = 2 (content 2, negative lead; packed x0 = 1,
+    # x1 = 4) is one row with a free column: a reference, until read
+    with recorded_echelons() as made:
+        assert pr.graded_quotient_dims([-2 * X0 * X0 - 4 * X0 * X1], [], [0, 1], 2) == [2]
+    echelon, = made
+    assert echelon.pivots == {2: (0, [(2, 1), (5, 2)])}
+    # a row reaching that column expands the reference and reduces to zero
+    assert not echelon.eliminate({2: -3, 5: -6})
+    assert echelon.pivots == {2: {2: 1, 5: 2}}
+
+
+def test_graded_ranks_eliminate_only_colliding_rows(monkeypatch):
+    # every row went through eliminate before: 16,830 and 12,189 calls
+    calls = Counter()
+    eliminate = pr.Echelon.eliminate
+
+    def counted(self, row):
+        calls["eliminate"] += 1
+        return eliminate(self, row)
+
+    monkeypatch.setattr(pr.Echelon, "eliminate", counted)
+    assert rich.straightened_law_report(wl.interval(W("(0)@0"), W("(1)@1")), 4)["ok"]
+    assert calls["eliminate"] == 2319
+    calls.clear()
+    assert rich.regular_sequence_check(wl.interval(W("(0)@0"), W("(1)@0")), 4)
+    assert calls["eliminate"] == 7770
 
 
 # ------------------------------------------------------------- sparse rank
