@@ -15,8 +15,9 @@ with exponent vector :func:`spinlaw.weightlattice.torus_weight`.
 The module computes the series several independent ways and cross-checks
 them:
 
-* :func:`chain_series_direct` — brute-force dynamic programming over the
-  interval's elements, the oracle every other route is compared against;
+* :func:`chain_series_direct` — dynamic programming over the down-set sums
+  of the interval's elements (the lattice's zeta transform), each built
+  once, the oracle every other route is compared against;
 * :func:`character` — an exact rational closed form, built by
   inclusion–exclusion over the down-sets ``[lo, x]`` of the distributive
   lattice (Hibi; Stanley's P-partitions);
@@ -191,11 +192,19 @@ def _pruned(d: dict) -> dict:
 
 
 def _add_into(acc: dict, src: dict, d: int, sign: int = 1) -> None:
-    """``acc += sign · x^d · src``; cancelled terms stay as zeros."""
+    """``acc += sign · x^d · src`` for ``sign`` ±1; cancelled terms stay as
+    zeros.  Each sign has its own loop, so no term is multiplied."""
     get = acc.get
-    for key, c in src.items():
-        key += d
-        acc[key] = get(key, 0) + sign * c
+    if sign == 1:
+        for key, c in src.items():
+            key += d
+            acc[key] = get(key, 0) + c
+    elif sign == -1:
+        for key, c in src.items():
+            key += d
+            acc[key] = get(key, 0) - c
+    else:
+        raise ValueError(f"sign must be 1 or -1, not {sign!r}")
 
 
 def _mul_into(
@@ -366,16 +375,6 @@ class LaurentPoly:
         if not self._terms:
             return "LaurentPoly(0)"
         return "LaurentPoly(%d terms, t-deg %d)" % (len(self._terms), self.t_degree())
-
-
-def _split(d: dict, reach: int, k_max: int) -> list["LaurentPoly"]:
-    """Coefficients of ``t⁰..t^k_max`` of a kernel dict, ``t`` cleared."""
-    out: list[dict] = [{} for _ in range(k_max + 1)]
-    for key, c in d.items():
-        j = key >> _T_SHIFT
-        if c and 0 <= j <= k_max:
-            out[j][key & _SQ_FIELDS] = c
-    return [LaurentPoly._of(p, reach) for p in out]
 
 
 class _CoeffView(Mapping):
@@ -629,16 +628,31 @@ class RationalChar:
         """
         if k_max < 0:
             raise ValueError("k_max must be >= 0")
-        return _split(*self._expand(k_max), k_max)
+        layers, reach = self._layers(k_max)
+        return [
+            LaurentPoly._of({key & _SQ_FIELDS: c for key, c in layer.items() if c}, reach)
+            for layer in layers[-k_max - 1:]
+        ]
 
     def _expand(self, k_max: int) -> tuple[dict, int]:
         """Kernel dict of the expansion to ``t^k_max`` (``t`` kept in the
         keys), and the ``reach`` of its exponents (see :func:`_check_reach`).
+        ``k_max`` may be negative."""
+        layers, reach = self._layers(k_max)
+        out: dict = {}
+        for layer in layers:
+            out.update(layer)
+        return out, reach
 
-        The terms are held in layers by ``t``-degree.  Taken upward, each
-        layer gains ``x^m`` times the layer below it, already divided, which
-        divides by ``1 − x^m``.  A term of ``t``-degree ``j`` meets at most
-        ``k_max − j`` factors.  ``k_max`` may be negative.
+    def _layers(self, k_max: int) -> tuple[list[dict], int]:
+        """The expansion to ``t^k_max`` as one kernel dict per ``t``-degree,
+        from the lowest (0 or the numerator's, if below) up to ``k_max``,
+        with ``t`` kept in the keys and cancelled terms kept as zeros; and
+        the ``reach`` of its exponents (see :func:`_check_reach`).
+
+        Taken upward, each layer gains ``x^m`` times the layer below it,
+        already divided, which divides by ``1 − x^m``.  A term of
+        ``t``-degree ``j`` meets at most ``k_max − j`` factors.
         """
         terms = self.num._terms
         low = min(0, min(terms) >> _T_SHIFT) if terms else 0
@@ -653,10 +667,7 @@ class RationalChar:
             d = _delta(m)
             for j in range(1, len(layers)):
                 _add_into(layers[j], layers[j - 1], d)
-        out: dict = {}
-        for layer in layers:
-            out.update(layer)
-        return out, reach
+        return layers, reach
 
     def __repr__(self) -> str:
         return "RationalChar(%d num terms / %d factors)" % (
@@ -676,44 +687,80 @@ def chain_series_direct(iv: Interval, k_max: int) -> list[LaurentPoly]:
     independent oracle: it shares no code with the down-set recursion or
     the transfer matrices.
 
+    Degree ``k`` of ``[lo, x]`` is the down-set sum ``Σ_{y ≤ x} e_y·P_y``
+    with ``P_y`` degree ``k − 1`` of ``[lo, y]`` (split a multichain at its
+    top ``y``).  Walking the elements in their linear extension, each such
+    sum is the sum of an earlier ``b < x``, the one with the largest
+    down-set, plus the terms of the ``y ≤ x`` that are not ``≤ b``; the
+    last degree is needed at ``hi`` only, where it is ``Σ_y e_y·P_y``.
+
     >>> [c.total() for c in chain_series_direct(
     ...     interval(("(0)", 0), ("(13)", 0)), 3)]
     [Fraction(1, 1), Fraction(3, 1), Fraction(6, 1), Fraction(10, 1)]
     """
-    return _split(*_chain_series(iv, k_max), k_max)
+    layers, reach = _chain_layers(iv, k_max)
+    return [LaurentPoly._of(p, reach) for p in layers]
 
 
 def _chain_series(iv: Interval, k_max: int) -> tuple[dict, int]:
     """:func:`chain_series_direct` as a kernel dict with ``t`` in the keys,
+    and the ``reach`` of its exponents (see :func:`_check_reach`)."""
+    layers, reach = _chain_layers(iv, k_max)
+    out: dict = {}
+    for k, p in enumerate(layers):
+        d = k << _T_SHIFT
+        for key, c in p.items():
+            out[key + d] = c
+    return out, reach
+
+
+def _chain_layers(iv: Interval, k_max: int) -> tuple[list[dict], int]:
+    """:func:`chain_series_direct` as one ``t``-free kernel dict per degree,
     and the ``reach`` of its exponents (see :func:`_check_reach`)."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     els = iv.elements
     reach = k_max * _span([weight_mono(x) for x in els])
     _check_reach(reach)
-    shift = {x: _delta(weight_mono(x)) for x in els}
-    below = {x: [y for y in els if leq(y, x)] for x in els}
-    # cur[x]: Σ e_{α₁} ⋯ e_{α_k} t^k over the multichains ending at x; the
-    # loops are the oracle's own, sharing no arithmetic with character()
-    cur = {x: {_ONE_KEY + shift[x]: 1} for x in els}
-    total = {_ONE_KEY: 1}
-    for k in range(1, k_max + 1):
-        if k > 1:
-            nxt = {}
-            for x in els:
-                acc: dict = {}
-                get, d = acc.get, shift[x]
-                for y in below[x]:
-                    for key, c in cur[y].items():
-                        key += d
-                        acc[key] = get(key, 0) + c
-                nxt[x] = acc
-            cur = nxt
-        get = total.get
-        for acc in cur.values():
-            for key, c in acc.items():
-                total[key] = get(key, 0) + c
-    return total, reach
+    shift = {x: _delta(weight_mono(x, 0)) for x in els}
+    # base[x]: the b < x with the largest down-set; rest[x]: the y ≤ x that
+    # are not ≤ b (x among them).  The loops are the oracle's own, sharing no
+    # arithmetic with character().
+    down_set = {x: [y for y in els if leq(y, x)] for x in els}
+    base = {
+        x: max(ys[:-1], key=lambda y: len(down_set[y]), default=None)
+        for x, ys in down_set.items()
+    }
+    rest = {
+        x: [y for y in down_set[x] if b is None or not leq(y, b)] for x, b in base.items()
+    }
+    # prev[y]: Σ e_{α₁} ⋯ e_{α_j} over the multichains of [lo, y] (degree j)
+    prev = dict.fromkeys(els, {_ONE_KEY: 1})
+
+    def gather(acc: dict, ys) -> dict:
+        """``acc + Σ_{y ∈ ys} e_y·prev[y]``, in place."""
+        get = acc.get
+        for y in ys:
+            d = shift[y]
+            for key, c in prev[y].items():
+                key += d
+                acc[key] = get(key, 0) + c
+        return acc
+
+    layers = [{_ONE_KEY: 1}]
+    for _ in range(1, k_max):
+        down: dict = {}
+        for x in els:
+            b = base[x]
+            down[x] = gather({} if b is None else dict(down[b]), rest[x])
+        layers.append(down[iv.hi])
+        prev = down
+    if k_max:
+        layers.append(gather({}, els))
+    # Dicts grown by insertion are over-allocated.  Drop the working sums
+    # first, so that the compact copies returned can reuse their memory.
+    prev = down = {}
+    return [dict(p) for p in layers], reach
 
 
 # -------------------------------------------------------- transfer matrices
@@ -1011,25 +1058,29 @@ _J_RECURSIONS = {
 }
 
 
-def _j_recursion_sides(kind: str, r: int) -> tuple[RationalChar, RationalChar]:
+def _j_recursion_sides(
+    kind: str, r: int
+) -> tuple[Weight, tuple[tuple[RationalChar, Weight], tuple[RationalChar, Weight]]]:
     """Left and right sides of one of the four J-ladder recursions.
 
     Each recursion expresses ``A^δ = A_{(0)}^{δ}`` at one member of the
     sequence J through the two previous members, with a cubic numerator and
     four linear factors; ``kind`` selects the family by the tag of ``δ``.
+    Each ``A^w`` is given by its top ``w``: the left side is ``δ``, the right
+    side two pairs ``(coefficient, w)``.
     """
     facs, a, b, c, d = _J_RECURSIONS[kind]
 
-    def e(w: Weight) -> LaurentPoly:  # e_w t, with w's level relative to r
-        return LaurentPoly.monomial(weight_mono((w[0], w[1] + r)))
+    def at(w: Weight) -> Weight:  # w, with its level relative to r
+        return (w[0], w[1] + r)
 
-    def char(w: Weight) -> RationalChar:
-        return character(interval(("(0)", 0), (w[0], w[1] + r)))
+    def e(w: Weight) -> LaurentPoly:  # e_w t
+        return LaurentPoly.monomial(weight_mono(at(w)))
 
-    den = Counter(weight_mono((f[0], f[1] + r)) for f in facs)
+    den = Counter(weight_mono(at(f)) for f in facs)
     one = LaurentPoly.one()
     c1 = RationalChar((one - e(a)) * (one - e(b) * e(c)), den)
-    return char((kind, 0)), ((c1, char(a)), (RationalChar(e(d), den), char(d)))
+    return at((kind, 0)), ((c1, at(a)), (RationalChar(e(d), den), at(d)))
 
 
 def recursion_check_J(r_max: int, k_max: int) -> bool:
@@ -1039,6 +1090,8 @@ def recursion_check_J(r_max: int, k_max: int) -> bool:
     ``(s, q)`` weights and compared coefficient by coefficient; the right
     side is assembled by convolving the series of its two products, so the
     deep interval characters are never multiplied out as rational functions.
+    Each distinct ``A^w`` is built and expanded once per call: ``(5)¹`` is a
+    left side and the tail ``d`` of kind ``(1)``.
 
     >>> recursion_check_J(1, 0)    # every side has constant term 1
     True
@@ -1046,13 +1099,22 @@ def recursion_check_J(r_max: int, k_max: int) -> bool:
     if r_max < 1 or k_max < 0:
         raise ValueError("r_max must be >= 1 and k_max >= 0")
     cap = (k_max + 1) << _T_SHIFT
+    expanded: dict[Weight, tuple[dict, int]] = {}
+
+    def expand(w: Weight) -> tuple[dict, int]:
+        """The expansion of ``A^w`` to ``t^k_max``, zeros pruned."""
+        if w not in expanded:
+            terms, reach = character(interval(("(0)", 0), w))._expand(k_max)
+            expanded[w] = _pruned(terms), reach
+        return expanded[w]
+
     for r in range(1, r_max + 1):
         for kind in ("(5)", "(15)", "(1)", "(0)"):
-            lhs, terms = _j_recursion_sides(kind, r)
+            top, terms = _j_recursion_sides(kind, r)
             rhs: dict = {}
-            for coeff, tail_char in terms:
-                _mul_into(rhs, coeff._expand(k_max), tail_char._expand(k_max), cap)
-            if _pruned(lhs._expand(k_max)[0]) != _pruned(rhs):
+            for coeff, w in terms:
+                _mul_into(rhs, coeff._expand(k_max), expand(w), cap)
+            if expand(top)[0] != _pruned(rhs):
                 return False
     return True
 
@@ -1065,22 +1127,30 @@ def lower_bound_recursions_check(k_max: int = 4) -> bool:
     must equal the row at height pair ``l`` times ``L_l``.  The character
     series on both sides are computed with :func:`chain_series_direct`, so
     the check is independent of the upper system and of :func:`character`.
+    Each ``(x, δ̂)`` series is computed once per call: the pair at height
+    ``l`` is the next row for ``l`` and the previous row for ``l + 1``.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     cap = (k_max + 1) << _T_SHIFT
+    dp: dict[tuple[Weight, Weight], tuple[dict, int]] = {}
+
+    def series(x: Weight, top: Weight) -> tuple[dict, int]:
+        if (x, top) not in dp:
+            dp[x, top] = _chain_series(interval(x, top), k_max)
+        return dp[x, top]
+
     for l in range(1, 9):
         top: Weight = ("(1)", 0) if l <= 7 else ("(1)", 1)
         prev, nxt = ht_pair(l - 1), ht_pair(l)
         lmat = _matrix_chars(l, True)
-        dp = {x: _chain_series(interval(x, top), k_max) for x in (*prev, *nxt)}
         for j in (0, 1):
             rhs: dict = {}
             for i in (0, 1):
                 ent = lmat[i][j]
                 if not ent.is_zero():
-                    _mul_into(rhs, ent._expand(k_max), dp[nxt[i]], cap)
-            if _pruned(rhs) != dp[prev[j]][0]:
+                    _mul_into(rhs, ent._expand(k_max), series(nxt[i], top), cap)
+            if _pruned(rhs) != series(prev[j], top)[0]:
                 return False
     return True
 

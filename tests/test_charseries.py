@@ -153,6 +153,24 @@ def test_laurent_poly_arithmetic():
             hash(unhashable)
 
 
+def test_add_into_takes_only_unit_signs():
+    src = (ONE + cs.LaurentPoly.monomial(T, Fraction(1, 2)))._terms
+    d = cs._delta(T)
+    for sign in (1, -1):
+        acc = {cs._ONE_KEY: 3}
+        cs._add_into(acc, src, d, sign)
+        assert acc == {cs._ONE_KEY: 3, cs._ONE_KEY + d: sign,
+                       cs._ONE_KEY + 2 * d: Fraction(sign, 2)}
+    acc = dict(src)
+    cs._add_into(acc, src, 0, -1)        # cancelled terms stay as zeros
+    assert list(acc.values()) == [0, 0]
+    for sign in (0, 2, -2):
+        acc = {cs._ONE_KEY: 3}
+        with pytest.raises(ValueError, match="sign"):
+            cs._add_into(acc, src, d, sign)
+        assert acc == {cs._ONE_KEY: 3}
+
+
 @pytest.mark.parametrize("build", [
     lambda c: cs.LaurentPoly({T: c}),
     lambda c: cs.LaurentPoly.monomial(T, c),
@@ -394,6 +412,17 @@ def plain_series(c: cs.RationalChar, k: int) -> list[dict]:
     return out
 
 
+def split_by_t(d: dict, k: int) -> list[dict]:
+    """The coefficients of t⁰..t^k of a kernel dict, tuple-keyed with
+    ``Fraction`` values and ``t`` cleared; zeros dropped."""
+    out: list[dict] = [{} for _ in range(k + 1)]
+    for key, c in d.items():
+        m = cs._unpack(key)
+        if c and 0 <= m[6] <= k:
+            out[m[6]][(*m[:6], 0)] = Fraction(c)
+    return out
+
+
 def as_dicts(series: list[cs.LaurentPoly]) -> list[dict]:
     """The tuple-keyed ``Fraction`` coefficients of each entry."""
     out = [dict(p.coeffs) for p in series]
@@ -432,7 +461,7 @@ def test_series_matches_laurent_expansion(num, den, other, other_den, k):
     for i in range(k + 1):
         for j in range(k + 1 - i):
             conv[i + j] = conv[i + j] + TupleLaurent(sa[i]) * TupleLaurent(sb[j])
-    assert as_dicts(cs._split(acc, 0, k)) == [p.coeffs for p in conv]
+    assert split_by_t(acc, k) == [p.coeffs for p in conv]
 
 
 def plain_chain_series(iv: wl.Interval, k: int) -> list[dict]:
@@ -465,7 +494,36 @@ def test_chain_series_matches_laurent_dp(data):
     hi = (data.draw(st.sampled_from(tags)), level + data.draw(st.integers(0, 1)))
     assume(wl.leq(lo, hi) and wl.ht(hi) - wl.ht(lo) <= 8)
     iv = wl.interval(lo, hi)
-    assert as_dicts(cs.chain_series_direct(iv, 3)) == plain_chain_series(iv, 3)
+    k = data.draw(st.integers(0, 5))
+    assert as_dicts(cs.chain_series_direct(iv, k)) == plain_chain_series(iv, k)
+
+
+# k_max 0 and 1 (at 1 the top-only degree is also the first), a one-point
+# interval, a lo other than (0) with a level crossing, and a chain
+@pytest.mark.parametrize("lo, hi, k", [
+    ("(0)@0", "(1)@0", 0),
+    ("(0)@0", "(1)@0", 1),
+    ("(0)@0", "(1)@0", 2),
+    ("(24)@1", "(24)@1", 4),
+    ("(3)@0", "(1)@1", 4),
+    ("(0)@0", "(15)@0", 5),
+])
+def test_chain_series_explicit_cases(lo, hi, k):
+    iv = wl.interval(W(lo), W(hi))
+    assert as_dicts(cs.chain_series_direct(iv, k)) == plain_chain_series(iv, k)
+
+
+def test_chain_series_keyed_by_t_is_the_layers_with_t_restored():
+    iv = wl.interval(W("(3)@0"), W("(1)@1"))
+    for k in range(4):
+        layers = cs.chain_series_direct(iv, k)
+        terms, reach = cs._chain_series(iv, k)
+        assert terms == {
+            key + (j << cs._T_SHIFT): c for j, p in enumerate(layers)
+            for key, c in p._terms.items()
+        }
+        assert reach == k * cs._span([cs.weight_mono(x) for x in iv.elements])
+        assert all(p.reach == reach for p in layers)
 
 
 def test_level_40000_character_is_the_shifted_level_0_one():
@@ -794,6 +852,36 @@ def test_lower_bound_recursions():
     assert cs.lower_bound_recursions_check(4)
     with pytest.raises(ValueError):
         cs.lower_bound_recursions_check(-1)
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Count the calls of ``cs.<name>`` while the test runs."""
+    calls: list = []
+    real = getattr(cs, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cs, name, counted)
+    return calls
+
+
+def test_recursion_check_J_builds_each_interval_once(monkeypatch):
+    calls = counting(monkeypatch, "character")
+    assert cs.recursion_check_J(1, 4)
+    # 4 left sides and 8 tails, 8 distinct tops among them: (5)@1 is both
+    assert len(calls) == 8
+    assert len({iv.hi for (iv,) in calls}) == 8
+    assert cs.recursion_check_J(2, 3)
+
+
+def test_lower_bound_recursions_run_each_dp_once(monkeypatch):
+    calls = counting(monkeypatch, "_chain_series")
+    assert cs.lower_bound_recursions_check(4)
+    # 16 bottoms under (1)@0 (pairs 0..7), 4 under (1)@1 (pairs 7, 8)
+    assert len(calls) == 20
+    assert len({(iv.lo, iv.hi) for iv, _ in calls}) == 20
 
 
 # --------------------------------------------------------------- Delannoy
