@@ -55,6 +55,12 @@ least common denominator, equality is decided by the cross-multiplied
 numerator identity (exact, zero tolerance), and :meth:`RationalChar.series`
 provides truncated expansions for oracle comparisons.
 
+A truncated series has one format: a list of ``t``-free :class:`LaurentPoly`
+layers, entry ``k`` the coefficient of ``t^k``, as
+:meth:`RationalChar.series` and :func:`chain_series_direct` return it.  The
+recursion checks multiply such lists layer by layer and compare them layer
+by layer; no expansion is keyed by ``t``.
+
 All arithmetic runs on dicts keyed by one int per monomial: seven 32-bit
 fields, ``s₁..s₅, q`` biased by 2³¹ and ``t`` signed on top.  A monomial
 product is one int addition, truncation at ``t^k`` one comparison, setting
@@ -207,24 +213,26 @@ def _add_into(acc: dict, src: dict, d: int, sign: int = 1) -> None:
         raise ValueError(f"sign must be 1 or -1, not {sign!r}")
 
 
-def _mul_into(
-    acc: dict, a: tuple[dict, int], b: tuple[dict, int], cap: int = 1 << 224
-) -> None:
-    """``acc += a · b`` over the product keys below ``cap``, for expansions
-    given as ``(dict, reach)`` pairs; cancelled terms stay as zeros.  With
-    ``cap = (k + 1) << _T_SHIFT`` the products of ``t``-degree above ``k``
-    are skipped; the default is above every key while ``reach < 2³¹``."""
-    (a, reach_a), (b, reach_b) = a, b
-    _check_reach(reach_a + reach_b)
-    bs = sorted(b.items())
+def _mul_into(acc: dict, a: LaurentPoly, b: LaurentPoly) -> None:
+    """``acc += a · b`` into a kernel dict; cancelled terms stay as zeros."""
+    _check_reach(a.reach + b.reach)
     get = acc.get
-    for ka, ca in a.items():
+    bs = b._terms.items()
+    for ka, ca in a._terms.items():
         da = ka - _ONE_KEY
         for kb, cb in bs:
             key = kb + da
-            if key >= cap:
-                break
             acc[key] = get(key, 0) + ca * cb
+
+
+def _series_mul_into(acc: list[dict], a: list[LaurentPoly], b: list[LaurentPoly]) -> None:
+    """``acc += a · b`` for truncated series, each a list of ``t``-free
+    layers (entry ``k`` the coefficient of ``t^k``): ``acc[i + j] += a[i]·b[j]``
+    for every ``i + j < len(acc)``; cancelled terms stay as zeros."""
+    n = len(acc)
+    for i, p in enumerate(a[:n]):
+        for j, r in enumerate(b[: n - i]):
+            _mul_into(acc[i + j], p, r)
 
 
 # ---------------------------------------------------------- Laurent algebra
@@ -327,7 +335,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict = {}
-        _mul_into(out, (self._terms, self.reach), (other._terms, other.reach))
+        _mul_into(out, self, other)
         return LaurentPoly._of(_pruned(out), self.reach + other.reach)
 
     # -- structure
@@ -404,16 +412,19 @@ def _div_one_minus(num: LaurentPoly, m: Mono) -> LaurentPoly | None:
 
     The series ``Σ_j S_j t^j`` of ``num / (1 − x^m)``, ``m`` of ``t``-degree
     1, has ``S_{j+1} = x^m S_j`` above the numerator's ``t``-degree ``hi``: it
-    is the quotient, a polynomial, exactly when its expansion to ``t^hi`` has
-    no term at ``t^hi``.  The quotient's exponents lie in the convex hull of
-    the numerator's, so it keeps the numerator's ``reach``.
+    is the quotient, a polynomial, exactly when its layer at ``t^hi`` is
+    zero.  The layers below it, merged, are the quotient; this is the one
+    place the layers of an expansion are joined into one dict.  The
+    quotient's exponents lie in the convex hull of the numerator's, so it
+    keeps the numerator's ``reach``.
     """
     if not num:
         return num
-    hi = num.t_degree()
-    terms, _ = RationalChar(num, Counter({m: 1}))._expand(hi)
-    quot = {key: c for key, c in terms.items() if c}
-    return None if max(quot) >> _T_SHIFT == hi else LaurentPoly._of(quot, num.reach)
+    layers, _ = RationalChar(num, Counter({m: 1}))._layers(num.t_degree())
+    if any(layers.pop().values()):
+        return None
+    quot = {key: c for layer in layers for key, c in layer.items() if c}
+    return LaurentPoly._of(quot, num.reach)
 
 
 # The modular image that screens RationalChar.reduced()'s trial divisions: a
@@ -634,21 +645,12 @@ class RationalChar:
             for layer in layers[-k_max - 1:]
         ]
 
-    def _expand(self, k_max: int) -> tuple[dict, int]:
-        """Kernel dict of the expansion to ``t^k_max`` (``t`` kept in the
-        keys), and the ``reach`` of its exponents (see :func:`_check_reach`).
-        ``k_max`` may be negative."""
-        layers, reach = self._layers(k_max)
-        out: dict = {}
-        for layer in layers:
-            out.update(layer)
-        return out, reach
-
     def _layers(self, k_max: int) -> tuple[list[dict], int]:
         """The expansion to ``t^k_max`` as one kernel dict per ``t``-degree,
         from the lowest (0 or the numerator's, if below) up to ``k_max``,
-        with ``t`` kept in the keys and cancelled terms kept as zeros; and
-        the ``reach`` of its exponents (see :func:`_check_reach`).
+        which may be negative, with ``t`` kept in the keys and cancelled
+        terms kept as zeros; and the ``reach`` of its exponents (see
+        :func:`_check_reach`).
 
         Taken upward, each layer gains ``x^m`` times the layer below it,
         already divided, which divides by ``1 − x^m``.  A term of
@@ -698,25 +700,6 @@ def chain_series_direct(iv: Interval, k_max: int) -> list[LaurentPoly]:
     ...     interval(("(0)", 0), ("(13)", 0)), 3)]
     [Fraction(1, 1), Fraction(3, 1), Fraction(6, 1), Fraction(10, 1)]
     """
-    layers, reach = _chain_layers(iv, k_max)
-    return [LaurentPoly._of(p, reach) for p in layers]
-
-
-def _chain_series(iv: Interval, k_max: int) -> tuple[dict, int]:
-    """:func:`chain_series_direct` as a kernel dict with ``t`` in the keys,
-    and the ``reach`` of its exponents (see :func:`_check_reach`)."""
-    layers, reach = _chain_layers(iv, k_max)
-    out: dict = {}
-    for k, p in enumerate(layers):
-        d = k << _T_SHIFT
-        for key, c in p.items():
-            out[key + d] = c
-    return out, reach
-
-
-def _chain_layers(iv: Interval, k_max: int) -> tuple[list[dict], int]:
-    """:func:`chain_series_direct` as one ``t``-free kernel dict per degree,
-    and the ``reach`` of its exponents (see :func:`_check_reach`)."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     els = iv.elements
@@ -760,7 +743,7 @@ def _chain_layers(iv: Interval, k_max: int) -> tuple[list[dict], int]:
     # Dicts grown by insertion are over-allocated.  Drop the working sums
     # first, so that the compact copies returned can reuse their memory.
     prev = down = {}
-    return [dict(p) for p in layers], reach
+    return [LaurentPoly._of(dict(p), reach) for p in layers]
 
 
 # -------------------------------------------------------- transfer matrices
@@ -1098,23 +1081,21 @@ def recursion_check_J(r_max: int, k_max: int) -> bool:
     """
     if r_max < 1 or k_max < 0:
         raise ValueError("r_max must be >= 1 and k_max >= 0")
-    cap = (k_max + 1) << _T_SHIFT
-    expanded: dict[Weight, tuple[dict, int]] = {}
+    expanded: dict[Weight, list[LaurentPoly]] = {}
 
-    def expand(w: Weight) -> tuple[dict, int]:
-        """The expansion of ``A^w`` to ``t^k_max``, zeros pruned."""
+    def series(w: Weight) -> list[LaurentPoly]:
+        """The series of ``A^w`` to ``t^k_max``."""
         if w not in expanded:
-            terms, reach = character(interval(("(0)", 0), w))._expand(k_max)
-            expanded[w] = _pruned(terms), reach
+            expanded[w] = character(interval(("(0)", 0), w)).series(k_max)
         return expanded[w]
 
     for r in range(1, r_max + 1):
         for kind in ("(5)", "(15)", "(1)", "(0)"):
             top, terms = _j_recursion_sides(kind, r)
-            rhs: dict = {}
+            rhs: list[dict] = [{} for _ in range(k_max + 1)]
             for coeff, w in terms:
-                _mul_into(rhs, coeff._expand(k_max), expand(w), cap)
-            if expand(top)[0] != _pruned(rhs):
+                _series_mul_into(rhs, coeff.series(k_max), series(w))
+            if [p._terms for p in series(top)] != list(map(_pruned, rhs)):
                 return False
     return True
 
@@ -1132,12 +1113,11 @@ def lower_bound_recursions_check(k_max: int = 4) -> bool:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    cap = (k_max + 1) << _T_SHIFT
-    dp: dict[tuple[Weight, Weight], tuple[dict, int]] = {}
+    dp: dict[tuple[Weight, Weight], list[LaurentPoly]] = {}
 
-    def series(x: Weight, top: Weight) -> tuple[dict, int]:
+    def series(x: Weight, top: Weight) -> list[LaurentPoly]:
         if (x, top) not in dp:
-            dp[x, top] = _chain_series(interval(x, top), k_max)
+            dp[x, top] = chain_series_direct(interval(x, top), k_max)
         return dp[x, top]
 
     for l in range(1, 9):
@@ -1145,12 +1125,12 @@ def lower_bound_recursions_check(k_max: int = 4) -> bool:
         prev, nxt = ht_pair(l - 1), ht_pair(l)
         lmat = _matrix_chars(l, True)
         for j in (0, 1):
-            rhs: dict = {}
+            rhs: list[dict] = [{} for _ in range(k_max + 1)]
             for i in (0, 1):
                 ent = lmat[i][j]
                 if not ent.is_zero():
-                    _mul_into(rhs, ent._expand(k_max), series(nxt[i], top), cap)
-            if _pruned(rhs) != series(prev[j], top)[0]:
+                    _series_mul_into(rhs, ent.series(k_max), series(nxt[i], top))
+            if list(map(_pruned, rhs)) != [p._terms for p in series(prev[j], top)]:
                 return False
     return True
 

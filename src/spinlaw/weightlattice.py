@@ -393,18 +393,11 @@ def decompose_below(iv: Interval, top: Weight | None = None) -> Tail | Pair:
         return Tail(maxima[0])
     a, b = maxima
     m = meet(a, b)
-
-    # A side x is a tail when [lo, x) == [lo, m] as subsets of the interval.
-    def lower_strict(x: Weight) -> frozenset[Weight]:
-        return frozenset(w for w in iv.elements if leq(w, x) and w != x)
-
-    def lower_closed(x: Weight) -> frozenset[Weight]:
-        return frozenset(w for w in iv.elements if leq(w, x))
-
-    if lower_strict(a) == lower_closed(m):
-        return Pair(tail=a, other=b)
-    if lower_strict(b) == lower_closed(m):
-        return Pair(tail=b, other=a)
+    # A side x is a tail when [lo, x) == [lo, m]: the maxima of [lo, x), its
+    # lower covers above lo, are m alone.
+    for x, y in ((a, b), (b, a)):
+        if [z for z in covers_down(x) if leq(iv.lo, z)] == [m]:
+            return Pair(tail=x, other=y)
     raise ValueError(f"no tail side below {format_weight(top)}")
 
 

@@ -412,17 +412,6 @@ def plain_series(c: cs.RationalChar, k: int) -> list[dict]:
     return out
 
 
-def split_by_t(d: dict, k: int) -> list[dict]:
-    """The coefficients of t⁰..t^k of a kernel dict, tuple-keyed with
-    ``Fraction`` values and ``t`` cleared; zeros dropped."""
-    out: list[dict] = [{} for _ in range(k + 1)]
-    for key, c in d.items():
-        m = cs._unpack(key)
-        if c and 0 <= m[6] <= k:
-            out[m[6]][(*m[:6], 0)] = Fraction(c)
-    return out
-
-
 def as_dicts(series: list[cs.LaurentPoly]) -> list[dict]:
     """The tuple-keyed ``Fraction`` coefficients of each entry."""
     out = [dict(p.coeffs) for p in series]
@@ -454,14 +443,16 @@ def test_series_matches_laurent_expansion(num, den, other, other_den, k):
         )
         for n, f in ((num, den), (other, other_den))
     )
-    acc: dict = {}
-    cs._mul_into(acc, a._expand(k), b._expand(k), (k + 1) << cs._T_SHIFT)
+    acc: list[dict] = [{} for _ in range(k + 1)]
+    cs._series_mul_into(acc, a.series(k), b.series(k))
     sa, sb = plain_series(a, k), plain_series(b, k)
     conv = [TupleLaurent() for _ in range(k + 1)]
     for i in range(k + 1):
         for j in range(k + 1 - i):
             conv[i + j] = conv[i + j] + TupleLaurent(sa[i]) * TupleLaurent(sb[j])
-    assert split_by_t(acc, k) == [p.coeffs for p in conv]
+    assert [
+        {cs._unpack(key): Fraction(c) for key, c in layer.items() if c} for layer in acc
+    ] == [p.coeffs for p in conv]
 
 
 def plain_chain_series(iv: wl.Interval, k: int) -> list[dict]:
@@ -510,20 +501,11 @@ def test_chain_series_matches_laurent_dp(data):
 ])
 def test_chain_series_explicit_cases(lo, hi, k):
     iv = wl.interval(W(lo), W(hi))
-    assert as_dicts(cs.chain_series_direct(iv, k)) == plain_chain_series(iv, k)
-
-
-def test_chain_series_keyed_by_t_is_the_layers_with_t_restored():
-    iv = wl.interval(W("(3)@0"), W("(1)@1"))
-    for k in range(4):
-        layers = cs.chain_series_direct(iv, k)
-        terms, reach = cs._chain_series(iv, k)
-        assert terms == {
-            key + (j << cs._T_SHIFT): c for j, p in enumerate(layers)
-            for key, c in p._terms.items()
-        }
-        assert reach == k * cs._span([cs.weight_mono(x) for x in iv.elements])
-        assert all(p.reach == reach for p in layers)
+    layers = cs.chain_series_direct(iv, k)
+    assert as_dicts(layers) == plain_chain_series(iv, k)
+    # every layer shares the bound k·span on its exponents
+    reach = k * cs._span([cs.weight_mono(x) for x in iv.elements])
+    assert all(p.reach == reach for p in layers)
 
 
 def test_level_40000_character_is_the_shifted_level_0_one():
@@ -850,8 +832,30 @@ def test_recursion_check_J():
 
 def test_lower_bound_recursions():
     assert cs.lower_bound_recursions_check(4)
+    assert cs.lower_bound_recursions_check(0)
     with pytest.raises(ValueError):
         cs.lower_bound_recursions_check(-1)
+
+
+def test_recursion_check_J_fails_on_a_wrong_weight(monkeypatch):
+    # e_b e_c t² with c = (5) for (4): the right side moves from t² on
+    facs, a, b, c, d = cs._J_RECURSIONS["(1)"]
+    monkeypatch.setitem(cs._J_RECURSIONS, "(1)", (facs, a, b, ("(5)", 0), d))
+    assert not cs.recursion_check_J(1, 3)
+    assert cs.recursion_check_J(1, 1)
+    # at k_max 0 every side is its constant term 1, which no weight moves
+    assert cs.recursion_check_J(1, 0)
+
+
+def test_lower_bound_recursions_fail_on_a_wrong_entry(monkeypatch):
+    # 1/(1 − e_(14) t) for 1/(1 − e_(13) t): the right side moves from t on
+    (e00, e01), row1 = cs._L_REFERENCE[3]
+    monkeypatch.setitem(cs._L_REFERENCE, 3, (((None, ("(14)", 0)), e01), row1))
+    assert not cs.lower_bound_recursions_check(3)
+    assert cs.lower_bound_recursions_check(0)
+    # a numerator 1 made e_w t removes a constant term, seen at k_max 0
+    monkeypatch.setitem(cs._L_REFERENCE, 3, (((("(0)", 0), ("(13)", 0)), e01), row1))
+    assert not cs.lower_bound_recursions_check(0)
 
 
 def counting(monkeypatch, name: str) -> list:
@@ -877,7 +881,7 @@ def test_recursion_check_J_builds_each_interval_once(monkeypatch):
 
 
 def test_lower_bound_recursions_run_each_dp_once(monkeypatch):
-    calls = counting(monkeypatch, "_chain_series")
+    calls = counting(monkeypatch, "chain_series_direct")
     assert cs.lower_bound_recursions_check(4)
     # 16 bottoms under (1)@0 (pairs 0..7), 4 under (1)@1 (pairs 7, 8)
     assert len(calls) == 20

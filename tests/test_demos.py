@@ -8,13 +8,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_straightening_walkthrough_runs():
+def checkout_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_straightening_walkthrough_runs():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / "straightening_walkthrough.py")],
-        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env=checkout_env(), cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_tour_runs(tmp_path):
+    # the tour calls `spinlaw` from PATH: a shim runs this checkout's CLI
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "spinlaw"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m spinlaw.cli "$@"\n')
+    shim.chmod(0o755)
+    env = checkout_env()
+    env["PATH"] = os.pathsep.join(p for p in (str(bin_dir), env.get("PATH")) if p)
+    env["SPINLAW_OUT"] = str(tmp_path)
+    proc = subprocess.run(
+        ["sh", str(ROOT / "demos" / "cli_tour.sh")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # `set -e` misses a failure left of a pipe; each call leaves its artifact
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
+        "character.json", "delannoy-check.json", "hasse.dot", "hasse.json",
+        "obstructions.csv", "relations.csv", "straightened-check.json",
+    ]
+    assert "buchberger: True" in proc.stdout and "ok: True" in proc.stdout
