@@ -22,10 +22,9 @@ them:
   inclusion–exclusion over the down-sets ``[lo, x]`` of the distributive
   lattice (Hibi; Stanley's P-partitions);
 * :func:`transfer_matrix` — the 2×2 transfer matrices, one per height (the
-  poset has exactly two elements per height), each read from a frozen table
-  of eight that repeats one level up every eight heights.  Climbing the
-  height ladder with them gives the character again; the test suite checks
-  that it does;
+  poset has exactly two elements per height), each built from the height
+  pairs by a ladder rule of four shapes.  Climbing the height ladder with
+  them gives the character again; the test suite checks that it does;
 * :func:`lower_transfer_matrix` — a companion system relating the characters
   ``A_x^δ̂`` of intervals with a *fixed top* as the bottom ``x`` walks down
   the height pairs (:func:`lower_bound_recursions_check`);
@@ -747,109 +746,43 @@ def chain_series_direct(iv: Interval, k_max: int) -> list[LaurentPoly]:
 
 
 # -------------------------------------------------------- transfer matrices
-#
-# Entry spec format: None for a zero entry, else (tcoeff, den) where tcoeff
-# is None (numerator 1) or a weight w (numerator e_w t), and den is the
-# weight y of the column factor 1/(1 - e_y t).
 
-_EntrySpec = tuple[Weight | None, Weight] | None
-_MatrixSpec = tuple[tuple[_EntrySpec, _EntrySpec], tuple[_EntrySpec, _EntrySpec]]
-
-# Frozen transcriptions of the eight base matrices of the upper system; every
-# other U_l is one of them with its weights moved by whole levels.
-_U_REFERENCE: dict[int, _MatrixSpec] = {
-    1: (
-        (( ("(0)", 0), ("(12)", 0)), None),
-        ((None, ("(12)", 0)), (None, ("(2)", -1))),
-    ),
-    2: (
-        ((None, ("(13)", 0)), None),
-        ((("(2)", -1), ("(13)", 0)), (None, ("(1)", -1))),
-    ),
-    3: (
-        ((None, ("(14)", 0)), (None, ("(23)", 0))),
-        (None, (("(1)", -1), ("(23)", 0))),
-    ),
-    4: (
-        ((None, ("(15)", 0)), (("(14)", 0), ("(24)", 0))),
-        (None, (None, ("(24)", 0))),
-    ),
-    5: (
-        ((("(15)", 0), ("(25)", 0)), None),
-        ((None, ("(25)", 0)), (None, ("(34)", 0))),
-    ),
-    6: (
-        ((None, ("(35)", 0)), None),
-        ((("(34)", 0), ("(35)", 0)), (None, ("(5)", 0))),
-    ),
-    7: (
-        ((None, ("(45)", 0)), (None, ("(4)", 0))),
-        (None, (("(5)", 0), ("(4)", 0))),
-    ),
-    8: (
-        ((None, ("(0)", 1)), (("(45)", 0), ("(3)", 0))),
-        (None, (None, ("(3)", 0))),
-    ),
-}
-
-# Frozen transcriptions of the eight base matrices of the lower system.
-_L_REFERENCE: dict[int, _MatrixSpec] = {
-    1: (
-        ((None, ("(0)", 0)), (("(12)", 0), ("(3)", -1))),
-        (None, (None, ("(3)", -1))),
-    ),
-    2: (
-        ((None, ("(12)", 0)), (None, ("(2)", -1))),
-        (None, (("(1)", -1), ("(2)", -1))),
-    ),
-    3: (
-        ((None, ("(13)", 0)), None),
-        ((("(23)", 0), ("(13)", 0)), (None, ("(1)", -1))),
-    ),
-    4: (
-        ((("(15)", 0), ("(14)", 0)), None),
-        ((None, ("(14)", 0)), (None, ("(23)", 0))),
-    ),
-    5: (
-        ((None, ("(15)", 0)), (("(25)", 0), ("(24)", 0))),
-        (None, (None, ("(24)", 0))),
-    ),
-    6: (
-        ((None, ("(25)", 0)), (None, ("(34)", 0))),
-        (None, (("(5)", 0), ("(34)", 0))),
-    ),
-    7: (
-        ((None, ("(35)", 0)), None),
-        ((("(4)", 0), ("(35)", 0)), (None, ("(5)", 0))),
-    ),
-    8: (
-        ((("(0)", 1), ("(45)", 0)), None),
-        ((None, ("(45)", 0)), (None, ("(4)", 0))),
-    ),
-}
-
+# The ladder rule: both systems cycle through four 2×2 shapes, each given as
+# (position of the single e_w t numerator, position of the zero).
+_LADDER_SHAPES = (
+    ((0, 0), (0, 1)),
+    ((1, 0), (0, 1)),
+    ((1, 1), (1, 0)),
+    ((0, 1), (1, 0)),
+)
 
 Matrix = tuple[tuple[RationalChar, RationalChar], tuple[RationalChar, RationalChar]]
 
 
 def _matrix_chars(l: int, lower: bool) -> Matrix:
-    """``U_l`` (or ``L_l``): entry ``l − 8k`` of the frozen table, with ``k``
-    the number of whole periods of eight heights, and every weight ``k``
-    levels up."""
-    k, base = divmod(l - 1, 8)
+    """``U_l`` (or ``L_l``) from the ladder rule.
 
-    def mono(w: Weight) -> Mono:  # e_w t, with w moved k levels up
-        return weight_mono((w[0], w[1] + k))
+    Rows index one height pair, columns the other: for ``U_l`` rows are
+    ``ht_pair(l−1)`` and columns ``ht_pair(l)``, with shape ``(l−1) mod 4``;
+    for ``L_l`` the pairs swap and the shape is ``−l mod 4``.  The zero
+    position holds 0; every other entry is ``1/(1 − e_y t)`` with ``y`` its
+    column's element, times ``e_x t`` at the numerator position, ``x`` that
+    row's element.
+    """
+    rows, cols, shape = ht_pair(l - 1), ht_pair(l), (l - 1) % 4
+    if lower:
+        rows, cols, shape = cols, rows, -l % 4
+    num_pos, zero_pos = _LADDER_SHAPES[shape]
 
-    def entry(ent: _EntrySpec) -> RationalChar:
-        if ent is None:
+    def entry(i: int, j: int) -> RationalChar:
+        if (i, j) == zero_pos:
             return RationalChar.zero()
-        coeff, den_w = ent
-        num = LaurentPoly.one() if coeff is None else LaurentPoly.monomial(mono(coeff))
-        return RationalChar(num, Counter({mono(den_w): 1}))
+        num = LaurentPoly.one()
+        if (i, j) == num_pos:
+            num = LaurentPoly.monomial(weight_mono(rows[i]))
+        return RationalChar(num, Counter({weight_mono(cols[j]): 1}))
 
-    spec = (_L_REFERENCE if lower else _U_REFERENCE)[base + 1]
-    return tuple(tuple(map(entry, row)) for row in spec)  # type: ignore[return-value]
+    return tuple(tuple(entry(i, j) for j in (0, 1)) for i in (0, 1))  # type: ignore[return-value]
 
 
 def transfer_matrix(l: int) -> Matrix:
@@ -857,11 +790,13 @@ def transfer_matrix(l: int) -> Matrix:
 
     Row ``i`` indexes the height-``l−1`` pair, column ``j`` the height-``l``
     pair; the climb ``row_{l} = row_{l-1} · U_l`` extends partial interval
-    characters by one height.  Every ``U_l`` is read from the frozen table
-    of ``U₁..U₈``: ``U_{l+8}(s,q,t) = U_l(s,q,qt)``, so ``U_l`` is the entry
-    ``l − 8k`` with every weight ``k`` levels up.  The test suite checks the
-    table against the ladder rule the matrices follow.  :func:`character`
-    does not climb; the test suite runs this climb as its oracle.
+    characters by one height.  Every ``U_l`` follows the four-shape ladder
+    rule through :func:`~spinlaw.weightlattice.ht_pair`; the pair eight
+    heights up is the same pair one level up, so
+    ``U_{l+8}(s,q,t) = U_l(s,q,qt)``.  The test suite checks that period and
+    that the zeros sit exactly at the incomparable pairs.
+    :func:`character` does not climb; the test suite runs this climb as its
+    oracle.
 
     >>> u6 = transfer_matrix(6)
     >>> u6[0][0] == RationalChar.single(("(35)", 0))   # 1/(1 - e_(35) t)
@@ -877,7 +812,9 @@ def lower_transfer_matrix(l: int) -> Matrix:
 
     It relates fixed-top characters across one height:
     ``(A_{x}^δ̂)_{x ∈ pair(l−1)} = (A_{y}^δ̂)_{y ∈ pair(l)} · L_l`` whenever
-    the top ``δ̂`` lies strictly above height ``l``.
+    the top ``δ̂`` lies strictly above height ``l``.  Row ``i`` indexes the
+    height-``l`` pair, column ``j`` the height-``l−1`` pair; like ``U_l`` it
+    follows the ladder rule.
     """
     return _matrix_chars(l, True)
 
@@ -1090,7 +1027,7 @@ def recursion_check_J(r_max: int, k_max: int) -> bool:
         return expanded[w]
 
     for r in range(1, r_max + 1):
-        for kind in ("(5)", "(15)", "(1)", "(0)"):
+        for kind in _J_RECURSIONS:
             top, terms = _j_recursion_sides(kind, r)
             rhs: list[dict] = [{} for _ in range(k_max + 1)]
             for coeff, w in terms:

@@ -2,10 +2,10 @@
 
 The down-set recursion behind `character` is cross-checked against an
 independent dynamic-programming oracle (`chain_series_direct`) and against a
-test-side transfer-matrix climb, the frozen transfer-matrix tables against
-the ladder rule, the Delannoy polynomials against a square-array grid
-recurrence, and the ladder recursions against series expansion with full
-torus weights.  The packed-key `LaurentPoly`,
+test-side transfer-matrix climb, the transfer matrices' zero pattern and
+eight-height period against the order, the Delannoy polynomials against a
+square-array grid recurrence, and the ladder recursions against series
+expansion with full torus weights.  The packed-key `LaurentPoly`,
 its trial division and its modular image are checked against the
 tuple-keyed arithmetic kept here as their oracle.
 """
@@ -586,50 +586,24 @@ def test_transfer_matrix_golden_u6():
     assert u6[1][1] == cs.RationalChar.single(W("(5)@0"))
 
 
-# The ladder rule the transfer matrices follow, the oracle for the frozen
-# tables.  Both systems cycle through four 2×2 shapes, each given as (the
-# position of the single e·t numerator, the position of the zero); the other
-# entries have numerator 1.  The upper system takes its numerator weight one
-# height below its column factors, the lower system one height above.
-LADDER_SHAPES = {
-    1: ((0, 0), (0, 1)),
-    2: ((1, 0), (0, 1)),
-    3: ((1, 1), (1, 0)),
-    4: ((0, 1), (1, 0)),
-}
-
-
-def ladder_matrix(l: int, lower: bool) -> list[list[cs.RationalChar]]:
-    if lower:
-        shape, t_pair, den_pair = (4 - l) % 4 + 1, wl.ht_pair(l), wl.ht_pair(l - 1)
-    else:
-        shape, t_pair, den_pair = (l - 1) % 4 + 1, wl.ht_pair(l - 1), wl.ht_pair(l)
-    (ti, tj), zero_pos = LADDER_SHAPES[shape]
-
-    def entry(i, j):
-        if (i, j) == zero_pos:
-            return cs.RationalChar.zero()
-        num = ONE
-        if (i, j) == (ti, tj):
-            num = cs.LaurentPoly.monomial(cs.weight_mono(t_pair[ti]))
-        return cs.RationalChar(num, Counter({cs.weight_mono(den_pair[j]): 1}))
-
-    return [[entry(i, j) for j in (0, 1)] for i in (0, 1)]
-
-
 def test_transfer_matrix_pattern_and_periodicity():
+    # U_l pairs row ht_pair(l−1)[i] with column ht_pair(l)[j], L_l row
+    # ht_pair(l)[i] with column ht_pair(l−1)[j]: an entry is zero exactly
+    # when its two elements are incomparable.
     for l in range(-16, 41):
+        below, above = wl.ht_pair(l - 1), wl.ht_pair(l)
         for lower in (False, True):
-            got = (cs.lower_transfer_matrix if lower else cs.transfer_matrix)(l)
-            want = ladder_matrix(l, lower)
+            m = (cs.lower_transfer_matrix if lower else cs.transfer_matrix)(l)
             for i, j in product((0, 1), (0, 1)):
-                assert got[i][j].num == want[i][j].num, (l, lower, i, j)
-                assert got[i][j].den == want[i][j].den, (l, lower, i, j)
-    for l in (1, 4, 7):
-        u_hi, u_lo = cs.transfer_matrix(l + 8), cs.transfer_matrix(l)
-        for i in (0, 1):
-            for j in (0, 1):
-                assert u_hi[i][j] == u_lo[i][j].subs_t_qt(1)
+                x, y = (below[j], above[i]) if lower else (below[i], above[j])
+                incomparable = not (wl.leq(x, y) or wl.leq(y, x))
+                assert m[i][j].is_zero() == incomparable, (l, lower, i, j)
+    # eight heights up, every entry has t moved to q·t
+    for l in range(-16, 33):
+        for f in (cs.transfer_matrix, cs.lower_transfer_matrix):
+            hi, lo = f(l + 8), f(l)
+            for i, j in product((0, 1), (0, 1)):
+                assert hi[i][j] == lo[i][j].subs_t_qt(1), (l, f.__name__, i, j)
 
 
 def test_lower_matrix_l2_level_shift():
@@ -848,13 +822,26 @@ def test_recursion_check_J_fails_on_a_wrong_weight(monkeypatch):
 
 
 def test_lower_bound_recursions_fail_on_a_wrong_entry(monkeypatch):
+    real = cs._matrix_chars
+
+    def wrong_l3_00(ent: cs.RationalChar) -> None:
+        """Replace entry [0][0] of L_3, 1/(1 − e_(13) t), by ``ent``."""
+        def patched(l, lower):
+            m = real(l, lower)
+            if (l, lower) != (3, True):
+                return m
+            (_, e01), row1 = m
+            return ((ent, e01), row1)
+
+        monkeypatch.setattr(cs, "_matrix_chars", patched)
+
     # 1/(1 − e_(14) t) for 1/(1 − e_(13) t): the right side moves from t on
-    (e00, e01), row1 = cs._L_REFERENCE[3]
-    monkeypatch.setitem(cs._L_REFERENCE, 3, (((None, ("(14)", 0)), e01), row1))
+    wrong_l3_00(cs.RationalChar.single(W("(14)@0")))
     assert not cs.lower_bound_recursions_check(3)
     assert cs.lower_bound_recursions_check(0)
     # a numerator 1 made e_w t removes a constant term, seen at k_max 0
-    monkeypatch.setitem(cs._L_REFERENCE, 3, (((("(0)", 0), ("(13)", 0)), e01), row1))
+    e0 = cs.LaurentPoly.monomial(cs.weight_mono(W("(0)@0")))
+    wrong_l3_00(cs.RationalChar(e0, Counter({cs.weight_mono(W("(13)@0")): 1})))
     assert not cs.lower_bound_recursions_check(0)
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -25,24 +27,43 @@ def test_straightening_walkthrough_runs():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_tour_runs(tmp_path):
-    # the tour calls `spinlaw` from PATH: a shim runs this checkout's CLI
+def run_tour(tmp_path, failing: str = "") -> subprocess.CompletedProcess:
+    """Run ``demos/cli_tour.sh`` with this checkout's CLI as ``spinlaw``.
+
+    The tour calls `spinlaw` from PATH, so a shim first on PATH runs this
+    checkout's CLI.  The subcommand named ``failing`` still writes its report
+    and artifact, then exits 1, as a check that reports ``ok: false`` does.
+    """
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     shim = bin_dir / "spinlaw"
-    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m spinlaw.cli "$@"\n')
+    shim.write_text(
+        f'#!/bin/sh\n"{sys.executable}" -m spinlaw.cli "$@" || exit\n'
+        f'[ "$1" = "{failing}" ] && exit 1\nexit 0\n'
+    )
     shim.chmod(0o755)
     env = checkout_env()
     env["PATH"] = os.pathsep.join(p for p in (str(bin_dir), env.get("PATH")) if p)
     env["SPINLAW_OUT"] = str(tmp_path)
-    proc = subprocess.run(
+    return subprocess.run(
         ["sh", str(ROOT / "demos" / "cli_tour.sh")],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
+
+
+def test_cli_tour_runs(tmp_path):
+    proc = run_tour(tmp_path)
     assert proc.returncode == 0, proc.stderr
-    # `set -e` misses a failure left of a pipe; each call leaves its artifact
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
         "character.json", "delannoy-check.json", "hasse.dot", "hasse.json",
         "obstructions.csv", "relations.csv", "straightened-check.json",
     ]
     assert "buchberger: True" in proc.stdout and "ok: True" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "failing",
+    ["hasse", "straightened-check", "obstructions", "character", "delannoy-check"],
+)
+def test_cli_tour_stops_on_a_failing_call(tmp_path, failing):
+    assert run_tour(tmp_path, failing).returncode != 0
