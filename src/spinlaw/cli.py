@@ -177,7 +177,17 @@ def parse_specialize(text: str) -> dict:
 
 
 def parse_modes(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")] if text else []
+    """``"0,2"`` → ``[0, 2]``; every item an integer, none given twice."""
+    modes: list[int] = []
+    for item in text.split(",") if text else []:
+        try:
+            n = int(item)
+        except ValueError:
+            raise ValueError(f"bad mode {item!r} (not an integer)") from None
+        if n in modes:
+            raise ValueError(f"bad mode {item!r} ({n} given twice)")
+        modes.append(n)
+    return modes
 
 
 # -------------------------------------------------------------- commands

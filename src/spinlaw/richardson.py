@@ -36,7 +36,6 @@ from . import weightlattice as wl
 from .polyring import Poly
 from .spinalg import GAMMA_LABELS
 from .weightlattice import (
-    TAGS,
     Interval,
     Weight,
     apos,
@@ -45,7 +44,6 @@ from .weightlattice import (
     interval,
     leq,
     parse_weight,
-    shift,
 )
 
 __all__ = [
@@ -328,77 +326,47 @@ def enumerate_obstructions(iv: Interval) -> list[ObstructionPair]:
     return out
 
 
-def _coverage_index(span: int) -> dict:
-    """Map (outer weight, inner clutter) -> {(α, n): product coefficient}.
-
-    Substituting the quadric for the placeholder in a term
-    ``c · λ^{β} x_{s^m}`` of ``h_{α^n}`` produces the cubic monomial
-    ``λ^{β} · clutter(Γ^{s^m})`` with coefficient ``c`` times the clutter's
-    coefficient inside the quadric; the index records these products.  The
-    unique clutter of each quadric mode on the window ``[0, span]`` and its
-    coefficient are found once per mode.
-    """
-    clutters: dict[tuple[str, int], tuple[frozenset[Weight], int]] = {}
-    for s in sa.GAMMA_LABELS:
-        for m in range(2 * span + 1):
-            quad = sa.gamma_affine(s, m, (0, span))
-            cls = _clutter_monomials(quad)
-            if len(cls) > 1:  # pragma: no cover - would falsify the unique-clutter law
-                raise RuntimeError(f"quadric {s}^{m} has several clutters on the window")
-            if cls:
-                clutters[(s, m)] = frozenset(cls[0]), quad[pr.monomial_from_weights(cls[0])]
-    index: dict[tuple[Weight, frozenset[Weight]], dict[tuple[str, int], int]] = {}
-    for alpha in TAGS:
-        for n in range(0, 3 * span + 1):
-            for c, bw, sm in sa.affine_fierz_terms(alpha, n, (0, span)):
-                if sm in clutters:
-                    cl, cc = clutters[sm]
-                    index.setdefault((bw, cl), {})[(alpha, n)] = c * cc
-    return index
-
-
-def _find_cover(pair: ObstructionPair, indexes: dict) -> tuple[str, int] | None:
+def _find_cover(pair: ObstructionPair) -> tuple[str, int] | None:
     """A Fierz element ``h_{α^n}`` resolving the pair, if one exists.
 
-    The pair is first shifted so its lowest level is zero; both its
-    factorizations must appear in the same element with opposite unit
-    product coefficients.  ``indexes`` maps a span to its
-    :func:`_coverage_index`; a missing span is built and added.
+    Substituting the quadric for the placeholder in a term
+    ``c · λ^{β} x_{s^m}`` of ``h_{α^n}`` gives the cubic monomial
+    ``λ^{β} λ^a λ^b`` with coefficient ``c · cc``, ``cc`` being that of
+    ``λ^a λ^b`` in ``Γ^{s^m}``.  Affinization copies coefficients, so
+    ``c`` and ``cc`` are read at level 0: ``Γ^s`` is the one quadric
+    holding ``λ^{tag a} λ^{tag b}``, and ``n`` is the triple's total level.
+    Both factorizations must appear in the same element with opposite unit
+    product coefficients; the first such ``α`` in tag order is returned.
     """
-    levels = [w[1] for ob in pair for w in (ob.outer, *ob.inner)]
-    base = min(levels)
-    span = max(levels) - base
-    if span not in indexes:
-        indexes[span] = _coverage_index(span)
-    idx = indexes[span]
+    quads, fierz = sa.gamma_quadrics(), sa.fierz_identities()
     hits = []
     for ob in pair:
-        key = (
-            shift(ob.outer, -base),
-            frozenset(shift(w, -base) for w in ob.inner),
-        )
-        hits.append(idx.get(key, {}))
-    for an, c1 in hits[0].items():
-        c2 = hits[1].get(an)
-        if c2 is not None and abs(c1) == 1 and c1 == -c2:
-            alpha, n = an
-            return alpha, n + 3 * base
+        inner = pr.monomial_from_weights([(w[0], 0) for w in ob.inner])
+        outer = pr.monomial_from_weights([(ob.outer[0], 0)])
+        hits.append({
+            alpha: comps[s][outer] * q[inner]
+            for s, q in quads.items() if q[inner]
+            for alpha, comps in fierz.items() if s in comps
+        })
+    n = sum(w[1] for w in (pair[0].outer, *pair[0].inner))
+    for alpha, c1 in hits[0].items():
+        if abs(c1) == 1 and hits[1].get(alpha) == -c1:
+            return alpha, n
     return None
 
 
 def obstruction_coverage(iv: Interval) -> list[dict]:
     """Per-pair coverage report: which ``h_{α^n}`` resolves each obstruction.
 
-    Every pair is covered directly (``route: "direct"``): incomparable
-    weights are at most one level apart, :func:`_find_cover` shifts a pair to
-    start at level 0, and the tests cover every pair of ``[(0)@0, (1)@2]``,
-    which holds all weights of levels 0–2.  An uncovered pair would falsify
-    the central resolution claim and raises.
+    Every pair is covered directly (``route: "direct"``):
+    :func:`_find_cover` reads the level-0 quadric and Fierz tables, and the
+    tests check it against the affinized identities on every pair of
+    ``[(0)@0, (1)@2]`` and ``[(0)@-2, (1)@0]``.  An uncovered pair would
+    falsify the central resolution claim and raises.
     """
     report = []
-    indexes: dict = {}
     for pair in enumerate_obstructions(iv):
-        cover = _find_cover(pair, indexes)
+        cover = _find_cover(pair)
         if cover is None:
             raise RuntimeError(
                 "uncovered obstruction pair: "

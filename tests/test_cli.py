@@ -394,6 +394,22 @@ class TestExitCodes:
             cli.parse_specialize(text)
         assert reason in str(exc.value) and repr(text.split(",")[-1]) in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, item, reason",
+        [("0,0", "0", "0 given twice"), ("1,,2", "", "not an integer"),
+         ("1,x", "x", "not an integer")],
+    )
+    def test_modes_errors_name_the_item(self, text, item, reason, tmp_path, capsys):
+        with pytest.raises(ValueError) as exc:
+            cli.parse_modes(text)
+        assert reason in str(exc.value) and repr(item) in str(exc.value)
+        code = cli.main(["fierz-check", "--window", "0..0", "--modes", text,
+                         "--out", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {exc.value}\n" and captured.out == ""
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_command_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["no-such-command"])

@@ -25,6 +25,7 @@ def test_straightening_walkthrough_runs():
         env=checkout_env(), cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "resolved by h_(1) (route: direct)" in proc.stdout
 
 
 def run_tour(tmp_path, failing: str = "") -> subprocess.CompletedProcess:

@@ -75,6 +75,49 @@ def coverage_by_pair(iv):
     }
 
 
+def affinized_products(span):
+    """Map (outer, inner clutter) -> {(α, n): product coefficient} on the
+    window [0, span], from the affinized tables: each term
+    ``c · λ^{β} x_{s^m}`` of ``h_{α^n}`` meets the unique clutter of the
+    quadric mode ``Γ^{s^m}`` on the window, with coefficient ``cc``."""
+    window = (0, span)
+    clutters = {}
+    for s in sa.GAMMA_LABELS:
+        for m in range(2 * span + 1):
+            quad = sa.gamma_affine(s, m, window)
+            cls = rich._clutter_monomials(quad)
+            assert len(cls) <= 1
+            if cls:
+                clutters[(s, m)] = frozenset(cls[0]), quad[pr.monomial_from_weights(cls[0])]
+    index = {}
+    for alpha in wl.TAGS:
+        for n in range(3 * span + 1):
+            for c, bw, sm in sa.affine_fierz_terms(alpha, n, window):
+                if sm in clutters:
+                    cl, cc = clutters[sm]
+                    index.setdefault((bw, cl), {})[(alpha, n)] = c * cc
+    return index
+
+
+def affinized_cover(pair, products):
+    """The first opposite-unit element of the pair by the affinized route:
+    shift the pair to level 0, look both factorizations up in
+    ``products[span]``, and shift the mode back."""
+    levels = [w[1] for ob in pair for w in (ob.outer, *ob.inner)]
+    base = min(levels)
+    hits = [
+        products[max(levels) - base].get(
+            (wl.shift(ob.outer, -base), frozenset(wl.shift(w, -base) for w in ob.inner)),
+            {},
+        )
+        for ob in pair
+    ]
+    for (alpha, n), c1 in hits[0].items():
+        if abs(c1) == 1 and hits[1].get((alpha, n)) == -c1:
+            return alpha, n + 3 * base
+    return None
+
+
 # --------------------------------------------------------------- relations
 
 
@@ -411,19 +454,45 @@ class TestObstructions:
         assert got == want
 
     def test_every_pair_is_covered_directly(self):
-        # [(0)@0,(1)@2] holds every weight of levels 0..2, and _find_cover
-        # shifts a pair to start at level 0, so its pairs stand for those of
-        # every interval: each spans at most one level and is covered
-        iv = IV("(0)@0", "(1)@2")
-        assert len(iv) == 48
-        pairs = rich.enumerate_obstructions(iv)
-        assert len(pairs) == 112
-        indexes: dict = {}
-        for pair in pairs:
-            levels = {w[1] for ob in pair for w in (ob.outer, *ob.inner)}
-            assert max(levels) - min(levels) <= 1
-            assert rich._find_cover(pair, indexes) is not None
-        assert sorted(indexes) == [0, 1]
+        # [(0)@0,(1)@2] holds every weight of levels 0..2: each of its pairs
+        # spans at most one level, and the level-0 tables pick the element
+        # the affinized identities pick, here and two levels lower
+        products = {span: affinized_products(span) for span in (0, 1)}
+        for lo, hi in (("(0)@0", "(1)@2"), ("(0)@-2", "(1)@0")):
+            iv = IV(lo, hi)
+            assert len(iv) == 48
+            pairs = rich.enumerate_obstructions(iv)
+            assert len(pairs) == 112
+            for pair in pairs:
+                levels = {w[1] for ob in pair for w in (ob.outer, *ob.inner)}
+                assert max(levels) - min(levels) <= 1
+                cover = rich._find_cover(pair)
+                assert cover is not None
+                assert cover == affinized_cover(pair, products)
+
+    @pytest.mark.parametrize("k", [-3, 2, 7])
+    def test_coverage_level_shift_covariance(self, k):
+        # shifting the interval by k levels shifts each element's mode by 3k
+        base = coverage_by_pair(IV("(0)@0", "(1)@1"))
+        want = {}
+        for pair, (_, (alpha, n), route) in base.items():
+            shifted = frozenset(
+                (wl.shift(o, k), frozenset(wl.shift(w, k) for w in inner))
+                for o, inner in pair
+            )
+            element = (alpha, n + 3 * k)
+            want[shifted] = ("o_" + wl.format_weight(element), element, route)
+        assert coverage_by_pair(IV(f"(0)@{k}", f"(1)@{1 + k}")) == want
+
+    def test_wrong_fierz_sign_leaves_a_pair_uncovered(self, monkeypatch):
+        # flip the λ^(1) coefficient of x_{1*} in h_(0), from 1 to -1
+        real = sa.fierz_identities()
+        mutant = {alpha: dict(comps) for alpha, comps in real.items()}
+        mutant["(0)"]["1*"] = -real["(0)"]["1*"]
+        assert real["(0)"]["1*"] == pr.lam(W("(1)@0"))
+        monkeypatch.setattr(sa, "fierz_identities", lambda: mutant)
+        with pytest.raises(RuntimeError, match="uncovered obstruction pair"):
+            rich.obstruction_coverage(IV("(0)@0", "(1)@2"))
 
     def test_records_validate_on_replace(self):
         # namedtuple's _replace builds through _make, which must validate
