@@ -30,10 +30,10 @@ print("straightening shape:", rich.straightening_shape_check(rel))
 
 print("\nstandard monomials vs graded quotient dimensions:")
 keys = [wl.apos(w) for w in iv.elements]
-for k in range(5):
+graded = pr.graded_quotient_table([rel.body], [], keys, 4)
+for k, (dim,) in enumerate(graded):
     std = rich.standard_monomials(iv, k)
-    graded = pr.graded_quotient_dim([rel.body], keys, k)
-    print(f"    k={k}:  {std} multichains  ==  dim {graded}")
+    print(f"    k={k}:  {std} multichains  ==  dim {dim}")
 
 print("\nobstruction pairs and their resolutions:")
 print("    none inside this interval — one clutter cannot form a triple")

@@ -390,43 +390,39 @@ class Echelon:
     gcd), dividing out the content when ``a ≠ 1``; what is left becomes a pivot
     with a positive leading entry and content 1.  :meth:`add` first clears denominators.
 
-    A pivot is a dict, or a reference ``(u, terms)`` standing for the row
-    ``{u + t: c for t, c in terms}``, which must already be the dict it
-    stands for: its smallest column is the pivot's, with a positive entry,
-    content 1 and ``int`` entries.  :func:`graded_quotient_dims` stores a row
-    whose leading column is free this way; :meth:`pivot` expands it, in the
-    table, the first time it is read.
+    A pivot has one form, ``(offset, terms)``: the row ``{offset + c: v for
+    c, v in terms}``, with ``terms`` sorted by column, so the first is the
+    lead, at the pivot's own column.  Its entries are nonzero ints of
+    content 1 and its lead is positive.  :meth:`eliminate` stores the row it
+    ends with as ``(0, terms)``; :func:`graded_quotient_table` stores a row
+    ``u·g`` whose leading column is free as ``(u, terms of g)``, unreduced.
 
     >>> e = Echelon()
     >>> [e.add(r) for r in ({0: -2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(-2, 3)},
     ...                     {0: 3, 2: 6})]
     [True, False, True]
-    >>> e.pivots == {0: {0: 1, 1: -2}, 1: {1: 1, 2: 1}}, e.rank
+    >>> e.pivots == {0: (0, [(0, 1), (1, -2)]), 1: (0, [(1, 1), (2, 1)])}, e.rank
     (True, 2)
-    >>> e.pivots[5] = (4, [(1, 1), (3, -1)])
-    >>> e.pivot(5), e.rank
-    ({5: 1, 7: -1}, 3)
+    >>> e.pivots[5] = (4, [(1, 1), (3, -1)])  # the row {5: 1, 7: -1}
+    >>> e.eliminate({5: -2, 6: 4, 7: 2}), e.pivots[6], e.rank
+    (True, (0, [(6, 1)]), 4)
     """
 
     __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, int] | tuple[int, list[tuple[int, int]]]] = {}
+        self.pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def pivot(self, col: int) -> dict[int, int]:
-        """The pivot row at `col` as a dict, expanding a reference in place."""
-        prow = self.pivots[col]
-        if type(prow) is tuple:
-            u, terms = prow
-            prow = self.pivots[col] = {u + t: c for t, c in terms}
-        return prow
-
     def add(self, row) -> bool:
-        """Reduce `row`; True when it is independent of the rows added before."""
+        """Reduce a row of ints and Fractions; True when it is independent of
+        the rows added before."""
+        for v in row.values():
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"inexact coefficient {v!r}")
         den = math.lcm(*[v.denominator for v in row.values()])
         return self.eliminate(
             {c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
@@ -438,21 +434,22 @@ class Echelon:
             col = min(row)
             prow = pivots.get(col)
             if prow is None:
+                terms = sorted(row.items())
                 g = math.gcd(*row.values())
-                if row[col] < 0:
+                if terms[0][1] < 0:
                     g = -g
-                pivots[col] = row if g == 1 else {c: v // g for c, v in row.items()}
+                pivots[col] = (0, terms if g == 1 else [(c, v // g) for c, v in terms])
                 return True
-            if type(prow) is tuple:
-                prow = self.pivot(col)
-            a, b = prow[col], row[col]
+            offset, terms = prow
+            a, b = terms[0][1], row[col]
             g = math.gcd(a, b)
             a, b = a // g, b // g
             if a != 1:
                 for c in row:
                     row[c] *= a
             # row ← a·row − b·pivot: the entry at `col` cancels, like any other zero
-            for c, v in prow.items():
+            for t, v in terms:
+                c = offset + t
                 nv = row.get(c, 0) - b * v
                 if nv:
                     row[c] = nv
@@ -473,33 +470,53 @@ def sparse_rank(rows) -> int:
     return echelon.rank
 
 
-def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
-    """Degree-`k` dimensions of Q[vars] / (relations, extra[:j]), j = 0..len(extra).
+def graded_quotient_table(relations, extra, var_keys, k_max: int) -> list[list[int]]:
+    """``dims[k][j]``: the degree-`k` dimension of Q[vars] / (relations,
+    extra[:j]), for k = 0..k_max and j = 0..len(extra).
 
     `relations` and `extra` must be homogeneous polynomials in the variables
     listed in `var_keys`, which must not repeat.  A dimension is
     ``C(n + k − 1, k)``, the number of degree-`k` monomials in ``n``
     variables, minus the rank of the ideal's degree-`k` slice, spanned by all
-    products u·g, u a monomial of degree k − deg g; the rows of `relations`,
-    then of each ``extra[j]``, go into one :class:`Echelon`, read after each
-    prefix.  Monomials are packed ints, variable ``i`` (in key order) being
-    the field ``1 << (bits·i)``, ``bits = max(1, k.bit_length())``: no
-    exponent in degree `k` reaches ``2**bits``, so keys cannot alias, and the
-    key of u·m is the sum of theirs.
+    products u·g, u a monomial of degree k − deg g.  The generators fall
+    into groups: the relations are group 0 and ``extra[j − 1]`` is group
+    ``j``.  Each degree has one :class:`Echelon`; its rows go in group by
+    group, and its rank is read after each group.
 
-    Each generator's terms are packed, sorted, cleared of denominators and
-    divided by their content once, with the lowest column's entry made
-    positive; packing keeps order, so the leading column of u·g is
-    ``u + t₀``, ``t₀`` the smallest term key.  A prefix's rows go in two
-    passes: each u·g whose leading column has no pivot yet becomes the pivot
-    ``(u, terms)`` by reference, then only the rows that collided go through
-    :meth:`Echelon.eliminate`.  Rows with distinct free leading columns are
-    triangular, hence independent, and a prefix's rank does not depend on the
-    order of its rows.
+    Monomials are packed ints, variable ``i`` (in key order) being the field
+    ``1 << (bits·i)``, ``bits = max(1, k_max.bit_length())``: no exponent up
+    to degree `k_max` reaches ``2**bits``, so keys cannot alias, and the key
+    of u·m is the sum of theirs.  Each generator's terms are packed, sorted,
+    cleared of denominators and divided by their content once, with the
+    lowest column's entry made positive; packing keeps order, so the leading
+    column of u·g is ``u + t₀``, ``t₀`` the smallest term key.  A group's
+    rows go in two passes: each u·g whose leading column has no pivot yet
+    becomes the pivot ``(u, terms)`` as it is, then only the rows that
+    collided go through :meth:`Echelon.eliminate`.  Rows with distinct free
+    leading columns are triangular, hence independent, and a group's rank
+    does not depend on the order of its rows.
+
+    The degrees go upward, and each degree records which group made each of
+    its pivot columns.  A row u·g of group ``j`` is never built when ``u``
+    is a pivot column of degree k − deg g made by an earlier group: this is
+    the F5 criterion (Faugère, "A new efficient algorithm for computing
+    Gröbner bases without reduction to zero (F5)", ISSAC 2002), in the matrix
+    form of Bardet, Faugère and Salvy (J. Symbolic Comput., 2015).  Such a
+    ``u`` is the smallest column of some ``h`` in the ideal of the earlier
+    groups, so
+
+    * ``u·g = (h·g − Σ_{v>u} c_v·v·g) / c_u``, ``c_v`` the entries of ``h``;
+    * ``h·g`` lies in that ideal, whose degree-`k` slice the earlier groups'
+      rows span;
+    * each ``v·g`` is a built row or, by downward induction on ``u``, in the
+      span of built rows; so the span, and every dimension, is unchanged.
+
+    For a regular sequence the criterion leaves no row of `extra` that
+    reduces to zero.
 
     >>> x, y = variable(0), variable(1)
-    >>> graded_quotient_dims([x * y], [x, y], [0, 1], 2)
-    [2, 1, 0]
+    >>> graded_quotient_table([x * y], [x, y], [0, 1], 2)
+    [[1, 1, 1], [2, 1, 0], [2, 1, 0]]
     """
     keys = sorted(var_keys)
     key_set = set(keys)
@@ -511,44 +528,72 @@ def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
             raise ValueError("relations must be homogeneous")
         if not key_set.issuperset(itertools.chain.from_iterable(g.coeffs)):
             raise ValueError("relation uses a variable outside var_keys")
-    if k < 0:
-        return [0] * (len(extra) + 1)
-    bits = max(1, k.bit_length())
+    if k_max < 0:
+        return []
+    bits = max(1, k_max.bit_length())
     field = {kk: 1 << (bits * i) for i, kk in enumerate(keys)}
-    ncols = math.comb(len(keys) + k - 1, k) if keys else int(k == 0)
+
+    def packed(g):
+        den = math.lcm(*[c.denominator for c in g.coeffs.values()])
+        terms = sorted(
+            (sum(field[kk] for kk in m), c.numerator * (den // c.denominator))
+            for m, c in g.coeffs.items())
+        content = math.gcd(*[c for _, c in terms])
+        if terms[0][1] < 0:
+            content = -content
+        if content != 1:
+            terms = [(t, c // content) for t, c in terms]
+        return g.degree(), terms
+
+    groups = [[packed(g) for g in gens if 0 <= g.degree() <= k_max]
+              for gens in [relations, *([g] for g in extra)]]
     multipliers: dict[int, list[int]] = {}  # by degree, packed once per call
-    echelon = Echelon()
-    pivots = echelon.pivots
+    makers: list[dict[int, int]] = []  # by degree: {pivot column: its group}
+    table = []
+    for k in range(k_max + 1):
+        echelon = Echelon()
+        pivots = echelon.pivots
+        maker: dict[int, int] = {}
+        makers.append(maker)
+        ncols = math.comb(len(keys) + k - 1, k) if keys else int(k == 0)
+        dims = []
+        for j, group in enumerate(groups):
+            collided = []
+            for d, terms in group:
+                if d > k:
+                    continue
+                if k - d not in multipliers:
+                    cwr = itertools.combinations_with_replacement(field.values(), k - d)
+                    multipliers[k - d] = [sum(c) for c in cwr]
+                earlier = makers[k - d]
+                t0 = terms[0][0]
+                for u in multipliers[k - d]:
+                    if earlier.get(u, j) < j:
+                        continue
+                    if u + t0 in pivots:
+                        collided.append((u, terms))
+                    else:
+                        pivots[u + t0] = (u, terms)
+            for u, terms in collided:
+                echelon.eliminate({u + t: c for t, c in terms})
+            for col in itertools.islice(reversed(pivots), len(pivots) - len(maker)):
+                maker[col] = j
+            dims.append(ncols - echelon.rank)
+        table.append(dims)
+    return table
 
-    def add_rows(gens) -> int:
-        collided = []
-        for g in gens:
-            d = g.degree()
-            if not 0 <= d <= k:
-                continue
-            den = math.lcm(*[c.denominator for c in g.coeffs.values()])
-            terms = sorted(
-                (sum(field[kk] for kk in m), c.numerator * (den // c.denominator))
-                for m, c in g.coeffs.items())
-            content = math.gcd(*[c for _, c in terms])
-            if terms[0][1] < 0:
-                content = -content
-            if content != 1:
-                terms = [(t, c // content) for t, c in terms]
-            if k - d not in multipliers:
-                cwr = itertools.combinations_with_replacement(field.values(), k - d)
-                multipliers[k - d] = [sum(c) for c in cwr]
-            t0 = terms[0][0]
-            for u in multipliers[k - d]:
-                if u + t0 in pivots:
-                    collided.append((u, terms))
-                else:
-                    pivots[u + t0] = (u, terms)
-        for u, terms in collided:
-            echelon.eliminate({u + t: c for t, c in terms})
-        return ncols - echelon.rank
 
-    return [add_rows(relations)] + [add_rows([g]) for g in extra]
+def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
+    """Row `k` of :func:`graded_quotient_table`: degree-`k` dimensions of
+    Q[vars] / (relations, extra[:j]), j = 0..len(extra); zeros when k < 0.
+
+    >>> x, y = variable(0), variable(1)
+    >>> graded_quotient_dims([x * y], [x, y], [0, 1], 2)
+    [2, 1, 0]
+    """
+    extra = list(extra)
+    table = graded_quotient_table(relations, extra, var_keys, k)
+    return table[k] if k >= 0 else [0] * (len(extra) + 1)
 
 
 def graded_quotient_dim(relations, var_keys, k: int) -> int:

@@ -230,9 +230,9 @@ def straightened_law_report(iv: Interval, k_max: int) -> dict:
     rels = build_relations(iv)
     bodies = [r.body for r in rels]
     keys = [apos(w) for w in iv.elements]
+    graded = pr.graded_quotient_table(bodies, [], keys, k_max)
     dims = [
-        {"k": k, "standard": standard_monomials(iv, k),
-         "graded": pr.graded_quotient_dim(bodies, keys, k)}
+        {"k": k, "standard": standard_monomials(iv, k), "graded": graded[k][0]}
         for k in range(k_max + 1)
     ]
     dims_ok = all(d["standard"] == d["graded"] for d in dims)
@@ -409,7 +409,7 @@ def regular_sequence_check(iv: Interval, d_max: int) -> bool:
         by_ht.setdefault(ht(w), {})[pr.monomial_from_weights([w])] = 1
     ys = [Poly._of(by_ht[i]) for i in sorted(by_ht)]
     # dims[k][j]: degree-k dimension modulo rels + ys[:j]
-    dims = [pr.graded_quotient_dims(rels, ys, keys, k) for k in range(d_max + 1)]
+    dims = pr.graded_quotient_table(rels, ys, keys, d_max)
     return all(
         dims[k][j] == dims[k][j - 1] - (dims[k - 1][j - 1] if k else 0)
         for j in range(1, len(ys) + 1)

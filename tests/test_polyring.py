@@ -415,6 +415,8 @@ def test_graded_quotient_dim_hand_oracles():
     # x0/2 − x1 is a multiple of x0 − 2·x1; x0/2 − x1/3 is not
     lines = [Fraction(1, 2) * X0 - X1, Fraction(1, 2) * X0 - Fraction(1, 3) * X1]
     assert pr.graded_quotient_dims([X0 - 2 * X1], lines, [0, 1], 1) == [1, 1, 0]
+    assert pr.graded_quotient_table([X0 - 2 * X1], lines, [0, 1], 1) == [
+        [1, 1, 1], [1, 1, 0]]
 
 
 def test_graded_quotient_dim_rejects_bad_input():
@@ -426,7 +428,10 @@ def test_graded_quotient_dim_rejects_bad_input():
         pr.graded_quotient_dims([X0 * X1], [X0 + X0 * X1], [0, 1], 2)
     with pytest.raises(ValueError):
         pr.graded_quotient_dims([X0 * X1], [X2], [0, 1], 2)
+    with pytest.raises(ValueError):
+        pr.graded_quotient_table([X0 * X1], [X2], [0, 1], -1)
     assert pr.graded_quotient_dims([X0 * X1], [X0, X1], [0, 1], -1) == [0, 0, 0]
+    assert pr.graded_quotient_table([X0 * X1], [X0, X1], [0, 1], -1) == []
 
 
 def height_forms(hi):
@@ -445,17 +450,19 @@ def height_forms(hi):
 @pytest.mark.parametrize("hi", ["(15)@0", "(1)@0"])
 def test_graded_quotient_dims_equal_prefix_dims(hi):
     rels, keys, ys = height_forms(hi)
+    table = pr.graded_quotient_table(rels, ys, keys, 3)
     for k in range(4):
         dims = pr.graded_quotient_dims(rels, ys, keys, k)
-        assert dims == [
+        assert dims == table[k] == [
             pr.graded_quotient_dim(rels + ys[:j], keys, k) for j in range(len(ys) + 1)
         ]
 
 
 def graded_quotient_dims_oracle(relations, extra, var_keys, k):
-    """:func:`pr.graded_quotient_dims` with each degree-`k` monomial indexed
-    by its sorted tuple of variable keys, each product ``monomial · g``
-    built as a tuple, and ``Fraction`` rows handed to ``Echelon.add``."""
+    """Row `k` of :func:`pr.graded_quotient_table`, with every row built: each
+    degree-`k` monomial indexed by its sorted tuple of variable keys, each
+    product ``monomial · g`` built as a tuple, and ``Fraction`` rows handed to
+    ``Echelon.add``."""
     if k < 0:
         return [0] * (len(extra) + 1)
     keys = sorted(var_keys)
@@ -507,6 +514,69 @@ def test_graded_quotient_dims_match_tuple_index_oracle(data):
         graded_quotient_dims_oracle(rels, extra, var_keys, k))
 
 
+def monomial_count(n, k):
+    """The number of degree-`k` monomials in `n` variables."""
+    return math.comb(n + k - 1, k) if n else int(k == 0)
+
+
+def row_total(gens, n, k_max):
+    """Every row ``u·g`` of degree ≤ `k_max`, built or not."""
+    return sum(monomial_count(n, k - g.degree())
+               for g in gens for k in range(k_max + 1) if 0 <= g.degree() <= k)
+
+
+def rows_built(made):
+    """The rows the graded ranks built into the echelons `made`: each became a
+    pivot as it was, or went through ``eliminate`` and became one or reduced
+    to zero."""
+    return sum(e.rank + e.zeros for e in made)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_graded_quotient_table_skips_exactly_the_criterion_rows(data):
+    # relations and extras that are not a regular sequence: the criterion
+    # must leave every dimension as the oracle, which builds every row, has it
+    var_keys = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True))
+    gen = st.integers(0, 3).flatmap(lambda d: homogeneous(var_keys, d))
+    rels = data.draw(st.lists(gen, max_size=3))
+    extra = data.draw(st.lists(gen, min_size=1, max_size=3))
+    k_max = data.draw(st.integers(0, 4))
+
+    def nonzero(d):
+        return data.draw(homogeneous(var_keys, d).filter(bool))
+
+    kinds = ["repeat", "in-span", "zero-divisor", "constant", "above-k-max"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), unique=True)):
+        if kind == "repeat":
+            g = data.draw(st.sampled_from(extra))
+        elif kind == "in-span":  # a combination of the relations of one degree
+            top = max((r.degree() for r in rels), default=0)
+            g = sum((data.draw(homogeneous(var_keys, 1)) * r
+                     for r in rels if r.degree() == top), pr.Poly.zero())
+        elif kind == "zero-divisor":  # p, with p·q among the relations
+            g = nonzero(1)
+            rels.append(g * nonzero(1))
+        elif kind == "constant":
+            g = pr.Poly({pr.ONE: data.draw(st.sampled_from([1, -3]))})
+        else:
+            g = nonzero(k_max + 1)
+        extra.insert(data.draw(st.integers(0, len(extra))), g)
+    with recorded_echelons() as made:
+        table = pr.graded_quotient_table(rels, extra, var_keys, k_max)
+    assert len(made) == k_max + 1
+    assert table == [graded_quotient_dims_oracle(rels, extra, var_keys, k)
+                     for k in range(k_max + 1)]
+    # extra[j]'s row u·g is left out exactly when u leads an element of the
+    # ideal of the earlier groups, so per degree k − deg g as many times as
+    # that ideal's rank there
+    n = len(var_keys)
+    skipped = sum(monomial_count(n, k - g.degree()) - table[k - g.degree()][j]
+                  for j, g in enumerate(extra)
+                  for k in range(k_max + 1) if 0 <= g.degree() <= k)
+    assert rows_built(made) == row_total(rels + extra, n, k_max) - skipped
+
+
 def test_graded_quotient_dims_without_variables():
     two = pr.Poly({pr.ONE: 2})
     for k in (0, 1):
@@ -523,6 +593,28 @@ def test_graded_quotient_dims_height_table_of_1_at_0():
         [672, 546, 436, 341, 260, 192, 136, 91, 56, 30, 12, 1],
         [2772, 2100, 1554, 1118, 777, 517, 325, 189, 98, 42, 12, 0],
     ]
+
+
+def test_graded_quotient_table_of_1_at_1():
+    # pinned from the elimination that built every row u·g (88,479
+    # eliminate calls, 82,613 of them reducing to zero)
+    rels, keys, ys = height_forms("(1)@1")
+    with recorded_echelons() as made:
+        table = pr.graded_quotient_table(rels, ys, keys, 4)
+    assert table == [
+        [1] * 20,
+        list(range(32, 12, -1)),
+        [498, 466, 435, 405, 376, 348, 321, 295, 270, 246, 223, 201, 180, 160,
+         141, 123, 106, 90, 75, 61],
+        [5088, 4590, 4124, 3689, 3284, 2908, 2560, 2239, 1944, 1674, 1428, 1205,
+         1004, 824, 664, 523, 400, 294, 204, 129],
+        [38775, 33687, 29097, 24973, 21284, 18000, 15092, 12532, 10293, 8349,
+         6675, 5247, 4042, 3038, 2214, 1550, 1027, 627, 333, 129],
+    ]
+    assert sum(e.calls for e in made) == 8185
+    # the height forms are a regular sequence: none of their rows that the
+    # criterion lets through reduces to zero, only the relations' own 2,319
+    assert sum(e.zeros for e in made) == 2319
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8])
@@ -554,50 +646,73 @@ def test_graded_quotient_dims_refuse_repeated_var_keys():
 
 @contextlib.contextmanager
 def recorded_echelons():
-    """Collect every :class:`pr.Echelon` that polyring makes meanwhile."""
+    """Collect every :class:`pr.Echelon` that polyring makes meanwhile, each
+    counting its ``eliminate`` calls and those that reduced to zero."""
     made = []
 
     class Recording(pr.Echelon):
+        __slots__ = ("calls", "zeros")
+
         def __init__(self):
             super().__init__()
+            self.calls = self.zeros = 0
             made.append(self)
+
+        def eliminate(self, row):
+            grew = super().eliminate(row)
+            self.calls += 1
+            self.zeros += not grew
+            return grew
 
     with unittest.mock.patch.object(pr, "Echelon", Recording):
         yield made
 
 
-def check_expanded_pivots(relations, extra, var_keys, k):
-    """Run :func:`pr.graded_quotient_dims`, compare it with the oracle, then
-    expand every pivot of its :class:`pr.Echelon` and check each one: its
-    smallest column is its own, with a positive entry; its entries are
-    nonzero ints of content 1; and it lies in the span of all the rows."""
+def pivot_rows(echelon):
+    """Each pivot of `echelon` as a ``{column: entry}`` row, once its one form
+    is checked: ``(offset, terms)``, the terms' columns strictly increasing
+    from the pivot's own."""
+    rows = {}
+    for col, (offset, terms) in echelon.pivots.items():
+        cols = [offset + t for t, _ in terms]
+        assert cols[0] == col and all(a < b for a, b in itertools.pairwise(cols))
+        rows[col] = {offset + t: v for t, v in terms}
+    return rows
+
+
+def check_expanded_pivots(relations, extra, var_keys, k_max):
+    """Run :func:`pr.graded_quotient_table` and compare each degree with the
+    oracle; then read every pivot of the :class:`pr.Echelon` of every degree
+    and check it: its smallest column is its own, with a positive entry; its
+    entries are nonzero ints of content 1; and it lies in the span of all
+    the rows of its degree."""
     with recorded_echelons() as made:
-        dims = pr.graded_quotient_dims(relations, extra, var_keys, k)
-    assert dims == graded_quotient_dims_oracle(relations, extra, var_keys, k)
-    echelon, = made
+        table = pr.graded_quotient_table(relations, extra, var_keys, k_max)
+    assert table == [graded_quotient_dims_oracle(relations, extra, var_keys, k)
+                     for k in range(k_max + 1)]
+    assert len(made) == k_max + 1
     keys = sorted(var_keys)
-    index = {
-        c: i for i, c in enumerate(itertools.combinations_with_replacement(keys, k))
-    }
-    assert echelon.rank == len(index) - dims[-1]
-    span = pr.Echelon()
-    for g in [*relations, *extra]:
-        for row in oracle_rows(g, keys, k, index):
-            span.add(row)
-    bits = max(1, k.bit_length())
+    bits = max(1, k_max.bit_length())
 
     def monomial_of(col):  # the inverse of the packing
         return tuple(kk for i, kk in enumerate(keys)
                      for _ in range(col >> (bits * i) & (1 << bits) - 1))
 
-    for col in list(echelon.pivots):
-        prow = echelon.pivot(col)
-        assert echelon.pivots[col] is prow
-        assert min(prow) == col and prow[col] > 0
-        assert all(type(v) is int and v for v in prow.values())
-        assert math.gcd(*prow.values()) == 1
-        assert not span.add({index[monomial_of(c)]: v for c, v in prow.items()})
-    return dims
+    for k, echelon in enumerate(made):
+        index = {
+            c: i for i, c in enumerate(itertools.combinations_with_replacement(keys, k))
+        }
+        assert echelon.rank == len(index) - table[k][-1]
+        span = pr.Echelon()
+        for g in [*relations, *extra]:
+            for row in oracle_rows(g, keys, k, index):
+                span.add(row)
+        for col, prow in pivot_rows(echelon).items():
+            assert min(prow) == col and prow[col] > 0
+            assert all(type(v) is int and v for v in prow.values())
+            assert math.gcd(*prow.values()) == 1
+            assert not span.add({index[monomial_of(c)]: v for c, v in prow.items()})
+    return table
 
 
 @settings(max_examples=150, deadline=None)
@@ -626,31 +741,33 @@ def test_by_reference_pivots_explicit_cases(relations, extra, k):
 
 def test_by_reference_pivot_is_normalised_once():
     # −2·x0² − 4·x0·x1 at k = 2 (content 2, negative lead; packed x0 = 1,
-    # x1 = 4) is one row with a free column: a reference, until read
+    # x1 = 4) is one row with a free column: stored as (u, terms), unreduced
     with recorded_echelons() as made:
         assert pr.graded_quotient_dims([-2 * X0 * X0 - 4 * X0 * X1], [], [0, 1], 2) == [2]
-    echelon, = made
+    *lower, echelon = made
+    assert [e.pivots for e in lower] == [{}, {}]
     assert echelon.pivots == {2: (0, [(2, 1), (5, 2)])}
-    # a row reaching that column expands the reference and reduces to zero
+    # a row reaching that column reduces to zero against it, which stays as is
     assert not echelon.eliminate({2: -3, 5: -6})
-    assert echelon.pivots == {2: {2: 1, 5: 2}}
+    assert echelon.pivots == {2: (0, [(2, 1), (5, 2)])}
+    assert pivot_rows(echelon) == {2: {2: 1, 5: 2}}
 
 
-def test_graded_ranks_eliminate_only_colliding_rows(monkeypatch):
-    # every row went through eliminate before: 16,830 and 12,189 calls
-    calls = Counter()
-    eliminate = pr.Echelon.eliminate
-
-    def counted(self, row):
-        calls["eliminate"] += 1
-        return eliminate(self, row)
-
-    monkeypatch.setattr(pr.Echelon, "eliminate", counted)
-    assert rich.straightened_law_report(wl.interval(W("(0)@0"), W("(1)@1")), 4)["ok"]
-    assert calls["eliminate"] == 2319
-    calls.clear()
-    assert rich.regular_sequence_check(wl.interval(W("(0)@0"), W("(1)@0")), 4)
-    assert calls["eliminate"] == 7770
+def test_graded_ranks_eliminate_only_colliding_rows():
+    # before pivots by reference every row went through eliminate: 16,830
+    # and 12,189 calls.  The relations are one group, so the criterion skips
+    # none of theirs; it leaves 7,084 rows of the height forms unbuilt
+    iv = wl.interval(W("(0)@0"), W("(1)@1"))
+    with recorded_echelons() as made:
+        assert rich.straightened_law_report(iv, 4)["ok"]
+    assert sum(e.calls for e in made) == 2319
+    assert rows_built(made) == 16830
+    rels, keys, ys = height_forms("(1)@0")
+    with recorded_echelons() as made:
+        assert rich.regular_sequence_check(wl.interval(W("(0)@0"), W("(1)@0")), 4)
+    assert sum(e.calls for e in made) == 686
+    assert row_total(rels + ys, len(keys), 4) == 12189
+    assert 12189 - rows_built(made) == 7084
 
 
 # ------------------------------------------------------------- sparse rank
@@ -705,7 +822,7 @@ def test_sparse_rank_matches_sympy(base, derived, rnd):
     echelon = pr.Echelon()
     grew = [echelon.add(r) for r in rows]
     assert sum(grew) == echelon.rank == expected
-    for col, prow in echelon.pivots.items():
+    for col, prow in pivot_rows(echelon).items():
         assert min(prow) == col and prow[col] > 0
         assert all(type(v) is int and v for v in prow.values())
         assert math.gcd(*prow.values()) == 1
@@ -717,8 +834,18 @@ def test_echelon_divides_out_content_when_a_is_not_1():
     e = pr.Echelon()
     assert e.add({0: 6, 1: n, 2: 1})
     assert e.add({0: 4, 1: 2 * n + 6, 2: 2})
-    assert e.pivots[1] == {1: 2 * n + 9, 2: 2}
+    assert pivot_rows(e)[1] == {1: 2 * n + 9, 2: 2}
     assert not e.add({1: -(2 * n + 9), 2: -2})
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/2"], ids=["float", "str"])
+def test_echelon_refuses_inexact_entries(entry):
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        pr.sparse_rank([{0: 1}, {0: entry}])
+    e = pr.Echelon()
+    with pytest.raises(TypeError, match="inexact coefficient"):
+        e.add({0: 1, 1: entry})
+    assert e.rank == 0
 
 
 # ------------------------------------------------------------ text I/O

@@ -538,6 +538,7 @@ class TestDimensions:
         assert rich.regular_sequence_check(IV("(0)@0", "(5)@0"), 3)
         assert rich.regular_sequence_check(IV("(0)@0", "(15)@0"), 3)
         assert rich.regular_sequence_check(IV("(0)@0", "(1)@0"), 2)
+        assert rich.regular_sequence_check(IV("(0)@0", "(1)@1"), 4)
 
     def test_regular_sequence_precondition(self):
         with pytest.raises(ValueError):
