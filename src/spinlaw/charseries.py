@@ -18,9 +18,14 @@ them:
 * :func:`chain_series_direct` — dynamic programming over the down-set sums
   of the interval's elements (the lattice's zeta transform), each built
   once, the oracle every other route is compared against;
-* :func:`character` — an exact rational closed form, built by
+* :func:`characters` — exact rational closed forms, built by
   inclusion–exclusion over the down-sets ``[lo, x]`` of the distributive
-  lattice (Hibi; Stanley's P-partitions);
+  lattice (Hibi; Stanley's P-partitions).  The numerator for ``[lo, x]``
+  depends on ``[lo, x]`` alone, so one walk from ``lo`` gives the character
+  of every requested top; :func:`character` is its one-top call.
+  :func:`character_series` runs the same walk truncated at ``t^k_max``,
+  which is exact: each step multiplies by ``1 − e t`` or ``e t``, neither of
+  negative ``t``-degree;
 * :func:`transfer_matrix` — the 2×2 transfer matrices, one per height (the
   poset has exactly two elements per height), each built from the height
   pairs by a ladder rule of four shapes.  Climbing the height ladder with
@@ -30,7 +35,7 @@ them:
   the height pairs (:func:`lower_bound_recursions_check`);
 * :func:`recursion_check_J` — four three-term recursions along the
   distinguished sequence ``J = {(15), (5), (0)¹, (1), (15)¹, …}``
-  (:func:`j_sequence`).
+  (:func:`j_sequence`), on the series of one truncated walk.
 
 Specializing all ``s_i`` and ``q`` to 1 collapses ``C`` to the ordinary
 Hilbert series.  Along ``J`` the specialized series are
@@ -43,8 +48,8 @@ the Delannoy square array), satisfying
     B_r = (1+t)/(1−t)² · B_{r−1} + t/(1−t)⁴ · B_{r−2},
     Σ_r B_r(t) s^r = 1 / ((1−t)·((1−t)⁴ − s(1−t)²(1+t) − t·s²)) ;
 
-:func:`delannoy_acceptance` verifies both statements from the computed
-characters, as exact identities of rational functions.
+:func:`delannoy_acceptance` verifies both statements from the characters
+of one walk, as exact identities of rational functions.
 
 Rational characters are kept with *factored* denominators: a
 :class:`RationalChar` is a Laurent-polynomial numerator over a multiset of
@@ -80,7 +85,7 @@ import struct
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
 from operator import attrgetter, itemgetter
 
@@ -94,6 +99,7 @@ from .weightlattice import (
     ht,
     ht_pair,
     interval,
+    join,
     leq,
     meet,
     torus_weight,
@@ -189,9 +195,14 @@ def _delta(m: Mono) -> int:
     return _pack(m) - _ONE_KEY
 
 
-def _pruned(d: dict) -> dict:
-    """``d`` with its zero coefficients deleted in place."""
-    for key in [key for key, c in d.items() if not c]:
+def _pruned(d: dict, cap: int | None = None) -> dict:
+    """``d`` with its zero coefficients deleted in place, and with ``cap``
+    also its keys ``≥ cap`` (the terms above a ``t``-degree)."""
+    if cap is None:
+        dead = [key for key, c in d.items() if not c]
+    else:
+        dead = [key for key, c in d.items() if not c or key >= cap]
+    for key in dead:
         del d[key]
     return d
 
@@ -839,24 +850,70 @@ def _parse_specialize(specialize) -> tuple[bool, bool]:
     return flags["s"], flags["q"]
 
 
-def character(iv: Interval, *, specialize=None) -> RationalChar:
-    """Exact rational chain series of the interval, by a down-set recursion.
+def characters(lo: Weight, tops, *, specialize=None) -> dict[Weight, RationalChar]:
+    """Exact rational chain series of ``[lo, x]`` for every ``x`` in ``tops``,
+    by one down-set recursion over ``[lo, ⋁ tops]``.
 
     Write ``N_x`` for the numerator of the character of ``[lo, x]`` over
-    ``Π_{z∈[lo,x]} (1 − e_z t)``.  Walking the interval in ``apos`` order,
+    ``Π_{z∈[lo,x]} (1 − e_z t)``; it depends on ``[lo, x]`` alone, so one
+    walk from ``lo`` passes every ``N_x`` below its top.  Walking the join's
+    interval in ``apos`` order,
     :func:`~spinlaw.weightlattice.decompose_below` classifies each ``x``:
     a Tail (one maximal element ``y`` below ``x``) gives ``N_x = N_y``; a
     Pair (tail ``a``, other ``b``, ``m = a ∧ b``, ``[lo, a) = [lo, m]``)
     splits the multichains below ``x`` by whether they reach ``a``, so
     ``N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z∈[lo,b]∖[lo,m]} (1 − e_z t)``.
-    The result is always ``N_hi`` over one factor per element, so a
-    one-point interval gives ``1/(1 − e_lo t)``; callers that want lowest
-    terms call ``reduced()``.  On every full character the tests draw,
+    Each top gets ``N_x`` over one factor per element of ``[lo, x]``, so
+    ``x = lo`` gives ``1/(1 − e_lo t)``; callers that want lowest terms
+    call ``reduced()``.  On every full character the tests draw,
     ``reduced()`` finds nothing to cancel; a specialization can make
     factors coincide, and then it does.  ``specialize`` may map ``"s"``
     and/or ``"q"`` to 1 to collapse the corresponding variables first.
-    Nothing is cached: each call builds its own result, whose ``den`` the
-    caller may change.
+
+    The result maps each distinct top, in the order given, to its
+    character.  A numerator no later step needs is dropped after its last
+    read, a wanted one is kept, and each is returned as the walk built it:
+    a top and the element below a Tail step share one numerator.  Nothing
+    is cached across calls; each result's ``den`` is its own.
+
+    One walk to ``(1)@1`` gives the characters of ``[(0)@0, (1)@N]`` for
+    ``N ≤ 1`` (numerator terms, factors):
+
+    >>> tops = [("(1)", 0), ("(1)", 1)]
+    >>> chars = characters(("(0)", 0), tops)
+    >>> [(len(c.num.coeffs), sum(c.den.values())) for c in chars.values()]
+    [(54, 16), (10518, 32)]
+    >>> chars[("(1)", 0)] == character(interval(("(0)", 0), ("(1)", 0)))
+    True
+    """
+    iv, tops = _walk_interval(lo, tops)
+    return _walk(iv, tops, specialize, None)
+
+
+def character_series(
+    lo: Weight, tops, k_max: int, *, specialize=None
+) -> dict[Weight, list[LaurentPoly]]:
+    """``characters(lo, tops, specialize=…)[x].series(k_max)`` for every top
+    ``x``, by one walk that drops each numerator term above ``t^k_max``.
+
+    The truncation is exact: every step of the walk multiplies by ``1 − e t``
+    or ``e t``, neither of negative ``t``-degree, so no term above
+    ``t^k_max`` ever reaches one below it.  Only the series leave the call.
+
+    >>> layers = character_series(("(0)", 0), [("(12)", 0)], 3)[("(12)", 0)]
+    >>> [c.total() for c in layers]     # the multichains of a 2-chain
+    [Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1)]
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    iv, tops = _walk_interval(lo, tops)
+    chars = _walk(iv, tops, specialize, (k_max + 1) << _T_SHIFT)
+    return {x: c.series(k_max) for x, c in chars.items()}
+
+
+def character(iv: Interval, *, specialize=None) -> RationalChar:
+    """Exact rational chain series of the interval: the one-top call of the
+    walk of :func:`characters`, over ``iv`` itself.
 
     Agrees with :func:`chain_series_direct` to every truncation — that
     equivalence is the module's core correctness property and is enforced
@@ -869,34 +926,56 @@ def character(iv: Interval, *, specialize=None) -> RationalChar:
     >>> b0 == RationalChar(LaurentPoly.one(), Counter({T_M: 5}))
     True
     """
+    return _walk(iv, (iv.hi,), specialize, None)[iv.hi]
+
+
+def _walk_interval(lo: Weight, tops) -> tuple[Interval, tuple[Weight, ...]]:
+    """The interval ``[lo, ⋁ tops]`` and the distinct tops, in order."""
+    tops = tuple(dict.fromkeys(tops))
+    if not tops:
+        raise ValueError("no tops given")
+    for x in tops:
+        if not leq(lo, x):
+            raise ValueError(
+                f"empty interval: {format_weight(lo)} is not <= {format_weight(x)}"
+            )
+    return interval(lo, reduce(join, tops)), tops
+
+
+def _walk(
+    iv: Interval, tops, specialize, cap: int | None
+) -> dict[Weight, RationalChar]:
+    """The down-set walk of :func:`characters` over ``iv``, for distinct
+    ``tops`` in ``iv``; with ``cap``, it drops every numerator term whose key
+    is ``≥ cap``, the terms above a ``t``-degree."""
     s_one, q_one = _parse_specialize(specialize)
-    lo, hi = iv.lo, iv.hi
-    wm = {x: _mono_spec(weight_mono(x), s_one, q_one) for x in iv.elements}
+    lo, els = iv.lo, iv.elements
+    wm = {x: _mono_spec(weight_mono(x), s_one, q_one) for x in els}
+    below = {x: [z for z in els if leq(z, x)] for x in tops}
     # By induction over the Tail and Pair steps below, every term of N_x is a
     # product of at most |[lo, x]| − 1 weight monomials: N_lo = 1, a Tail
     # keeps N_y, and a Pair term has at most |[lo, b]| = |[lo, x]| − 2.
-    reach = (len(iv) - 1) * _span(wm.values())
-    _check_reach(reach)
-    # reads[x]: the N_y that the step of x reads (a Tail shares N_y's dict).
-    # Walking back from hi, last[y] is the last step that reads N_y among the
-    # steps hi needs; an N_x that none of them reads is never built.
-    steps = {x: decompose_below(iv, x) for x in iv.elements[1:]}
-    reads = {
-        x: (s.below,) if isinstance(s, Tail) else (s.other, meet(s.tail, s.other))
-        for x, s in steps.items()
-    }
-    last = {hi: None}
-    for x in reversed(iv.elements[1:]):
+    reach = {x: (len(zs) - 1) * _span([wm[z] for z in zs]) for x, zs in below.items()}
+    _check_reach(max(reach.values()))
+    # Walking back from the tops, reads[x] is the N_y that the step of x
+    # reads (a Tail shares N_y's dict) and last[y] the last step that reads
+    # N_y.  A wanted N_x is never dropped; an N_x no step reads is never built.
+    steps: dict = {}
+    reads: dict = {}
+    last = dict.fromkeys(tops)
+    for x in reversed(els[1:]):
         if x in last:
+            s = steps[x] = decompose_below(iv, x)
+            reads[x] = (
+                (s.below,) if isinstance(s, Tail) else (s.other, meet(s.tail, s.other))
+            )
             for y in reads[x]:
                 last.setdefault(y, x)
-    # num[x] is the kernel dict of N_x, the numerator of the character of
-    # [lo, x] over Π_{z ∈ [lo, x]} (1 − e_z t), dropped after its last read.
-    # The apos order is a linear extension, so x comes after everything
-    # below it.
+    # num[x] is the kernel dict of N_x.  The apos order is a linear
+    # extension, so x comes after everything below it.
     num = {lo: {_ONE_KEY: 1}}
-    for x in iv.elements[1:]:
-        if x not in last:
+    for x in els[1:]:
+        if x not in steps:
             continue
         step = steps[x]
         if isinstance(step, Tail):
@@ -906,20 +985,23 @@ def character(iv: Interval, *, specialize=None) -> RationalChar:
             # N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z ∈ [lo, b]∖[lo, m]} (1 − e_z t)
             a, (b, m) = step.tail, reads[x]
             prod = num[m]
-            for z in iv.elements:
+            for z in els:
                 if leq(z, b) and not leq(z, m):
                     nxt = dict(prod)
                     _add_into(nxt, prod, _delta(wm[z]), -1)
-                    prod = _pruned(nxt)
+                    prod = _pruned(nxt, cap)
             d_a = _delta(wm[a])
             acc = dict(num[b])
             _add_into(acc, num[b], d_a, -1)
             _add_into(acc, prod, d_a)
-            num[x] = _pruned(acc)
+            num[x] = _pruned(acc, cap)
         for y in reads[x]:
             if last[y] == x:
                 del num[y]
-    return RationalChar(LaurentPoly._of(num[hi], reach), Counter(wm.values()))
+    return {
+        x: RationalChar(LaurentPoly._of(num[x], reach[x]), Counter(wm[z] for z in zs))
+        for x, zs in below.items()
+    }
 
 
 def pole_order(c: RationalChar) -> int:
@@ -1010,30 +1092,26 @@ def recursion_check_J(r_max: int, k_max: int) -> bool:
     ``(s, q)`` weights and compared coefficient by coefficient; the right
     side is assembled by convolving the series of its two products, so the
     deep interval characters are never multiplied out as rational functions.
-    Each distinct ``A^w`` is built and expanded once per call: ``(5)¹`` is a
-    left side and the tail ``d`` of kind ``(1)``.
+    Every side's ``A^w`` comes from one :func:`character_series` walk over
+    the distinct tops, truncated at ``t^k_max``: ``(5)¹`` is a left side
+    and the tail ``d`` of kind ``(1)``, and is expanded once.
 
     >>> recursion_check_J(1, 0)    # every side has constant term 1
     True
     """
     if r_max < 1 or k_max < 0:
         raise ValueError("r_max must be >= 1 and k_max >= 0")
-    expanded: dict[Weight, list[LaurentPoly]] = {}
-
-    def series(w: Weight) -> list[LaurentPoly]:
-        """The series of ``A^w`` to ``t^k_max``."""
-        if w not in expanded:
-            expanded[w] = character(interval(("(0)", 0), w)).series(k_max)
-        return expanded[w]
-
-    for r in range(1, r_max + 1):
-        for kind in _J_RECURSIONS:
-            top, terms = _j_recursion_sides(kind, r)
-            rhs: list[dict] = [{} for _ in range(k_max + 1)]
-            for coeff, w in terms:
-                _series_mul_into(rhs, coeff.series(k_max), series(w))
-            if [p._terms for p in series(top)] != list(map(_pruned, rhs)):
-                return False
+    sides = [
+        _j_recursion_sides(kind, r) for r in range(1, r_max + 1) for kind in _J_RECURSIONS
+    ]
+    tops = [w for top, terms in sides for w in (top, *(w for _, w in terms))]
+    series = character_series(("(0)", 0), tops, k_max)
+    for top, terms in sides:
+        rhs: list[dict] = [{} for _ in range(k_max + 1)]
+        for coeff, w in terms:
+            _series_mul_into(rhs, coeff.series(k_max), series[w])
+        if [p._terms for p in series[top]] != list(map(_pruned, rhs)):
+            return False
     return True
 
 
@@ -1138,17 +1216,18 @@ def delannoy_acceptance(r_max: int = 4, k_max: int = 8) -> bool:
     is ``(1−t)`` times the two-term recursion
     ``B_r = (1+t)/(1−t)²·B_{r−1} + t/(1−t)⁴·B_{r−2}``, so one loop checks
     both.  Every check is an exact identity of rational functions
-    (cross-multiplied).
+    (cross-multiplied).  The ``B_r`` come from one untruncated
+    :func:`characters` walk over the members of J, to their join.
 
     >>> delannoy_acceptance(1, 3)
     True
     """
     if r_max < 0 or k_max < 0:
         raise ValueError("r_max and k_max must be >= 0")
-    lo: Weight = ("(0)", 0)
     r_top = max(r_max, k_max)
-    ivs = [interval(lo, j_sequence(r)) for r in range(r_top + 1)]
-    bs = [character(iv, specialize={"s": 1, "q": 1}).reduced() for iv in ivs]
+    tops = [j_sequence(r) for r in range(r_top + 1)]
+    chars = characters(("(0)", 0), tops, specialize={"s": 1, "q": 1})
+    bs = [chars[x].reduced() for x in tops]
     one_minus_t = RationalChar(LaurentPoly({ONE_M: 1, T_M: -1}))
     one_plus_t = RationalChar(LaurentPoly({ONE_M: 1, T_M: 1}))
     t_char = RationalChar(LaurentPoly.monomial(T_M))

@@ -511,8 +511,34 @@ def _parsed_input(args):
     return None, {}
 
 
+# Options whose value may begin with "-": a negative level or mode.
+_SIGNED_OPTIONS = ("--window", "--modes")
+
+
+def _glue_signed_values(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--window -2..-1`` written ``--window=-2..-1``.
+
+    argparse takes a token that begins with ``-`` for an option unless it
+    is a plain negative number, so it would refuse a negative window or
+    mode list given after a space; glued with ``=``, both forms parse alike.
+
+    >>> _glue_signed_values(["hasse", "--window", "-2..-1", "--format", "dot"])
+    ['hasse', '--window=-2..-1', '--format', 'dot']
+    >>> _glue_signed_values(["fierz-check", "--window", "--modes", "-3,-2"])
+    ['fierz-check', '--window', '--modes=-3,-2']
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_glue_signed_values(argv))
     envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
     try:
         given, entry = _parsed_input(args)

@@ -653,6 +653,26 @@ def test_character_specialize_validation():
         cs.character(iv, specialize={"x": 1})
 
 
+SPECIALIZATIONS = [None, {"s": 1}, {"q": 1}, {"s": 1, "q": 1}]
+
+
+@st.composite
+def walk_inputs(draw):
+    """A bottom, one to four tops above it (repeats and lo itself allowed,
+    join at most 14 heights up), a specialization and a series order."""
+    lo = (draw(st.sampled_from(sorted(wl.COLUMN))), 0)
+    above = [
+        w for w in wl.window_weights((0, 2))
+        if wl.leq(lo, w) and wl.ht(w) - wl.ht(lo) <= 11
+    ]
+    tops = draw(st.lists(st.sampled_from(above), min_size=1, max_size=4))
+    hi = tops[0]
+    for x in tops[1:]:
+        hi = wl.join(hi, x)
+    assume(wl.ht(hi) - wl.ht(lo) <= 14)
+    return lo, tops, draw(st.sampled_from(SPECIALIZATIONS)), draw(st.integers(0, 4))
+
+
 ORACLE_INTERVALS = [
     ("(0)@0", "(5)@0", 4),
     ("(0)@0", "(45)@0", 4),
@@ -745,6 +765,43 @@ def test_character_matches_oracle_random():
         iv = wl.interval(lo, hi)
         assert cs.character(iv).series(3) == cs.chain_series_direct(iv, 3)
         done += 1
+
+
+def walk_case(lo: str, tops: list[str], spec, k: int) -> tuple:
+    return W(lo), [W(x) for x in tops], spec, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_inputs())
+# incomparable tops, whose join is neither of them
+@example(walk_case("(0)@0", ["(23)@0", "(14)@0"], None, 3))
+# a chain of tops, each read by a later step, and a repeat
+@example(walk_case("(0)@0", ["(15)@0", "(45)@0", "(15)@0", "(1)@0"], {"s": 1}, 4))
+# the top equal to lo
+@example(walk_case("(12)@0", ["(12)@0", "(45)@0"], {"q": 1}, 2))
+def test_one_walk_matches_each_interval_character(case):
+    lo, tops, spec, k = case
+    flags = dict(zip(("s_one", "q_one"), cs._parse_specialize(spec)))
+    got = cs.characters(lo, tops, specialize=spec)
+    assert list(got) == list(dict.fromkeys(tops))
+    series = cs.character_series(lo, tops, k, specialize=spec)
+    assert list(series) == list(got)
+    for x in tops:
+        iv = wl.interval(lo, x)
+        want = cs.character(iv, specialize=spec)
+        assert got[x].num == want.num and got[x].den == want.den, x
+        oracle = [p.specialized(**flags) for p in cs.chain_series_direct(iv, k)]
+        assert series[x] == want.series(k) == oracle, x
+
+
+def test_walk_refuses_bad_tops():
+    lo = W("(12)@0")
+    with pytest.raises(ValueError, match="no tops"):
+        cs.characters(lo, [])
+    with pytest.raises(ValueError, match="empty interval"):
+        cs.characters(lo, [W("(1)@0"), W("(0)@0")])
+    with pytest.raises(ValueError, match="k_max"):
+        cs.character_series(lo, [W("(1)@0")], -1)
 
 
 def test_tail_and_pair_rules():
@@ -859,12 +916,37 @@ def counting(monkeypatch, name: str) -> list:
 
 
 def test_recursion_check_J_builds_each_interval_once(monkeypatch):
-    calls = counting(monkeypatch, "character")
+    singles = counting(monkeypatch, "character")
+    series = counting(monkeypatch, "character_series")
+    walks = counting(monkeypatch, "_walk")
     assert cs.recursion_check_J(1, 4)
-    # 4 left sides and 8 tails, 8 distinct tops among them: (5)@1 is both
-    assert len(calls) == 8
-    assert len({iv.hi for (iv,) in calls}) == 8
+    # 4 left sides and 8 tails, 8 distinct tops among them: (5)@1 is both;
+    # one walk over them, truncated at t^4, and no one-top character
+    assert singles == []
+    [(lo, tops, k_max)] = series
+    assert lo == W("(0)@0") and len(tops) == 12 and len(set(tops)) == 8 and k_max == 4
+    [(_, walked, _, cap)] = walks
+    assert set(walked) == set(tops) and cap is not None
     assert cs.recursion_check_J(2, 3)
+
+
+def test_recursion_check_J_r_3():
+    # tops up to (0)@4, far past any full character built here; the walk
+    # truncated at t^4 reaches them
+    assert cs.recursion_check_J(3, 4)
+
+
+def test_delannoy_acceptance_walks_once(monkeypatch):
+    singles = counting(monkeypatch, "character")
+    walks = counting(monkeypatch, "_walk")
+    assert cs.delannoy_acceptance(12, 16)
+    # the 17 specialized characters along J, r = 0..16, from one untruncated walk
+    assert singles == []
+    [(iv, tops, spec, cap)] = walks
+    assert list(tops) == [cs.j_sequence(r) for r in range(17)]
+    # J is not a chain: the walk runs to the join of its members
+    assert iv.lo == W("(0)@0") and iv.hi == W("(25)@4") != cs.j_sequence(16)
+    assert spec == {"s": 1, "q": 1} and cap is None
 
 
 def test_lower_bound_recursions_run_each_dp_once(monkeypatch):

@@ -287,6 +287,25 @@ class TestChecks:
         assert code == 0
         assert json.loads(text)["ok"] is True
 
+    @pytest.mark.parametrize(
+        "spaced, glued, window",
+        [
+            (["hasse", "--window", "-2..-1"], ["hasse", "--window=-2..-1"], [-2, -1]),
+            (["weyl-check", "--window", "-1..0"], ["weyl-check", "--window=-1..0"],
+             [-1, 0]),
+            (["fierz-check", "--window", "-1..0", "--modes", "-3,-2"],
+             ["fierz-check", "--window=-1..0", "--modes=-3,-2"], [-1, 0]),
+        ],
+        ids=["hasse", "weyl-check", "fierz-check"],
+    )
+    def test_negative_window_parses_with_a_space(self, spaced, glued, window,
+                                                 tmp_path, capsys):
+        # a value that begins with "-" after its option, as after "="
+        code, text, artifact = run(spaced, tmp_path, capsys, "spaced")
+        assert code == 0 and text == artifact
+        assert json.loads(artifact)["window"] == window
+        assert run(glued, tmp_path, capsys, "glued") == (code, text, artifact)
+
 
 # One cheap run of every subcommand, and the parsed input main must echo.
 CONTRACT_CASES = [
