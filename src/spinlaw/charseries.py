@@ -86,7 +86,7 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
+from math import lcm, prod
 from operator import attrgetter, itemgetter
 
 from .weightlattice import (
@@ -445,14 +445,6 @@ _P = (1 << 61) - 1
 _PT = (3, 5, 7, 11, 13, 17)
 
 
-def _sq_value(m: Mono) -> int:
-    """``x^m`` at ``pt`` mod ``_P``, with the ``t``-exponent ignored."""
-    v = 1
-    for x, e in zip(_PT, m):
-        v = v * pow(x, e, _P) % _P
-    return v
-
-
 def _t_image(num: LaurentPoly) -> list[int]:
     """Images ``(L·N_j)(pt) mod _P`` for ``j`` from the lowest ``t``-degree
     up, with ``L`` the lcm of the coefficients' denominators."""
@@ -474,23 +466,16 @@ def _t_image(num: LaurentPoly) -> list[int]:
     return img
 
 
-def _image_vanishes(img: list[int], m: Mono) -> bool:
-    """Whether the image vanishes at ``t₀ = x^m(pt)⁻¹`` (``m`` of t-degree 1)."""
-    t0 = pow(_sq_value(m), -1, _P)
-    v = 0
-    for a in reversed(img):
-        v = (v * t0 + a) % _P
-    return v == 0
-
-
-def _image_div(img: list[int], m: Mono) -> list[int]:
-    """Image of ``N / (1 − x^m)`` by synthetic division, given that it divides."""
-    c, v = _sq_value(m), 0
+def _image_div(img: list[int], m: Mono) -> list[int] | None:
+    """Image of ``N / (1 − x^m)`` by synthetic division, or None when it
+    leaves a remainder, the value ``c^top·N(pt, 1/c)``, ``c = x^m(pt)`` with
+    the ``t``-exponent ignored."""
+    c, v = prod(pow(x, e, _P) for x, e in zip(_PT, m)) % _P, 0
     out: list[int] = []
-    for a in img[:-1]:
+    for a in img:
         v = (a + c * v) % _P
         out.append(v)
-    return out
+    return None if v else out[:-1]
 
 
 def _factors_poly(fac: Counter) -> LaurentPoly:
@@ -530,6 +515,7 @@ class RationalChar:
                 raise ValueError("denominator factor needs t-degree 1")
             if mult < 0:
                 raise ValueError("negative factor multiplicity")
+        den = +den  # without its zero multiplicities
         if num.is_zero():
             den = Counter()
         self.num = num
@@ -590,8 +576,8 @@ class RationalChar:
         Exact division by ``(1 − x^m)`` is the only way a factor is
         cancelled.  A failed trial scans the whole numerator, so every trial
         is first screened mod the prime ``P = 2⁶¹ − 1``: with ``s₁..s₅, q`` at
-        a fixed point ``pt`` and ``t₀ = x^m(pt)⁻¹``, the trial is skipped when
-        ``(L·N)(pt, t₀) ≢ 0``, ``L`` the lcm of the numerator's denominators.
+        a fixed point ``pt`` and ``c = x^m(pt)``, the trial is skipped when
+        ``(L·N)(pt, 1/c) ≢ 0``, ``L`` the lcm of the numerator's denominators.
 
         The skip is exact.  ``L·N`` has integer coefficients, and any divisor
         of ``N`` divides it; the quotient that ``_div_one_minus`` builds has
@@ -599,8 +585,9 @@ class RationalChar:
         division gives ``L·N ≡ (1 − x^m)·L·Q mod P`` as Laurent polynomials,
         and ``L·N`` vanishes mod ``P`` wherever ``x^m = 1``: a nonzero value
         means the trial would fail.  The image of ``L·N_j`` for each
-        ``t``-coefficient is taken in one pass and updated by synthetic
-        division after each cancellation.
+        ``t``-coefficient is taken in one pass.  One synthetic division of
+        it by ``1 − c·t`` both screens a trial and, when the trial succeeds,
+        gives the quotient's image: its remainder is ``c^top·(L·N)(pt, 1/c)``.
 
         One pass over the factors suffices: a factor that does not divide
         ``N`` divides no quotient of ``N``.
@@ -609,11 +596,11 @@ class RationalChar:
         img = _t_image(num)
         den = Counter()
         for m, mult in sorted(self.den.items()):
-            while mult and _image_vanishes(img, m):
+            while mult and (qimg := _image_div(img, m)) is not None:
                 q = _div_one_minus(num, m)
                 if q is None:
                     break
-                num, img, mult = q, _image_div(img, m), mult - 1
+                num, img, mult = q, qimg, mult - 1
             if mult:
                 den[m] = mult
         return RationalChar(num, den)

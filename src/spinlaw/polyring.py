@@ -388,7 +388,9 @@ class Echelon:
     :meth:`eliminate` reduces a ``{column: int}`` row, smallest column first,
     by ``row = a·row − b·pivot`` (``a``, ``b`` the leading entries over their
     gcd), dividing out the content when ``a ≠ 1``; what is left becomes a pivot
-    with a positive leading entry and content 1.  :meth:`add` first clears denominators.
+    with a positive leading entry and content 1.  It is the one way a row
+    enters, so a row holds ints: :func:`graded_quotient_table` clears each
+    generator's denominators once, and :func:`sparse_rank` takes int rows.
 
     A pivot has one form, ``(offset, terms)``: the row ``{offset + c: v for
     c, v in terms}``, with ``terms`` sorted by column, so the first is the
@@ -398,8 +400,7 @@ class Echelon:
     ``u·g`` whose leading column is free as ``(u, terms of g)``, unreduced.
 
     >>> e = Echelon()
-    >>> [e.add(r) for r in ({0: -2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(-2, 3)},
-    ...                     {0: 3, 2: 6})]
+    >>> [e.eliminate(r) for r in ({0: -2, 1: 4}, {0: 1, 1: -2}, {0: 3, 2: 6})]
     [True, False, True]
     >>> e.pivots == {0: (0, [(0, 1), (1, -2)]), 1: (0, [(1, 1), (2, 1)])}, e.rank
     (True, 2)
@@ -417,18 +418,9 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, row) -> bool:
-        """Reduce a row of ints and Fractions; True when it is independent of
-        the rows added before."""
-        for v in row.values():
-            if not isinstance(v, (int, Fraction)):
-                raise TypeError(f"inexact coefficient {v!r}")
-        den = math.lcm(*[v.denominator for v in row.values()])
-        return self.eliminate(
-            {c: v.numerator * (den // v.denominator) for c, v in row.items() if v})
-
     def eliminate(self, row: dict) -> bool:
-        """:meth:`add` for a row of nonzero ints, which it consumes."""
+        """Reduce a row of nonzero ints, which it consumes; True when it is
+        independent of the rows before it."""
         pivots = self.pivots
         while row:
             col = min(row)
@@ -461,12 +453,16 @@ class Echelon:
 
 
 def sparse_rank(rows) -> int:
-    """Rank of a sparse matrix given as an iterable of ``{column: int or
-    Fraction}`` rows, by fraction-free integer elimination (:class:`Echelon`).
+    """Rank of a sparse matrix given as an iterable of ``{column: int}`` rows,
+    by fraction-free integer elimination (:class:`Echelon`); zero entries are
+    dropped, and any entry but an int, a ``Fraction`` too, raises TypeError.
     """
     echelon = Echelon()
     for row in rows:
-        echelon.add(row)
+        for v in row.values():
+            if not isinstance(v, int):
+                raise TypeError(f"inexact coefficient {v!r}")
+        echelon.eliminate({c: v for c, v in row.items() if v})
     return echelon.rank
 
 
@@ -581,30 +577,6 @@ def graded_quotient_table(relations, extra, var_keys, k_max: int) -> list[list[i
             dims.append(ncols - echelon.rank)
         table.append(dims)
     return table
-
-
-def graded_quotient_dims(relations, extra, var_keys, k: int) -> list[int]:
-    """Row `k` of :func:`graded_quotient_table`: degree-`k` dimensions of
-    Q[vars] / (relations, extra[:j]), j = 0..len(extra); zeros when k < 0.
-
-    >>> x, y = variable(0), variable(1)
-    >>> graded_quotient_dims([x * y], [x, y], [0, 1], 2)
-    [2, 1, 0]
-    """
-    extra = list(extra)
-    table = graded_quotient_table(relations, extra, var_keys, k)
-    return table[k] if k >= 0 else [0] * (len(extra) + 1)
-
-
-def graded_quotient_dim(relations, var_keys, k: int) -> int:
-    """Dimension of the degree-`k` piece of Q[vars] / (relations): the
-    ``extra=[]`` case of :func:`graded_quotient_dims`.
-
-    >>> x, y = variable(0), variable(1)
-    >>> [graded_quotient_dim([x * y], [0, 1], k) for k in range(4)]
-    [1, 2, 2, 2]
-    """
-    return graded_quotient_dims(relations, [], var_keys, k)[0]
 
 
 # ------------------------------------------------------------ text format

@@ -323,14 +323,11 @@ def interval(lo: Weight, hi: Weight) -> Interval:
 def window_weights(window: tuple[int, int]) -> tuple[Weight, ...]:
     """All weights with level in ``window`` (inclusive), sorted by :func:`apos`.
 
-    They are the interval ``[(0)^lo, (1)^hi]``; an empty window (``lo > hi``)
-    has none.  The positions ``apos((0)^lo)`` to ``apos((1)^hi)`` hold them
-    and some weights of the neighbouring levels, which the level test drops.
+    They are the interval ``[(0)^lo, (1)^hi]``, ``(0)`` and ``(1)`` being
+    each level's bottom and top; an empty window (``lo > hi``) has none.
     """
     lo, hi = window
-    return tuple(
-        w for w in map(weight_from_apos, range(apos(("(0)", lo)), apos(("(1)", hi)) + 1))
-        if lo <= w[1] <= hi)
+    return interval(("(0)", lo), ("(1)", hi)).elements if lo <= hi else ()
 
 
 def clutters(iv: Interval) -> list[tuple[Weight, Weight]]:

@@ -23,6 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinlaw import charseries as cs
+from spinlaw import cli
 from spinlaw import weightlattice as wl
 
 W = wl.parse_weight
@@ -346,7 +347,7 @@ def test_reduced_matches_plain_trial_division(base, planted, extra):
         assert img == tuple_t_image(num.coeffs)
         assert cs._image_div(img, m) == cs._t_image(quot)
     # the screen lets every planted factor through to its trial
-    assert all(cs._image_vanishes(cs._t_image(num), m) for m in planted)
+    assert all(cs._image_div(cs._t_image(num), m) is not None for m in planted)
     c = cs.RationalChar(num, Counter(planted + extra))
     r = c.reduced()
     want = plain_reduced(c)
@@ -370,6 +371,31 @@ def test_full_character_reduction_pinned():
     m = min(c.den)
     assert cs._div_one_minus(c.num, m) is None
     assert tuple_div_one_minus(dict(c.num.coeffs), m) is None
+
+
+def test_reduced_screen_decides_each_trial(monkeypatch):
+    # the screen alone decides: on a full character no factor divides and
+    # no trial runs; on a specialized one each trial it lets through cancels
+    trials = counting(monkeypatch, "_div_one_minus")
+    full = {}
+    for x, factors in (("(1)@0", 16), ("(1)@1", 32), ("(15)@1", 20), ("(5)@1", 24)):
+        c = full[x] = cs.character(wl.interval(W("(0)@0"), W(x)))
+        r = c.reduced()
+        assert sum(c.den.values()) == factors and r.num == c.num and r.den == c.den
+    assert trials == []
+    for q_one, cancelled, left in ((False, 10, 22), (True, 13, 19)):
+        trials.clear()
+        r = full["(1)@1"].specialized(s_one=True, q_one=q_one).reduced()
+        assert len(trials) == cancelled and sum(r.den.values()) == left == 32 - cancelled
+
+
+def test_rational_char_drops_zero_multiplicities():
+    m = cs.weight_mono(W("(12)@0"))
+    c = cs.RationalChar(ONE, Counter({T: 0, m: 2}))
+    plain = cs.RationalChar(ONE, Counter({m: 2}))
+    assert list(c.den.items()) == [(m, 2)] and c == plain
+    assert cli.format_denominator(c.den) == cli.format_denominator(plain.den)
+    assert "^0" not in cli.format_denominator(c.den)
 
 
 def test_div_one_minus_below_the_factor_degree():

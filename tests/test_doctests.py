@@ -10,7 +10,7 @@ import pytest
 
 import spinlaw
 
-MODULES = ("weightlattice", "polyring", "spinalg", "richardson", "charseries", "cli")
+MODULES = tuple(info.name for info in pkgutil.iter_modules(spinlaw.__path__))
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -405,32 +405,28 @@ def test_buchberger_check_matches_oracle_on_intervals(r):
 
 def test_graded_quotient_dim_hand_oracles():
     xy = X0 * X1
-    assert [pr.graded_quotient_dim([xy], [0, 1], k) for k in range(5)] == [
-        1, 2, 2, 2, 2,
-    ]
+    assert pr.graded_quotient_table([xy], [], [0, 1], 4) == [[1], [2], [2], [2], [2]]
     sq = [X0 * X0, X0 * X1, X1 * X1]
-    assert [pr.graded_quotient_dim(sq, [0, 1], k) for k in range(4)] == [1, 2, 0, 0]
+    assert pr.graded_quotient_table(sq, [], [0, 1], 3) == [[1], [2], [0], [0]]
     # full polynomial ring when there are no relations
-    assert pr.graded_quotient_dim([], [0, 1, 2], 3) == 10
+    assert pr.graded_quotient_table([], [], [0, 1, 2], 3)[3] == [10]
     # x0/2 − x1 is a multiple of x0 − 2·x1; x0/2 − x1/3 is not
     lines = [Fraction(1, 2) * X0 - X1, Fraction(1, 2) * X0 - Fraction(1, 3) * X1]
-    assert pr.graded_quotient_dims([X0 - 2 * X1], lines, [0, 1], 1) == [1, 1, 0]
     assert pr.graded_quotient_table([X0 - 2 * X1], lines, [0, 1], 1) == [
         [1, 1, 1], [1, 1, 0]]
 
 
 def test_graded_quotient_dim_rejects_bad_input():
     with pytest.raises(ValueError):
-        pr.graded_quotient_dim([X0 + X0 * X1], [0, 1], 2)
+        pr.graded_quotient_table([X0 + X0 * X1], [], [0, 1], 2)
     with pytest.raises(ValueError):
-        pr.graded_quotient_dim([X0 * X2], [0, 1], 2)
+        pr.graded_quotient_table([X0 * X2], [], [0, 1], 2)
     with pytest.raises(ValueError):
-        pr.graded_quotient_dims([X0 * X1], [X0 + X0 * X1], [0, 1], 2)
+        pr.graded_quotient_table([X0 * X1], [X0 + X0 * X1], [0, 1], 2)
     with pytest.raises(ValueError):
-        pr.graded_quotient_dims([X0 * X1], [X2], [0, 1], 2)
+        pr.graded_quotient_table([X0 * X1], [X2], [0, 1], 2)
     with pytest.raises(ValueError):
         pr.graded_quotient_table([X0 * X1], [X2], [0, 1], -1)
-    assert pr.graded_quotient_dims([X0 * X1], [X0, X1], [0, 1], -1) == [0, 0, 0]
     assert pr.graded_quotient_table([X0 * X1], [X0, X1], [0, 1], -1) == []
 
 
@@ -452,19 +448,24 @@ def test_graded_quotient_dims_equal_prefix_dims(hi):
     rels, keys, ys = height_forms(hi)
     table = pr.graded_quotient_table(rels, ys, keys, 3)
     for k in range(4):
-        dims = pr.graded_quotient_dims(rels, ys, keys, k)
-        assert dims == table[k] == [
-            pr.graded_quotient_dim(rels + ys[:j], keys, k) for j in range(len(ys) + 1)
+        assert table[k] == [
+            pr.graded_quotient_table(rels + ys[:j], [], keys, k)[k][0]
+            for j in range(len(ys) + 1)
         ]
+
+
+def int_row(row):
+    """`row` times the lcm of its entries' denominators: every entry an int,
+    a zero kept."""
+    den = math.lcm(*[Fraction(v).denominator for v in row.values()])
+    return {c: int(v * den) for c, v in row.items()}
 
 
 def graded_quotient_dims_oracle(relations, extra, var_keys, k):
     """Row `k` of :func:`pr.graded_quotient_table`, with every row built: each
     degree-`k` monomial indexed by its sorted tuple of variable keys, each
-    product ``monomial · g`` built as a tuple, and ``Fraction`` rows handed to
-    ``Echelon.add``."""
-    if k < 0:
-        return [0] * (len(extra) + 1)
+    product ``monomial · g`` built as a tuple, and each ``Fraction`` row
+    scaled to ints and handed to ``Echelon.eliminate``."""
     keys = sorted(var_keys)
     index = {
         c: i for i, c in enumerate(itertools.combinations_with_replacement(keys, k))
@@ -473,7 +474,7 @@ def graded_quotient_dims_oracle(relations, extra, var_keys, k):
 
     def add_rows(g):
         for row in oracle_rows(g, keys, k, index):
-            echelon.add(row)
+            echelon.eliminate(int_row(row))
         return len(index) - echelon.rank
 
     for g in relations:
@@ -509,8 +510,8 @@ def test_graded_quotient_dims_match_tuple_index_oracle(data):
     g, h = data.draw(st.lists(homogeneous(used, d).filter(bool), min_size=2, max_size=2))
     rels.append(g)
     extra += [h, g + data.draw(st.sampled_from([Fraction(1, 3), Fraction(-5, 2)])) * h]
-    k = data.draw(st.integers(-1, 4))
-    assert pr.graded_quotient_dims(rels, extra, var_keys, k) == (
+    k = data.draw(st.integers(0, 4))
+    assert pr.graded_quotient_table(rels, extra, var_keys, k)[k] == (
         graded_quotient_dims_oracle(rels, extra, var_keys, k))
 
 
@@ -580,13 +581,13 @@ def test_graded_quotient_table_skips_exactly_the_criterion_rows(data):
 def test_graded_quotient_dims_without_variables():
     two = pr.Poly({pr.ONE: 2})
     for k in (0, 1):
-        assert pr.graded_quotient_dims([], [two], [], k) == (
+        assert pr.graded_quotient_table([], [two], [], k)[k] == (
             graded_quotient_dims_oracle([], [two], [], k)) == [1 - k, 0]
 
 
 def test_graded_quotient_dims_height_table_of_1_at_0():
     rels, keys, ys = height_forms("(1)@0")
-    assert [pr.graded_quotient_dims(rels, ys, keys, k) for k in range(5)] == [
+    assert pr.graded_quotient_table(rels, ys, keys, 4) == [
         [1] * 12,
         list(range(16, 4, -1)),
         [126, 110, 95, 81, 68, 56, 45, 35, 26, 18, 11, 5],
@@ -628,20 +629,20 @@ def test_packed_keys_do_not_alias_at_field_boundaries(k):
     monos = [math.prod((x[i] for i in c), start=pr.monomial_poly(pr.ONE))
              for c in itertools.combinations_with_replacement(range(3), k)]
     total = math.comb(k + 3, 3)  # over the four keys 0, 1, 2, 9
-    assert pr.graded_quotient_dims([], monos, [0, 1, 2, 9], k) == [
+    assert pr.graded_quotient_table([], monos, [0, 1, 2, 9], k)[k] == [
         total - j for j in range(len(monos) + 1)]
     binomial = monos[0] - math.prod([X1] * k)  # x0^k − x1^k
     for rels, extra, want in (([X0 - X2], [binomial], [k + 1, k]),
                               ([X0], [X1 * X2 - X1 * X1], [k + 1, min(k + 1, 2)])):
-        assert pr.graded_quotient_dims(rels, extra, [0, 1, 2], k) == (
+        assert pr.graded_quotient_table(rels, extra, [0, 1, 2], k)[k] == (
             graded_quotient_dims_oracle(rels, extra, [0, 1, 2], k)) == want
 
 
 def test_graded_quotient_dims_refuse_repeated_var_keys():
     # counted twice, the key 0 would make [3] of the two variables' [2]
     with pytest.raises(ValueError, match="repeats"):
-        pr.graded_quotient_dims([], [], [0, 0, 1], 1)
-    assert pr.graded_quotient_dims([], [], [1, 0], 1) == [2]
+        pr.graded_quotient_table([], [], [0, 0, 1], 1)
+    assert pr.graded_quotient_table([], [], [1, 0], 1)[1] == [2]
 
 
 @contextlib.contextmanager
@@ -706,12 +707,12 @@ def check_expanded_pivots(relations, extra, var_keys, k_max):
         span = pr.Echelon()
         for g in [*relations, *extra]:
             for row in oracle_rows(g, keys, k, index):
-                span.add(row)
+                span.eliminate(int_row(row))
         for col, prow in pivot_rows(echelon).items():
             assert min(prow) == col and prow[col] > 0
             assert all(type(v) is int and v for v in prow.values())
             assert math.gcd(*prow.values()) == 1
-            assert not span.add({index[monomial_of(c)]: v for c, v in prow.items()})
+            assert not span.eliminate({index[monomial_of(c)]: v for c, v in prow.items()})
     return table
 
 
@@ -743,7 +744,7 @@ def test_by_reference_pivot_is_normalised_once():
     # −2·x0² − 4·x0·x1 at k = 2 (content 2, negative lead; packed x0 = 1,
     # x1 = 4) is one row with a free column: stored as (u, terms), unreduced
     with recorded_echelons() as made:
-        assert pr.graded_quotient_dims([-2 * X0 * X0 - 4 * X0 * X1], [], [0, 1], 2) == [2]
+        assert pr.graded_quotient_table([-2 * X0 * X0 - 4 * X0 * X1], [], [0, 1], 2)[2] == [2]
     *lower, echelon = made
     assert [e.pivots for e in lower] == [{}, {}]
     assert echelon.pivots == {2: (0, [(2, 1), (5, 2)])}
@@ -818,9 +819,11 @@ def test_sparse_rank_matches_sympy(base, derived, rnd):
     dense = [[sympy.Rational(str(Fraction(r.get(c, 0)))) for c in range(7)]
              for r in rows]
     expected = sympy.Matrix(dense).rank() if rows else 0
+    # a row scaled by a nonzero int spans the same line; zeros stay in
+    rows = [int_row(r) for r in rows]
     assert pr.sparse_rank(rows) == expected
     echelon = pr.Echelon()
-    grew = [echelon.add(r) for r in rows]
+    grew = [echelon.eliminate({c: v for c, v in r.items() if v}) for r in rows]
     assert sum(grew) == echelon.rank == expected
     for col, prow in pivot_rows(echelon).items():
         assert min(prow) == col and prow[col] > 0
@@ -832,20 +835,18 @@ def test_echelon_divides_out_content_when_a_is_not_1():
     # leading entries 6 (pivot) and 4: a = 3, b = 2; 3·row − 2·pivot has content 2
     n = 10**20
     e = pr.Echelon()
-    assert e.add({0: 6, 1: n, 2: 1})
-    assert e.add({0: 4, 1: 2 * n + 6, 2: 2})
+    assert e.eliminate({0: 6, 1: n, 2: 1})
+    assert e.eliminate({0: 4, 1: 2 * n + 6, 2: 2})
     assert pivot_rows(e)[1] == {1: 2 * n + 9, 2: 2}
-    assert not e.add({1: -(2 * n + 9), 2: -2})
+    assert not e.eliminate({1: -(2 * n + 9), 2: -2})
 
 
-@pytest.mark.parametrize("entry", [0.5, "1/2"], ids=["float", "str"])
+@pytest.mark.parametrize("entry", [0.5, "1/2", Fraction(2, 1)],
+                         ids=["float", "str", "fraction"])
 def test_echelon_refuses_inexact_entries(entry):
+    # sparse_rank takes int rows: a Fraction is refused even when integral
     with pytest.raises(TypeError, match="inexact coefficient"):
         pr.sparse_rank([{0: 1}, {0: entry}])
-    e = pr.Echelon()
-    with pytest.raises(TypeError, match="inexact coefficient"):
-        e.add({0: 1, 1: entry})
-    assert e.rank == 0
 
 
 # ------------------------------------------------------------ text I/O
