@@ -16,9 +16,9 @@ JSON).  :func:`main` alone adds the envelope (``schema_version``,
 the report's ``ok`` alone (``hasse`` has none and cannot fail).
 
 Exit codes: 0 — all asserted properties hold; 2 — configuration or parse
-error, or the run ran out of memory or recursion depth (nothing is
-written); 3 — a checked property failed (the report is still written, with
-``"ok": false``).
+error, an unwritable artifact path, or the run ran out of memory or
+recursion depth (nothing is written); 3 — a checked property failed (the
+report is still written, with ``"ok": false``).
 
 Each subcommand imports the library layers it runs inside its ``cmd_*``
 function, so a run loads only those: ``character``, ``dims`` and
@@ -32,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import weightlattice as wl
 
@@ -159,6 +158,8 @@ def parse_interval(args) -> wl.Interval:
 def parse_specialize(text: str) -> dict:
     """``"s=1,q=1"`` → ``{"s": 1, "q": 1}``; :func:`spinlaw.charseries.character`
     decides which names and values it accepts."""
+    from fractions import Fraction
+
     spec = {}
     if not text:
         return spec
@@ -218,10 +219,8 @@ def cmd_hasse(args, window):
 def cmd_relations(args, iv):
     from . import polyring as pr
     from . import richardson as rich
-    from . import spinalg as sa
 
-    rels = rich.build_relations(iv)
-    rels.sort(key=lambda r: (r.l, sa.GAMMA_LABELS.index(r.s)))
+    # in (l, GAMMA_LABELS) order, one per clutter of the interval
     rows = [
         {
             "s": r.s,
@@ -230,11 +229,11 @@ def cmd_relations(args, iv):
             "body": pr.format_poly(r.body),
             "straightening_shape": rich.straightening_shape_check(r),
         }
-        for r in rels
+        for r in rich.build_relations(iv)
     ]
     report = {
         "relation_count": len(rows),
-        "clutter_count": len(wl.clutters(iv)),
+        "clutter_count": len(rows),
         "relations": rows,
         "ok": all(row["straightening_shape"] for row in rows),
     }
@@ -360,7 +359,7 @@ def cmd_character(args, iv):
         "specialize": {k: 1 for k in sorted(spec)},
         "numerator": format_laurent(c.num),
         "denominator": format_denominator(c.den),
-        "pole_order": cs.pole_order(cs.character(iv, specialize={"s": 1, "q": 1})),
+        "pole_order": cs.pole_order(c),
         "ok": True,
     }
     if args.series is not None:
@@ -554,8 +553,12 @@ def main(argv=None) -> int:
     except RuntimeError as e:
         report, text = {**envelope, "error": str(e), "ok": False}, None
     out = text if text is not None else render_json(report)
-    with open(_artifact_path(args, text), "w") as fh:
-        fh.write(out)
+    try:
+        with open(_artifact_path(args, text), "w") as fh:
+            fh.write(out)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     sys.stdout.write(out)
     return 0 if report.get("ok", True) else 3
 

@@ -339,21 +339,21 @@ def fierz_identities() -> dict[str, dict[str, Poly]]:
     """The sixteen bilinear elements h_α = Σ_{s,β} c^s_{αβ} λ^β x_{dual(s)}.
 
     Coefficients c^s_{αβ} are the full monomial coefficients of Γ^s (twice
-    the symmetric entries, all ±1 here).  Returned as
-    ``{α-tag: {s-label: coefficient polynomial of x_s}}``.  The exact
-    substitution x_s → Γ^s is verified to vanish for every α; a nonzero
-    residue raises.
+    the symmetric entries, all ±1 here): a term c·λ^α λ^β of Γ^s puts c·λ^β
+    into h_α and c·λ^α into h_β.  Returned as ``{α-tag: {s-label:
+    coefficient polynomial of x_s}}``.  The exact substitution x_s → Γ^s is
+    verified to vanish for every α; a nonzero residue raises.
     """
     gammas = gamma_quadrics()
+    rows: dict[str, dict[str, dict]] = {a: {} for a in TAGS}
+    for s in GAMMA_LABELS:
+        for mono, c in gammas[s].coeffs.items():
+            a, b = mono
+            for x, y in ((a, b), (b, a)):
+                rows[wl.weight_from_apos(x)[0]].setdefault(dual_label(s), {})[(y,)] = c
     out: dict[str, dict[str, Poly]] = {}
-    for a in TAGS:
-        alpha = (a, 0)
-        comps: dict[str, Poly] = {}
-        for s in GAMMA_LABELS:
-            coeff = Poly._of({pr.monomial_from_weights([(b, 0)]):
-                              gamma_monomial_coeff(s, alpha, (b, 0)) for b in TAGS})
-            if not coeff.is_zero():
-                comps[dual_label(s)] = coeff
+    for a, row in rows.items():
+        comps = {s: Poly._of(coeff) for s, coeff in row.items()}
         residue = Poly.zero()
         for s, coeff in comps.items():
             residue = residue + coeff * gammas[s]

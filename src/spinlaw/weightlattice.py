@@ -3,7 +3,7 @@ The pure-spinor weight poset and its affinization.
 
 The finite poset ``E`` has sixteen elements, written ``(0)``, ``(ij)`` for
 ``1 <= i < j <= 5`` and ``(k)`` for ``1 <= k <= 5``.  Its order is generated
-by twenty cover arrows arranged in four horizontal rows threaded by eight
+by twenty cover arrows, pictured as four horizontal rows threaded by eight
 vertical arrows:
 
     (0)--(12)--(13)--(23)            rows read left to right,
@@ -22,7 +22,9 @@ Every cover raises the height ``ht((a)^r) = 8*r + c(a)`` by exactly one, so
 ``Ê`` is graded with exactly two elements at every height (the "column
 pairs"), and each column is a chain of covers.  The pairs of heights 0..7
 (``_PAIRS``) state the grid once: the offsets ``c``, the columns, the order
-of ``TAGS`` and the involution ``U_TAG`` are read off them.  Weights are
+of ``TAGS`` and the involution ``U_TAG`` are read off them.  So are the
+arrows: ``b`` covers ``a`` exactly when ``b`` is one height up and their
+torus weights differ by a simple root (``_SIMPLE_ROOTS``).  Weights are
 represented as ``(tag, level)`` tuples such as ``("(12)", 0)`` and printed
 ``(12)@0``.
 
@@ -78,63 +80,11 @@ TAG_SUBSET: dict[str, frozenset[int]] = {
     **{f"({k})": frozenset({1, 2, 3, 4, 5} - {k}) for k in range(1, 6)},
 }
 
-_ROWS = (
-    ("(0)", "(12)", "(13)", "(23)"),
-    ("(14)", "(24)", "(34)", "(5)"),
-    ("(15)", "(25)", "(35)", "(4)"),
-    ("(45)", "(3)", "(2)", "(1)"),
-)
-
-_VERTICAL = (
-    ("(13)", "(14)"), ("(23)", "(24)"), ("(14)", "(15)"), ("(24)", "(25)"),
-    ("(34)", "(35)"), ("(5)", "(4)"), ("(35)", "(45)"), ("(4)", "(3)"),
-)
-
-#: Cross-level cover targets: ``tag^r -> CROSS_COVERS[tag]^{r+1}``.
-CROSS_COVERS: dict[str, str] = {
-    "(45)": "(0)", "(3)": "(12)", "(2)": "(13)", "(1)": "(23)",
-}
-
 #: The order-reversing involution on tags (extended to weights by
 #: ``anti_auto``): the tag at height offset ``10 - c`` in the other column.
 U_TAG: dict[str, str] = {
     a: b for a in TAGS for b in TAGS
     if HT_OFFSET[a] + HT_OFFSET[b] == 10 and COLUMN[a] != COLUMN[b]
-}
-
-# The cover arrows a^r -> b^{r+step}, as _UP[a] = [(b, step), ...] and
-# _DOWN[b] = [(a, step), ...]: rows, then verticals, then cross-level arrows.
-_UP: dict[str, list[tuple[str, int]]] = {t: [] for t in TAGS}
-_DOWN: dict[str, list[tuple[str, int]]] = {t: [] for t in TAGS}
-for _a, _b, _step in (
-    *((a, b, 0) for row in _ROWS for a, b in zip(row, row[1:])),
-    *((a, b, 0) for a, b in _VERTICAL),
-    *((a, b, 1) for a, b in CROSS_COVERS.items()),
-):
-    _UP[_a].append((_b, _step))
-    _DOWN[_b].append((_a, _step))
-
-
-def _reachable_same(start: str) -> frozenset[str]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt, step in _UP[stack.pop()]:
-            if step == 0 and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
-
-
-# _FINITE_UP[a] = set of tags b with a <= b at the same level.
-_FINITE_UP: dict[str, frozenset[str]] = {t: _reachable_same(t) for t in TAGS}
-
-# _CROSS_UP[a] = set of tags b with a^r <= b^{r+1}.
-_CROSS_UP: dict[str, frozenset[str]] = {
-    a: frozenset(
-        b for x, y in CROSS_COVERS.items() if x in _FINITE_UP[a] for b in _FINITE_UP[y]
-    )
-    for a in TAGS
 }
 
 _WEIGHT_RE = re.compile(r"^(\((?:0|[1-5]|[1-5][1-5])\))(?:[@^](-?\d+))?$")
@@ -210,6 +160,41 @@ def torus_weight(w: Weight) -> tuple[int, int, int, int, int, int]:
     tag, level = w
     sub = TAG_SUBSET[tag]
     return (*(1 if i in sub else -1 for i in range(1, 6)), level)
+
+
+#: The simple roots of affine D5 in :func:`torus_weight`'s coordinates, in
+#: the order of spinalg's root operators R₁..R₆: ε₂−ε₁, ε₁+ε₂, ε₃−ε₂,
+#: ε₄−ε₃, ε₅−ε₄ and δ−θ (θ = ε₄+ε₅), the one that raises the level.
+_SIMPLE_ROOTS: tuple[tuple[int, ...], ...] = (
+    (-2, 2, 0, 0, 0, 0), (2, 2, 0, 0, 0, 0), (0, -2, 2, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0), (0, 0, 0, -2, 2, 0), (0, 0, 0, -2, -2, 1),
+)
+
+# The cover arrows a^r -> b^{r+step}, as _UP[a] = [(b, step), ...] and
+# _DOWN[b] = [(a, step), ...], each b^step from the height pair above a^0.
+_UP: dict[str, list[tuple[str, int]]] = {t: [] for t in TAGS}
+_DOWN: dict[str, list[tuple[str, int]]] = {t: [] for t in TAGS}
+for _a in TAGS:
+    _wa = torus_weight((_a, 0))
+    for _b, _step in ht_pair(HT_OFFSET[_a] + 1):
+        if tuple(y - x for x, y in zip(_wa, torus_weight((_b, _step)))) in _SIMPLE_ROOTS:
+            _UP[_a].append((_b, _step))
+            _DOWN[_b].append((_a, _step))
+
+# _FINITE_UP[a] = set of tags b with a <= b at the same level, filled from
+# the top tag down (TAGS is a linear extension).
+_FINITE_UP: dict[str, frozenset[str]] = {}
+for _a in reversed(TAGS):
+    _FINITE_UP[_a] = frozenset({_a}).union(
+        *(_FINITE_UP[b] for b, step in _UP[_a] if not step))
+
+# _CROSS_UP[a] = set of tags b with a^r <= b^{r+1}.
+_CROSS_UP: dict[str, frozenset[str]] = {
+    a: frozenset(
+        b for x in _FINITE_UP[a] for y, step in _UP[x] if step for b in _FINITE_UP[y]
+    )
+    for a in TAGS
+}
 
 
 def covers_up(w: Weight) -> tuple[Weight, ...]:

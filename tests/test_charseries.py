@@ -770,11 +770,14 @@ def test_character_in_lowest_terms(data):
     assert r.num == c.num and r.den == c.den
     assert c.den == Counter(cs.weight_mono(x) for x in iv.elements)
     oracle = cs.chain_series_direct(iv, 3)
+    pole = cs.pole_order(cs.character(iv, specialize={"s": 1, "q": 1}))
     for spec in ({}, {"s": 1}, {"q": 1}, {"s": 1, "q": 1}):
         flags = {"s_one": "s" in spec, "q_one": "q" in spec}
         c = cs.character(iv, specialize=spec or None)
         assert sum(c.den.values()) == len(iv)  # one factor per element, unreduced
         assert c.series(3) == [p.specialized(**flags) for p in oracle], spec
+        # the pole order cli reads off the reduced character it reports
+        assert cs.pole_order(c.reduced()) == pole, spec
 
 
 def test_character_matches_oracle_random():
@@ -965,14 +968,38 @@ def test_recursion_check_J_r_3():
 def test_delannoy_acceptance_walks_once(monkeypatch):
     singles = counting(monkeypatch, "character")
     walks = counting(monkeypatch, "_walk")
+    trials = counting(monkeypatch, "_div_one_minus")
     assert cs.delannoy_acceptance(12, 16)
-    # the 17 specialized characters along J, r = 0..16, from one untruncated walk
-    assert singles == []
+    # the 17 specialized characters along J, r = 0..16, from one untruncated
+    # walk, compared cross-multiplied without a reduction
+    assert singles == [] and trials == []
     [(iv, tops, spec, cap)] = walks
     assert list(tops) == [cs.j_sequence(r) for r in range(17)]
     # J is not a chain: the walk runs to the join of its members
     assert iv.lo == W("(0)@0") and iv.hi == W("(25)@4") != cs.j_sequence(16)
     assert spec == {"s": 1, "q": 1} and cap is None
+
+
+def test_delannoy_acceptance_refuses_a_changed_row(monkeypatch):
+    real = cs.delannoy
+
+    def changed(n):
+        row = real(n)
+        return [row[0] + 1, *row[1:]] if n == 3 else row
+
+    monkeypatch.setattr(cs, "delannoy", changed)
+    assert not cs.delannoy_acceptance(12, 16)
+
+
+@pytest.mark.parametrize("spec", ["", "q=1", "s=1,q=1"])
+def test_cli_character_walks_once(spec, monkeypatch, tmp_path, capsys):
+    walks = counting(monkeypatch, "_walk")
+    argv = ["character", "--lo", "(0)@0", "--hi", "(1)@0", "--specialize", spec,
+            "--out", str(tmp_path / "c.json")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # the pole order is read off the reported character, not a second walk
+    assert len(walks) == 1
 
 
 def test_lower_bound_recursions_run_each_dp_once(monkeypatch):

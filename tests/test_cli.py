@@ -1,8 +1,10 @@
 """Tests for the command-line surface: contracts, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -264,16 +266,27 @@ class TestChecks:
              "a17fb7412ab34fc99b7bd6b6a0f47f0644b7fdca3c26335b71f406d09429bd90"),
             (["regseq-check", "--lo", "(0)@0", "--hi", "(1)@0", "--d-max", "4"],
              "dc6cb0ed23d03a857803535fbec963081c9abf880cfd0398d2bef8d73885f841"),
+            (["relations", "--lo", "(0)@0", "--hi", "(1)@2"],
+             "588deaf8f7f906d08edcd5c77d2f2e43e6d3cb18d25760929de8d95f0d8934d3"),
+            (["obstructions", "--lo", "(0)@0", "--hi", "(1)@3"],
+             "582fdb42ba5564c7257aa72550e9f1a8ffc837f1ab071b7882146c035d32d27d"),
+            (["hasse", "--window", "-1..2", "--format", "csv"],
+             "76ba76ce6d79e283e7c56b6be66592c7a258052e5c3bafa3cdf146ee4609e3d6"),
+            (["character", "--lo", "(0)@0", "--hi", "(1)@1", "--specialize", "q=1"],
+             "161185e095163522c36e2589c096e9030a62d5776c07ad05b4f11042615e23c4"),
         ],
         ids=["groebner-(1)@3", "fierz-0..3", "weyl-0..3", "straightened-(1)@1",
-             "relations-(1)@2-csv", "regseq-(1)@0-d4"],
+             "relations-(1)@2-csv", "regseq-(1)@0-d4", "relations-(1)@2",
+             "obstructions-(1)@3", "hasse-(-1..2)-csv", "character-(1)@1-q1"],
     )
     def test_check_artifacts_pinned(self, argv, digest, tmp_path, capsys):
         # SHA-256s of the artifacts written by the sort-every-step reduce,
         # the term-by-term Fierz residue sum, the unmemoised Weyl orbits, the
         # straightened-law loop formerly inside the CLI, the quadrics of the
         # wedge helpers that clifford_apply replaced and the graded ranks
-        # that eliminated every row
+        # that eliminated every row; and of the hand-typed cover arrows, the
+        # Fierz tables probed coefficient by coefficient, the re-sorted
+        # relations and the second walk for the pole order
         code, text, artifact = run(argv, tmp_path, capsys)
         assert code == 0 and text == artifact
         assert hashlib.sha256(artifact.encode()).hexdigest() == digest
@@ -333,6 +346,15 @@ CONTRACT_CASES = [
 class TestReportContract:
     def test_cases_cover_every_subcommand(self):
         assert sorted(argv[0] for argv, _ in CONTRACT_CASES) == sorted(cli.COMMANDS)
+
+    def test_readme_command_table_names_every_subcommand(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| command | what it does |\n| --- | --- |\n")[1]
+        rows = table[: table.index("\n\n")].splitlines()
+        names = {re.match(r"\| `([^`]+)` \|", row).group(1) for row in rows}
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert names == set(cli.COMMANDS) == set(sub.choices)
 
     @pytest.mark.parametrize(
         "argv, parsed", CONTRACT_CASES, ids=[argv[0] for argv, _ in CONTRACT_CASES]
@@ -402,6 +424,21 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and exc.__name__ in captured.err
         assert captured.out == ""
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["--out", "SPINLAW_OUT"])
+    def test_unwritable_artifact_path_exits_2(self, via_env, tmp_path, capsys,
+                                              monkeypatch):
+        missing = tmp_path / "missing"
+        if via_env:
+            monkeypatch.setenv("SPINLAW_OUT", str(missing))
+            argv = ["hasse"]
+        else:
+            argv = ["hasse", "--out", str(missing / "x.json")]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert not missing.exists()
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -624,6 +661,9 @@ class TestImportSets:
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(listing.read_text()))
         assert {m for m in loaded if m.split(".")[0] == "spinlaw"} == expected
+        if expected == LATTICE_PATH:
+            # only --specialize and the algebra layers read Fractions
+            assert "fractions" not in loaded
         bare = subprocess.run(
             [sys.executable, "-c",
              "import sys; print('dataclasses' in sys.modules)"],
