@@ -86,8 +86,7 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm, prod
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .weightlattice import (
     Interval,
@@ -437,45 +436,25 @@ def _div_one_minus(num: LaurentPoly, m: Mono) -> LaurentPoly | None:
     return LaurentPoly._of(quot, num.reach)
 
 
-# The modular image that screens RationalChar.reduced()'s trial divisions: a
-# numerator N = Σ_j N_j t^j is kept as the list of (L·N_j)(pt) mod _P, lowest
-# t-degree first, at a fixed point pt of (s₁..s₅, q) with nonzero coordinates.
+def _line_screen(num: LaurentPoly):
+    """The screen of :meth:`RationalChar.reduced` on ``num``: ``m`` ↦ the sum
+    of ``num``'s coefficients at the keys ``lo + k·_delta(m)``, ``lo`` the
+    lowest key, for ``k`` up to the ``t``-span of ``num`` or until an
+    exponent leaves the box ``|e| ≤ reach`` that holds every term, so no key
+    leaves the packed range.  The lowest key and the span are read once."""
+    terms, reach = num._terms, num.reach
+    lo = min(terms, default=_ONE_KEY)
+    span = (max(terms, default=lo) >> _T_SHIFT) - (lo >> _T_SHIFT)
+    start = _unpack(lo)[:6]
 
-_P = (1 << 61) - 1
-_PT = (3, 5, 7, 11, 13, 17)
+    def line_sum(m: Mono):
+        # the last k with |a + k·d| ≤ reach, for each exponent a of lo
+        ends = [((reach if d > 0 else -reach) - a) // d for a, d in zip(start, m) if d]
+        steps = min([span, *ends])
+        d = _delta(m) if steps else 0
+        return sum(terms.get(lo + k * d, 0) for k in range(steps + 1))
 
-
-def _t_image(num: LaurentPoly) -> list[int]:
-    """Images ``(L·N_j)(pt) mod _P`` for ``j`` from the lowest ``t``-degree
-    up, with ``L`` the lcm of the coefficients' denominators."""
-    terms = num._terms
-    if not terms:
-        return []
-    # L = 1 on an int-valued numerator, as every character built here is
-    integral = set(map(type, terms.values())) == {int}
-    scale = 1 if integral else lcm(*map(attrgetter("denominator"), terms.values()))
-    lo = min(terms) >> _T_SHIFT
-    img = [0] * ((max(terms) >> _T_SHIFT) - lo + 1)
-    powers: list[dict[int, int]] = [{} for _ in _PT]  # x^e mod _P, per variable
-    for key, c in terms.items():
-        e = _unpack(key)
-        v = c.numerator if scale == 1 else c.numerator * (scale // c.denominator)
-        for x, seen, k in zip(_PT, powers, e):
-            v = v * (seen[k] if k in seen else seen.setdefault(k, pow(x, k, _P))) % _P
-        img[e[6] - lo] = (img[e[6] - lo] + v) % _P
-    return img
-
-
-def _image_div(img: list[int], m: Mono) -> list[int] | None:
-    """Image of ``N / (1 − x^m)`` by synthetic division, or None when it
-    leaves a remainder, the value ``c^top·N(pt, 1/c)``, ``c = x^m(pt)`` with
-    the ``t``-exponent ignored."""
-    c, v = prod(pow(x, e, _P) for x, e in zip(_PT, m)) % _P, 0
-    out: list[int] = []
-    for a in img:
-        v = (a + c * v) % _P
-        out.append(v)
-    return None if v else out[:-1]
+    return line_sum
 
 
 def _factors_poly(fac: Counter) -> LaurentPoly:
@@ -574,33 +553,24 @@ class RationalChar:
         """Cancel denominator factors that divide the numerator exactly.
 
         Exact division by ``(1 − x^m)`` is the only way a factor is
-        cancelled.  A failed trial scans the whole numerator, so every trial
-        is first screened mod the prime ``P = 2⁶¹ − 1``: with ``s₁..s₅, q`` at
-        a fixed point ``pt`` and ``c = x^m(pt)``, the trial is skipped when
-        ``(L·N)(pt, 1/c) ≢ 0``, ``L`` the lcm of the numerator's denominators.
-
-        The skip is exact.  ``L·N`` has integer coefficients, and any divisor
-        of ``N`` divides it; the quotient that ``_div_one_minus`` builds has
-        coefficients in the ℤ-span of the dividend's.  So a successful
-        division gives ``L·N ≡ (1 − x^m)·L·Q mod P`` as Laurent polynomials,
-        and ``L·N`` vanishes mod ``P`` wherever ``x^m = 1``: a nonzero value
-        means the trial would fail.  The image of ``L·N_j`` for each
-        ``t``-coefficient is taken in one pass.  One synthetic division of
-        it by ``1 − c·t`` both screens a trial and, when the trial succeeds,
-        gives the quotient's image: its remainder is ``c^top·(L·N)(pt, 1/c)``.
-
-        One pass over the factors suffices: a factor that does not divide
-        ``N`` divides no quotient of ``N``.
+        cancelled.  If it divides ``N``, ``N`` vanishes where ``x^m = 1``,
+        where the terms on a line ``e + k·m`` become one monomial and no other
+        term does (``m`` has ``t``-degree 1): their coefficients sum to zero.
+        A trial runs only when that sum is zero on the line through ``N``'s
+        lowest key, one term per ``t``-degree (:func:`_line_screen`); the
+        division decides.  One pass over the factors suffices: a factor that
+        does not divide ``N`` divides no quotient of ``N``.
         """
         num = self.num
-        img = _t_image(num)
+        line_sum = _line_screen(num)
         den = Counter()
         for m, mult in sorted(self.den.items()):
-            while mult and (qimg := _image_div(img, m)) is not None:
+            while mult and not line_sum(m):
                 q = _div_one_minus(num, m)
                 if q is None:
                     break
-                num, img, mult = q, qimg, mult - 1
+                num, mult = q, mult - 1
+                line_sum = _line_screen(num)
             if mult:
                 den[m] = mult
         return RationalChar(num, den)

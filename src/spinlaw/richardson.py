@@ -101,7 +101,7 @@ def _clutter_monomials(f: Poly) -> list[tuple[Weight, Weight]]:
     for m in f.coeffs:
         a, b = _monomial_pair(m)
         if _is_clutter_pair(a, b):
-            out.append((a, b) if apos(a) <= apos(b) else (b, a))
+            out.append((a, b))
     return sorted(out)
 
 
@@ -169,8 +169,6 @@ def straightening_shape_check(rel: AffineRelation) -> bool:
         return False
     for mono, coeff in rel.body.coeffs.items():
         x, y = _monomial_pair(mono)
-        if apos(x) > apos(y):
-            x, y = y, x
         if (x, y) in ((a, b), (m, j)):
             continue
         if abs(coeff) != 1:

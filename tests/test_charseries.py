@@ -5,9 +5,9 @@ independent dynamic-programming oracle (`chain_series_direct`) and against a
 test-side transfer-matrix climb, the transfer matrices' zero pattern and
 eight-height period against the order, the Delannoy polynomials against a
 square-array grid recurrence, and the ladder recursions against series
-expansion with full torus weights.  The packed-key `LaurentPoly`,
-its trial division and its modular image are checked against the
-tuple-keyed arithmetic kept here as their oracle.
+expansion with full torus weights.  The packed-key `LaurentPoly` and its
+trial division are checked against the tuple-keyed arithmetic kept here as
+their oracle, and the line sums that screen `reduced()` against division.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -113,22 +113,6 @@ def tuple_div_one_minus(num: dict, m: tuple) -> dict | None:
                 if not acc[qe]:
                     del acc[qe]
     return quot
-
-
-def tuple_t_image(num: dict) -> list:
-    """``(L·N_j)(pt) mod P`` for each t-degree j from the lowest up, with L
-    the lcm of the coefficients' denominators."""
-    if not num:
-        return []
-    scale = lcm(*(c.denominator for c in num.values()))
-    lo = min(e[6] for e in num)
-    img = [0] * (max(e[6] for e in num) - lo + 1)
-    for e, c in num.items():
-        v = int(c * scale)
-        for x, k in zip(cs._PT, e):
-            v = v * pow(x, k, cs._P)
-        img[e[6] - lo] = (img[e[6] - lo] + v) % cs._P
-    return img
 
 
 def assert_same(p: cs.LaurentPoly, t: TupleLaurent) -> None:
@@ -231,7 +215,7 @@ def test_packed_matches_tuple_oracle(a, extra, cancel, n, m):
         assert pa.t_degree() == max(e[6] for e in ta.coeffs)
     assert pa.total() == sum(ta.coeffs.values())
     # trial division by 1 - x^m, of a + b (rarely divisible) and of its
-    # multiple, and the modular images of both
+    # multiple; the line sum is zero wherever the division goes through
     factor = TupleLaurent({cs.ONE_M: 1, m: -1})
     for t in (ta + tb, (ta + tb) * factor):
         want = tuple_div_one_minus(t.coeffs, m)
@@ -239,7 +223,7 @@ def test_packed_matches_tuple_oracle(a, extra, cancel, n, m):
         assert (got is None) == (want is None)
         if got is not None:
             assert_same(got, TupleLaurent(want))
-        assert cs._t_image(cs.LaurentPoly(t.coeffs)) == tuple_t_image(t.coeffs)
+            assert cs._line_screen(cs.LaurentPoly(t.coeffs))(m) == 0
 
 
 def test_coeffs_view_is_read_only():
@@ -307,9 +291,7 @@ def plain_reduced(c: cs.RationalChar) -> cs.RationalChar:
 
 # s and q exponents in -1..1; t-exponents may be negative in numerators
 SQ_EXP = st.tuples(*[st.integers(-1, 1)] * 6)
-# 2^61 - 1 is the screening prime: a coefficient whose denominator it
-# divides has no inverse mod the prime, so the screen images L·N, with L the
-# lcm of the denominators
+# line sums are exact on Fraction coefficients, large denominators included
 P = 2**61 - 1
 COEFF = st.builds(
     Fraction, st.integers(-3, 3).filter(bool),
@@ -334,20 +316,16 @@ FACTOR = st.one_of(
     planted=st.lists(FACTOR, max_size=4),
     extra=st.lists(FACTOR, max_size=3),
 )
-# the numerator (1 - t)^2 / (2P) has the coefficients 1/(2P), -1/P, 1/(2P),
-# whose denominators P divides: the screen images 2P·N = (1 - t)^2, and both
-# factors cancel through it
+# the numerator (1 - t)^2 / (2P) has the coefficients 1/(2P), -1/P, 1/(2P):
+# its line sums are exact Fractions, and both factors cancel
 @example(base={cs.ONE_M: Fraction(1, 2 * P)}, planted=[T, T], extra=[])
 def test_reduced_matches_plain_trial_division(base, planted, extra):
     num = cs.LaurentPoly(base)
     for m in planted:
-        quot, num = num, num * (ONE - cs.LaurentPoly.monomial(m))
-        # the image of a quotient is the synthetic quotient of the image
-        img = cs._t_image(num)
-        assert img == tuple_t_image(num.coeffs)
-        assert cs._image_div(img, m) == cs._t_image(quot)
+        num = num * (ONE - cs.LaurentPoly.monomial(m))
     # the screen lets every planted factor through to its trial
-    assert all(cs._image_div(cs._t_image(num), m) is not None for m in planted)
+    line_sum = cs._line_screen(num)
+    assert all(line_sum(m) == 0 for m in planted)
     c = cs.RationalChar(num, Counter(planted + extra))
     r = c.reduced()
     want = plain_reduced(c)
@@ -366,8 +344,10 @@ def test_full_character_reduction_pinned():
     r = c.reduced()
     assert r.num == c.num and r.den == c.den
     assert r.series(3) == cs.chain_series_direct(iv, 3)
-    # the screen's image and one trial division, against the tuple oracle
-    assert cs._t_image(c.num) == tuple_t_image(c.num.coeffs)
+    # the screen skips every factor, and one trial division agrees with the
+    # tuple oracle that it would fail
+    line_sum = cs._line_screen(c.num)
+    assert all(line_sum(m) != 0 for m in c.den)
     m = min(c.den)
     assert cs._div_one_minus(c.num, m) is None
     assert tuple_div_one_minus(dict(c.num.coeffs), m) is None
@@ -387,6 +367,52 @@ def test_reduced_screen_decides_each_trial(monkeypatch):
         trials.clear()
         r = full["(1)@1"].specialized(s_one=True, q_one=q_one).reduced()
         assert len(trials) == cancelled and sum(r.den.values()) == left == 32 - cancelled
+
+
+def test_reduced_screen_false_pass_runs_the_division(monkeypatch):
+    # on [(14)@0,(14)@2] with s=1, after nine cancellations the line sum of
+    # 1 - q t is zero on a numerator it does not divide: the division
+    # decides, and reduced() keeps the factor
+    c = cs.character(wl.interval(W("(14)@0"), W("(14)@2")), specialize={"s": 1})
+    div = cs._div_one_minus
+    trials = counting(monkeypatch, "_div_one_minus")
+    r, want = c.reduced(), plain_reduced(c)
+    assert r.num == want.num and r.den == want.den
+    m = (0, 0, 0, 0, 0, 1, 1)
+    assert [args for args in trials if div(*args) is None] == [trials[-1]]
+    num, last = trials[-1]
+    assert last == m and cs._line_screen(num)(m) == 0 and r.den[m] == 10
+
+
+def test_reduced_line_stays_in_the_packed_range():
+    # the line from 1 in steps of q^(2^30) t stops after one step, before
+    # q^(2^31) t^2 leaves the packed range: nothing is refused
+    m = (0, 0, 0, 0, 0, 2**30, 1)
+    c = cs.RationalChar(ONE + cs.LaurentPoly.monomial((0, 0, 0, 0, 0, 2**30, 2)),
+                        Counter({m: 1}))
+    r = c.reduced()
+    assert r.num == c.num and r.den == c.den
+    # in steps of s1^(-2^30) t, three steps from 1 would borrow across the
+    # s1 field onto the key of a term; the line stops after one step, where
+    # its sum is 2
+    m = (-(2**30), 0, 0, 0, 0, 0, 1)
+    alias = (2**30, -1, 0, 0, 0, 0, 3)
+    assert cs._pack(alias) == cs._ONE_KEY + 3 * cs._delta(m)
+    num = cs.LaurentPoly({cs.ONE_M: 1, (-(2**30), 0, 0, 0, 0, 0, 1): 1, alias: -2})
+    assert cs._line_screen(num)(m) == 2
+    c = cs.RationalChar(num, Counter({m: 1}))
+    r = c.reduced()
+    assert r.num == c.num and r.den == c.den
+    # on a numerator of one t-degree the line is its lowest key alone, so a
+    # factor past the packed range is never packed
+    c = cs.RationalChar(ONE, Counter({(2**31, 0, 0, 0, 0, 0, 1): 1}))
+    r = c.reduced()
+    assert r.num == c.num and r.den == c.den
+    # a factor that does divide still needs its quotient's expansion in range
+    m = (0, 0, 0, 0, 0, 2**30, 1)
+    c = cs.RationalChar(ONE - cs.LaurentPoly.monomial(m), Counter({m: 1}))
+    with pytest.raises(ValueError, match="packed range"):
+        c.reduced()
 
 
 def test_rational_char_drops_zero_multiplicities():
@@ -989,6 +1015,20 @@ def test_delannoy_acceptance_refuses_a_changed_row(monkeypatch):
 
     monkeypatch.setattr(cs, "delannoy", changed)
     assert not cs.delannoy_acceptance(12, 16)
+
+
+def test_delannoy_acceptance_refuses_a_changed_generating_function(monkeypatch):
+    # B_3 lies past r_max = 1, so only the generating function reads it
+    real = cs.characters
+
+    def changed(lo, tops, **kwargs):
+        chars = real(lo, tops, **kwargs)
+        chars[tops[3]] = chars[tops[3]] + cs.RationalChar.one()
+        return chars
+
+    assert cs.delannoy_acceptance(1, 3)
+    monkeypatch.setattr(cs, "characters", changed)
+    assert not cs.delannoy_acceptance(1, 3)
 
 
 @pytest.mark.parametrize("spec", ["", "q=1", "s=1,q=1"])

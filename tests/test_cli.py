@@ -274,10 +274,27 @@ class TestChecks:
              "76ba76ce6d79e283e7c56b6be66592c7a258052e5c3bafa3cdf146ee4609e3d6"),
             (["character", "--lo", "(0)@0", "--hi", "(1)@1", "--specialize", "q=1"],
              "161185e095163522c36e2589c096e9030a62d5776c07ad05b4f11042615e23c4"),
+            (["character", "--lo", "(14)@0", "--hi", "(14)@2", "--specialize", "s=1"],
+             "a675b3d79da10ef352776e091f6388fc2c15e0b26e43f2822968547a86fb0c68"),
+            (["character", "--lo", "(0)@0", "--hi", "(1)@1", "--specialize", "s=1"],
+             "1dc067266fa9d8f0dcc8550a4955e111f328f4a646928ac2d41e200459fe3a07"),
+            (["character", "--lo", "(0)@0", "--hi", "(5)@1"],
+             "dd1f9a01de324cadef0198e6908c3860caa26b476bed0ed378fc7ac015da7eaf"),
+            (["character", "--lo", "(23)@0", "--hi", "(5)@2", "--specialize", "s=1",
+              "--series", "4"],
+             "545359780ceeded7f65ecfebabde54f591465ae44919c1680d3d7ac7c6754d2c"),
+            (["character", "--lo", "(0)@90000000", "--hi", "(1)@90000000",
+              "--specialize", "s=1"],
+             "ed088f6c17403bff04dd6e8b322d1ec550c9830c23054f3edeb07ad0cbd37e3d"),
+            (["obstructions", "--lo", "(0)@0", "--hi", "(1)@1", "--format", "csv"],
+             "69ce0d38404d484cc836c564f96028d7829a24a0594c345ca5eb70ef1775660e"),
         ],
         ids=["groebner-(1)@3", "fierz-0..3", "weyl-0..3", "straightened-(1)@1",
              "relations-(1)@2-csv", "regseq-(1)@0-d4", "relations-(1)@2",
-             "obstructions-(1)@3", "hasse-(-1..2)-csv", "character-(1)@1-q1"],
+             "obstructions-(1)@3", "hasse-(-1..2)-csv", "character-(1)@1-q1",
+             "character-(14)@0-(14)@2-s1", "character-(1)@1-s1", "character-(5)@1",
+             "character-(23)@0-(5)@2-s1-series4", "character-(1)@90000000-s1",
+             "obstructions-(1)@1-csv"],
     )
     def test_check_artifacts_pinned(self, argv, digest, tmp_path, capsys):
         # SHA-256s of the artifacts written by the sort-every-step reduce,
@@ -286,7 +303,8 @@ class TestChecks:
         # wedge helpers that clifford_apply replaced and the graded ranks
         # that eliminated every row; and of the hand-typed cover arrows, the
         # Fierz tables probed coefficient by coefficient, the re-sorted
-        # relations and the second walk for the pole order
+        # relations and the second walk for the pole order; and of the
+        # characters reduced under the modular screen the line sums replaced
         code, text, artifact = run(argv, tmp_path, capsys)
         assert code == 0 and text == artifact
         assert hashlib.sha256(artifact.encode()).hexdigest() == digest

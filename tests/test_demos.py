@@ -1,11 +1,15 @@
-"""The demos run to completion against this checkout."""
+"""The demos and the README's library example run against this checkout."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from spinlaw import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,3 +72,23 @@ def test_cli_tour_runs(tmp_path):
 )
 def test_cli_tour_stops_on_a_failing_call(tmp_path, failing):
     assert run_tour(tmp_path, failing).returncode != 0
+
+
+def test_readme_library_example_runs():
+    # the README's "Library" block, run statement by statement: its names and
+    # the values of its bare expressions are the ones its comments state
+    readme = (ROOT / "README.md").read_text()
+    [block] = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
+    ns: dict = {}
+    shown = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            shown.append(eval(code, ns))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
+    assert len(ns["rels"]) == 10 and shown == [True, 16]
+    c = ns["c"]
+    assert cli.format_laurent(c.num) == "1+5t+5t^2+t^3"
+    assert cli.format_denominator(c.den) == "(1-t)^11"
+    assert [layer.total() for layer in c.series(4)] == [1, 16, 126, 672, 2772]

@@ -186,6 +186,13 @@ class TestBuildRelations:
         with pytest.raises(RuntimeError, match="has 0 clutters"):
             rich.build_relations(IV("(0)@0", "(5)@0"))
 
+    def test_clutter_mismatch_raises(self, monkeypatch):
+        # the retained clutters must biject onto the interval's clutters
+        real = wl.clutters
+        monkeypatch.setattr(wl, "clutters", lambda iv: real(iv)[1:])
+        with pytest.raises(RuntimeError, match="not in bijection"):
+            rich.build_relations(IV("(0)@0", "(1)@0"))
+
     def test_sub_interval_restriction(self):
         iv = IV("(0)@0", "(1)@1")
         sub = IV("(12)@0", "(13)@1")
@@ -241,6 +248,23 @@ class TestStraighteningShape:
         for lo_w, hi_w in rest:
             assert wl.leq(lo_w, W("(13)@0")) and lo_w != W("(13)@0")
             assert wl.leq(W("(24)@0"), hi_w) and hi_w != W("(24)@0")
+
+    @pytest.mark.parametrize("defect", ["clutter-2", "other-2", "not-straddling"])
+    def test_broken_shapes_are_refused(self, defect):
+        # the Γ^5 relation of [(0)@0,(5)@0] with one defect planted in its body
+        [r] = rich.build_relations(IV("(0)@0", "(5)@0"))
+        a, b = r.clutter
+        cl = pr.monomial_from_weights([a, b])
+        mj = pr.monomial_from_weights([wl.meet(a, b), wl.join(a, b)])
+        other = next(m for m in r.body.coeffs if m not in (cl, mj))
+        if defect == "clutter-2":        # a clutter coefficient of 2
+            extra = pr.Poly({cl: r.body[cl]})
+        elif defect == "other-2":        # a non-unit coefficient on another term
+            extra = pr.Poly({other: r.body[other]})
+        else:                            # λ^a λ^a does not straddle the meet and join
+            extra = pr.Poly({pr.monomial_from_weights([a, a]): 1})
+        assert rich.straightening_shape_check(r)
+        assert not rich.straightening_shape_check(r._replace(body=r.body + extra))
 
 
 # ------------------------------------------------------- standard monomials

@@ -367,6 +367,10 @@ def test_decompose_below_examples():
         tail=W("(5)@0"), other=W("(35)@0")
     )
 
+    iv = wl.interval(W("(0)@0"), W("(4)@0"))
+    with pytest.raises(ValueError, match="top != lo"):
+        wl.decompose_below(iv, iv.lo)
+
 
 def test_decompose_below_tail_property_everywhere():
     # in every Pair the designated tail side satisfies [lo, tail) = [lo, meet]
