@@ -30,8 +30,8 @@ print("straightening shape:", rich.straightening_shape_check(rel))
 
 print("\nstandard monomials vs graded quotient dimensions:")
 keys = [wl.apos(w) for w in iv.elements]
-graded = pr.graded_quotient_table([rel.body], [], keys, 4)
-for k, (dim,) in enumerate(graded):
+graded = pr.graded_quotient_dims([rel.body], keys, 4)
+for k, dim in enumerate(graded):
     std = rich.standard_monomials(iv, k)
     print(f"    k={k}:  {std} multichains  ==  dim {dim}")
 

@@ -353,8 +353,16 @@ def cmd_dims(args, iv):
 def cmd_character(args, iv):
     from . import charseries as cs
 
+    if args.format == "latex" and args.series is not None:
+        raise ValueError("--series has no latex rendering")
     spec = parse_specialize(args.specialize)
     c = cs.character(iv, specialize=spec or None).reduced()
+    if args.format == "latex":
+        tex = "\\frac{%s}{%s}\n" % (
+            format_laurent(c.num, tex=True),
+            format_denominator(c.den, tex=True),
+        )
+        return {"ok": True}, tex
     report = {
         "specialize": {k: 1 for k in sorted(spec)},
         "numerator": format_laurent(c.num),
@@ -364,12 +372,6 @@ def cmd_character(args, iv):
     }
     if args.series is not None:
         report["series"] = [format_laurent(p) for p in c.series(args.series)]
-    if args.format == "latex":
-        tex = "\\frac{%s}{%s}\n" % (
-            format_laurent(c.num, tex=True),
-            format_denominator(c.den, tex=True),
-        )
-        return report, tex
     return report, None
 
 
@@ -476,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_interval_args(p)
     p.add_argument("--specialize", default="", help="e.g. s=1,q=1")
     p.add_argument("--series", type=int, default=None,
-                   help="also expand the series to this order")
+                   help="also expand the series to this order (json only)")
 
     p = add("delannoy-check", "characters along J vs the Delannoy closed forms")
     p.add_argument("--r-max", type=int, default=4)

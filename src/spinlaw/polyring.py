@@ -389,14 +389,14 @@ class Echelon:
     by ``row = a·row − b·pivot`` (``a``, ``b`` the leading entries over their
     gcd), dividing out the content when ``a ≠ 1``; what is left becomes a pivot
     with a positive leading entry and content 1.  It is the one way a row
-    enters, so a row holds ints: :func:`graded_quotient_table` clears each
+    enters, so a row holds ints: :func:`graded_quotient_dims` clears each
     generator's denominators once, and :func:`sparse_rank` takes int rows.
 
     A pivot has one form, ``(offset, terms)``: the row ``{offset + c: v for
     c, v in terms}``, with ``terms`` sorted by column, so the first is the
     lead, at the pivot's own column.  Its entries are nonzero ints of
     content 1 and its lead is positive.  :meth:`eliminate` stores the row it
-    ends with as ``(0, terms)``; :func:`graded_quotient_table` stores a row
+    ends with as ``(0, terms)``; :func:`graded_quotient_dims` stores a row
     ``u·g`` whose leading column is free as ``(u, terms of g)``, unreduced.
 
     >>> e = Echelon()
@@ -466,18 +466,15 @@ def sparse_rank(rows) -> int:
     return echelon.rank
 
 
-def graded_quotient_table(relations, extra, var_keys, k_max: int) -> list[list[int]]:
-    """``dims[k][j]``: the degree-`k` dimension of Q[vars] / (relations,
-    extra[:j]), for k = 0..k_max and j = 0..len(extra).
+def graded_quotient_dims(relations, var_keys, k_max: int) -> list[int]:
+    """``dims[k]``: the degree-`k` dimension of Q[vars] / (relations), for
+    k = 0..k_max.
 
-    `relations` and `extra` must be homogeneous polynomials in the variables
-    listed in `var_keys`, which must not repeat.  A dimension is
-    ``C(n + k − 1, k)``, the number of degree-`k` monomials in ``n``
-    variables, minus the rank of the ideal's degree-`k` slice, spanned by all
-    products u·g, u a monomial of degree k − deg g.  The generators fall
-    into groups: the relations are group 0 and ``extra[j − 1]`` is group
-    ``j``.  Each degree has one :class:`Echelon`; its rows go in group by
-    group, and its rank is read after each group.
+    `relations` must be homogeneous polynomials in the variables listed in
+    `var_keys`, which must not repeat.  A dimension is ``C(n + k − 1, k)``,
+    the number of degree-`k` monomials in ``n`` variables, minus the rank of
+    the ideal's degree-`k` slice, spanned by all products u·g, u a monomial
+    of degree k − deg g; each degree has one :class:`Echelon`.
 
     Monomials are packed ints, variable ``i`` (in key order) being the field
     ``1 << (bits·i)``, ``bits = max(1, k_max.bit_length())``: no exponent up
@@ -485,41 +482,23 @@ def graded_quotient_table(relations, extra, var_keys, k_max: int) -> list[list[i
     of u·m is the sum of theirs.  Each generator's terms are packed, sorted,
     cleared of denominators and divided by their content once, with the
     lowest column's entry made positive; packing keeps order, so the leading
-    column of u·g is ``u + t₀``, ``t₀`` the smallest term key.  A group's
+    column of u·g is ``u + t₀``, ``t₀`` the smallest term key.  A degree's
     rows go in two passes: each u·g whose leading column has no pivot yet
     becomes the pivot ``(u, terms)`` as it is, then only the rows that
     collided go through :meth:`Echelon.eliminate`.  Rows with distinct free
-    leading columns are triangular, hence independent, and a group's rank
-    does not depend on the order of its rows.
-
-    The degrees go upward, and each degree records which group made each of
-    its pivot columns.  A row u·g of group ``j`` is never built when ``u``
-    is a pivot column of degree k − deg g made by an earlier group: this is
-    the F5 criterion (Faugère, "A new efficient algorithm for computing
-    Gröbner bases without reduction to zero (F5)", ISSAC 2002), in the matrix
-    form of Bardet, Faugère and Salvy (J. Symbolic Comput., 2015).  Such a
-    ``u`` is the smallest column of some ``h`` in the ideal of the earlier
-    groups, so
-
-    * ``u·g = (h·g − Σ_{v>u} c_v·v·g) / c_u``, ``c_v`` the entries of ``h``;
-    * ``h·g`` lies in that ideal, whose degree-`k` slice the earlier groups'
-      rows span;
-    * each ``v·g`` is a built row or, by downward induction on ``u``, in the
-      span of built rows; so the span, and every dimension, is unchanged.
-
-    For a regular sequence the criterion leaves no row of `extra` that
-    reduces to zero.
+    leading columns are triangular, hence independent, and the rank does not
+    depend on the order of the rows.
 
     >>> x, y = variable(0), variable(1)
-    >>> graded_quotient_table([x * y], [x, y], [0, 1], 2)
-    [[1, 1, 1], [2, 1, 0], [2, 1, 0]]
+    >>> graded_quotient_dims([x * y], [0, 1], 3)
+    [1, 2, 2, 2]
     """
     keys = sorted(var_keys)
     key_set = set(keys)
     if len(key_set) != len(keys):
         raise ValueError("var_keys repeats a variable")
-    relations, extra = list(relations), list(extra)
-    for g in relations + extra:
+    relations = list(relations)
+    for g in relations:
         if not g.is_homogeneous():
             raise ValueError("relations must be homogeneous")
         if not key_set.issuperset(itertools.chain.from_iterable(g.coeffs)):
@@ -541,42 +520,30 @@ def graded_quotient_table(relations, extra, var_keys, k_max: int) -> list[list[i
             terms = [(t, c // content) for t, c in terms]
         return g.degree(), terms
 
-    groups = [[packed(g) for g in gens if 0 <= g.degree() <= k_max]
-              for gens in [relations, *([g] for g in extra)]]
+    gens = [packed(g) for g in relations if 0 <= g.degree() <= k_max]
     multipliers: dict[int, list[int]] = {}  # by degree, packed once per call
-    makers: list[dict[int, int]] = []  # by degree: {pivot column: its group}
-    table = []
+    dims = []
     for k in range(k_max + 1):
         echelon = Echelon()
         pivots = echelon.pivots
-        maker: dict[int, int] = {}
-        makers.append(maker)
+        collided = []
+        for d, terms in gens:
+            if d > k:
+                continue
+            if k - d not in multipliers:
+                cwr = itertools.combinations_with_replacement(field.values(), k - d)
+                multipliers[k - d] = [sum(c) for c in cwr]
+            t0 = terms[0][0]
+            for u in multipliers[k - d]:
+                if u + t0 in pivots:
+                    collided.append((u, terms))
+                else:
+                    pivots[u + t0] = (u, terms)
+        for u, terms in collided:
+            echelon.eliminate({u + t: c for t, c in terms})
         ncols = math.comb(len(keys) + k - 1, k) if keys else int(k == 0)
-        dims = []
-        for j, group in enumerate(groups):
-            collided = []
-            for d, terms in group:
-                if d > k:
-                    continue
-                if k - d not in multipliers:
-                    cwr = itertools.combinations_with_replacement(field.values(), k - d)
-                    multipliers[k - d] = [sum(c) for c in cwr]
-                earlier = makers[k - d]
-                t0 = terms[0][0]
-                for u in multipliers[k - d]:
-                    if earlier.get(u, j) < j:
-                        continue
-                    if u + t0 in pivots:
-                        collided.append((u, terms))
-                    else:
-                        pivots[u + t0] = (u, terms)
-            for u, terms in collided:
-                echelon.eliminate({u + t: c for t, c in terms})
-            for col in itertools.islice(reversed(pivots), len(pivots) - len(maker)):
-                maker[col] = j
-            dims.append(ncols - echelon.rank)
-        table.append(dims)
-    return table
+        dims.append(ncols - echelon.rank)
+    return dims
 
 
 # ------------------------------------------------------------ text format

@@ -28,6 +28,7 @@ an independent oracle here or raised as a hard error when falsified.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 
 from . import polyring as pr
@@ -228,9 +229,9 @@ def straightened_law_report(iv: Interval, k_max: int) -> dict:
     rels = build_relations(iv)
     bodies = [r.body for r in rels]
     keys = [apos(w) for w in iv.elements]
-    graded = pr.graded_quotient_table(bodies, [], keys, k_max)
+    graded = pr.graded_quotient_dims(bodies, keys, k_max)
     dims = [
-        {"k": k, "standard": standard_monomials(iv, k), "graded": graded[k][0]}
+        {"k": k, "standard": standard_monomials(iv, k), "graded": graded[k]}
         for k in range(k_max + 1)
     ]
     dims_ok = all(d["standard"] == d["graded"] for d in dims)
@@ -302,10 +303,9 @@ def enumerate_obstructions(iv: Interval) -> list[ObstructionPair]:
     """
     els = iv.elements
     nbrs: dict[Weight, list[Weight]] = {w: [] for w in els}
-    for x, y in itertools.combinations(els, 2):
-        if _is_clutter_pair(x, y):
-            nbrs[x].append(y)
-            nbrs[y].append(x)
+    for x, y in wl.clutters(iv):
+        nbrs[x].append(y)
+        nbrs[y].append(x)
     out: list[ObstructionPair] = []
     for z in els:
         for x, y in itertools.combinations(nbrs[z], 2):
@@ -389,10 +389,15 @@ def obstruction_coverage(iv: Interval) -> list[dict]:
 def regular_sequence_check(iv: Interval, d_max: int) -> bool:
     """Are the height-graded linear forms a regular sequence on the algebra?
 
-    With ``y_i`` the sum of the interval's variables at height ``i``, each
-    successive quotient must drop the Hilbert function by a factor
-    ``(1 − t)``: ``dim_k(j) = dim_k(j−1) − dim_{k−1}(j−1)`` for all
-    ``k ≤ d_max``, checked by exact linear algebra.
+    With ``y_j`` the sum of the interval's variables at the j-th height and
+    ``H_j`` the Hilbert function of ``A/(y_1..y_j)``, multiplying by ``y_j``
+    gives ``H_j = (1 − t)·H_{j−1} + t·K_j``, ``K_j ≥ 0`` the Hilbert function
+    of the annihilator of ``y_j``.  So ``H_n − (1 − t)^n·H_0`` is
+    ``Σ_j t(1 − t)^{n−j}·K_j``, whose lowest term is ``t^{e+1}·Σ_j K_j[e]``,
+    ``e`` the lowest degree of any nonzero ``K_j``: every ``K_j`` vanishes
+    below ``d_max`` exactly when ``H_n(k) = Σ_i (−1)^i·C(n, i)·H_0(k − i)``
+    for all ``k ≤ d_max``.  ``A/(y)`` is the relations reduced by the forms,
+    in the variables that are no form's tip (each height's largest key).
 
     >>> regular_sequence_check(
     ...     interval(parse_weight("(0)@0"), parse_weight("(15)@0")), 3)
@@ -406,10 +411,13 @@ def regular_sequence_check(iv: Interval, d_max: int) -> bool:
     for w in iv.elements:
         by_ht.setdefault(ht(w), {})[pr.monomial_from_weights([w])] = 1
     ys = [Poly._of(by_ht[i]) for i in sorted(by_ht)]
-    # dims[k][j]: degree-k dimension modulo rels + ys[:j]
-    dims = pr.graded_quotient_table(rels, ys, keys, d_max)
+    tips = {pr.tip(y)[0] for y in ys}
+    h0 = pr.graded_quotient_dims(rels, keys, d_max)
+    hn = pr.graded_quotient_dims(
+        [g for g in (pr.reduce(f, ys) for f in rels) if g],
+        [k for k in keys if k not in tips], d_max)
+    n = len(ys)
     return all(
-        dims[k][j] == dims[k][j - 1] - (dims[k - 1][j - 1] if k else 0)
-        for j in range(1, len(ys) + 1)
+        hn[k] == sum((-1) ** i * math.comb(n, i) * h0[k - i] for i in range(min(n, k) + 1))
         for k in range(d_max + 1)
     )

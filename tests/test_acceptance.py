@@ -78,7 +78,7 @@ def test_criterion_01_pure_spinor_character():
     series_ok = dims == [1, 16, 126, 672, 2772]
     rels = [r.body for r in rich.build_relations(iv)]
     keys = [wl.apos(w) for w in iv.elements]
-    rank_dims = [row[0] for row in pr.graded_quotient_table(rels, [], keys, 3)]
+    rank_dims = pr.graded_quotient_dims(rels, keys, 3)
     rank_ok = rank_dims == [1, 16, 126, 672]
     std_ok = rich.standard_monomials(iv, 4) == 2772
     criterion(
@@ -110,9 +110,9 @@ def test_criterion_03_groebner_affine():
     rels = [r.body for r in rich.build_relations(iv)]
     remainders = pr.buchberger_check(rels)
     buch_ok = all(rem.is_zero() for rem in remainders.values())
-    table = pr.graded_quotient_table(rels, [], [wl.apos(w) for w in iv.elements], 2)
+    graded = pr.graded_quotient_dims(rels, [wl.apos(w) for w in iv.elements], 2)
     dims_ok = all(
-        rich.standard_monomials(iv, k) == table[k][0] for k in range(3)
+        rich.standard_monomials(iv, k) == graded[k] for k in range(3)
     )
     fierz_ok = all(
         sa.affine_fierz(a, n, (0, 1)).is_zero()

@@ -73,6 +73,29 @@ class TestCharacter:
         assert code == 0
         assert text == "\\frac{1}{(1-t)^{5}}\n"
 
+    def test_latex_format_renders_only_what_it_writes(self, tmp_path, capsys, monkeypatch):
+        # the numerator once, in TeX: no plain text, series or pole order
+        calls = []
+        real = cli.format_laurent
+        monkeypatch.setattr(cli, "format_laurent",
+                            lambda p, **kw: calls.append(kw) or real(p, **kw))
+        code, text, artifact = run(
+            ["character", "--lo", "(0)@0", "--hi", "(1)@0",
+             "--specialize", "s=1,q=1", "--format", "latex"],
+            tmp_path, capsys, name="char.tex",
+        )
+        assert code == 0 and text == artifact == "\\frac{1+5t+5t^{2}+t^{3}}{(1-t)^{11}}\n"
+        assert calls == [{"tex": True}]
+
+    def test_latex_format_refuses_series(self, tmp_path, capsys):
+        # a latex artifact has no place for the series: exit 2, nothing written
+        code, text, artifact = run(
+            ["character", "--lo", "(0)@0", "--hi", "(15)@0",
+             "--specialize", "s=1,q=1", "--series", "4", "--format", "latex"],
+            tmp_path, capsys, name="char.tex",
+        )
+        assert (code, text, artifact) == (2, "", None)
+
     def test_partial_specialization_reduces(self, tmp_path, capsys):
         code, text, _ = run(
             ["character", "--lo", "(0)@0", "--hi", "(15)@0",
@@ -288,13 +311,18 @@ class TestChecks:
              "ed088f6c17403bff04dd6e8b322d1ec550c9830c23054f3edeb07ad0cbd37e3d"),
             (["obstructions", "--lo", "(0)@0", "--hi", "(1)@1", "--format", "csv"],
              "69ce0d38404d484cc836c564f96028d7829a24a0594c345ca5eb70ef1775660e"),
+            (["character", "--lo", "(0)@0", "--hi", "(1)@1", "--specialize", "s=1",
+              "--format", "latex"],
+             "97d45c56399c31f4e734ff53d5b6ae31a71296f4e9738579672b3dbe59c81784"),
+            (["regseq-check", "--lo", "(0)@0", "--hi", "(1)@1", "--d-max", "4"],
+             "f0f36d1467c8a830383043319d9587b41d64e83e0618d4e68a8b0195c86bff94"),
         ],
         ids=["groebner-(1)@3", "fierz-0..3", "weyl-0..3", "straightened-(1)@1",
              "relations-(1)@2-csv", "regseq-(1)@0-d4", "relations-(1)@2",
              "obstructions-(1)@3", "hasse-(-1..2)-csv", "character-(1)@1-q1",
              "character-(14)@0-(14)@2-s1", "character-(1)@1-s1", "character-(5)@1",
              "character-(23)@0-(5)@2-s1-series4", "character-(1)@90000000-s1",
-             "obstructions-(1)@1-csv"],
+             "obstructions-(1)@1-csv", "character-(1)@1-s1-latex", "regseq-(1)@1-d4"],
     )
     def test_check_artifacts_pinned(self, argv, digest, tmp_path, capsys):
         # SHA-256s of the artifacts written by the sort-every-step reduce,
@@ -304,7 +332,9 @@ class TestChecks:
         # that eliminated every row; and of the hand-typed cover arrows, the
         # Fierz tables probed coefficient by coefficient, the re-sorted
         # relations and the second walk for the pole order; and of the
-        # characters reduced under the modular screen the line sums replaced
+        # characters reduced under the modular screen the line sums replaced,
+        # the latex character that built the JSON report too and the regular
+        # sequence read off the table over every prefix of the forms
         code, text, artifact = run(argv, tmp_path, capsys)
         assert code == 0 and text == artifact
         assert hashlib.sha256(artifact.encode()).hexdigest() == digest

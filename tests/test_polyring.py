@@ -405,29 +405,30 @@ def test_buchberger_check_matches_oracle_on_intervals(r):
 
 def test_graded_quotient_dim_hand_oracles():
     xy = X0 * X1
-    assert pr.graded_quotient_table([xy], [], [0, 1], 4) == [[1], [2], [2], [2], [2]]
+    assert pr.graded_quotient_dims([xy], [0, 1], 4) == [1, 2, 2, 2, 2]
     sq = [X0 * X0, X0 * X1, X1 * X1]
-    assert pr.graded_quotient_table(sq, [], [0, 1], 3) == [[1], [2], [0], [0]]
+    assert pr.graded_quotient_dims(sq, [0, 1], 3) == [1, 2, 0, 0]
     # full polynomial ring when there are no relations
-    assert pr.graded_quotient_table([], [], [0, 1, 2], 3)[3] == [10]
+    assert pr.graded_quotient_dims([], [0, 1, 2], 3)[3] == 10
     # x0/2 − x1 is a multiple of x0 − 2·x1; x0/2 − x1/3 is not
-    lines = [Fraction(1, 2) * X0 - X1, Fraction(1, 2) * X0 - Fraction(1, 3) * X1]
-    assert pr.graded_quotient_table([X0 - 2 * X1], lines, [0, 1], 1) == [
-        [1, 1, 1], [1, 1, 0]]
+    lines = [X0 - 2 * X1, Fraction(1, 2) * X0 - X1, Fraction(1, 2) * X0 - Fraction(1, 3) * X1]
+    assert [pr.graded_quotient_dims(lines[:j], [0, 1], 1) for j in (1, 2, 3)] == [
+        [1, 1], [1, 1], [1, 0]]
 
 
 def test_graded_quotient_dim_rejects_bad_input():
     with pytest.raises(ValueError):
-        pr.graded_quotient_table([X0 + X0 * X1], [], [0, 1], 2)
+        pr.graded_quotient_dims([X0 + X0 * X1], [0, 1], 2)
     with pytest.raises(ValueError):
-        pr.graded_quotient_table([X0 * X2], [], [0, 1], 2)
+        pr.graded_quotient_dims([X0 * X2], [0, 1], 2)
+    # a bad generator after a good one, also when k_max leaves no degree
     with pytest.raises(ValueError):
-        pr.graded_quotient_table([X0 * X1], [X0 + X0 * X1], [0, 1], 2)
+        pr.graded_quotient_dims([X0 * X1, X0 + X0 * X1], [0, 1], 2)
     with pytest.raises(ValueError):
-        pr.graded_quotient_table([X0 * X1], [X2], [0, 1], 2)
+        pr.graded_quotient_dims([X0 * X1, X2], [0, 1], 2)
     with pytest.raises(ValueError):
-        pr.graded_quotient_table([X0 * X1], [X2], [0, 1], -1)
-    assert pr.graded_quotient_table([X0 * X1], [X0, X1], [0, 1], -1) == []
+        pr.graded_quotient_dims([X0 * X1, X2], [0, 1], -1)
+    assert pr.graded_quotient_dims([X0 * X1, X0, X1], [0, 1], -1) == []
 
 
 def height_forms(hi):
@@ -443,13 +444,33 @@ def height_forms(hi):
     return rels, keys, ys
 
 
+def reduced_prefix_dims(rels, keys, ys, j, k_max):
+    """The dimensions modulo ``rels + ys[:j]``, as those of the relations
+    reduced by the forms in the variables that are no form's tip: the forms
+    have distinct linear tips, so reducing by them is a substitution."""
+    forms = ys[:j]
+    tips = {pr.tip(y)[0] for y in forms}
+    return pr.graded_quotient_dims(
+        [g for g in (pr.reduce(f, forms) for f in rels) if g],
+        [kk for kk in keys if kk not in tips], k_max)
+
+
+def prefix_table(rels, keys, ys, k_max):
+    """``table[k][j]``: the degree-`k` dimension modulo ``rels + ys[:j]``."""
+    columns = [reduced_prefix_dims(rels, keys, ys, j, k_max) for j in range(len(ys) + 1)]
+    return [list(row) for row in zip(*columns)]
+
+
 @pytest.mark.parametrize("hi", ["(15)@0", "(1)@0"])
 def test_graded_quotient_dims_equal_prefix_dims(hi):
+    # the relations reduced by the forms, and the forms kept as generators
+    # at each k_max (so at each field width), give one table
     rels, keys, ys = height_forms(hi)
-    table = pr.graded_quotient_table(rels, ys, keys, 3)
+    table = prefix_table(rels, keys, ys, 3)
+    assert [row[0] for row in table] == pr.graded_quotient_dims(rels, keys, 3)
     for k in range(4):
         assert table[k] == [
-            pr.graded_quotient_table(rels + ys[:j], [], keys, k)[k][0]
+            pr.graded_quotient_dims(rels + ys[:j], keys, k)[k]
             for j in range(len(ys) + 1)
         ]
 
@@ -461,25 +482,20 @@ def int_row(row):
     return {c: int(v * den) for c, v in row.items()}
 
 
-def graded_quotient_dims_oracle(relations, extra, var_keys, k):
-    """Row `k` of :func:`pr.graded_quotient_table`, with every row built: each
-    degree-`k` monomial indexed by its sorted tuple of variable keys, each
-    product ``monomial · g`` built as a tuple, and each ``Fraction`` row
-    scaled to ints and handed to ``Echelon.eliminate``."""
+def graded_quotient_dims_oracle(relations, var_keys, k):
+    """Entry `k` of :func:`pr.graded_quotient_dims`, with every row built
+    apart: each degree-`k` monomial indexed by its sorted tuple of variable
+    keys, each product ``monomial · g`` built as a tuple, and each
+    ``Fraction`` row scaled to ints and handed to ``Echelon.eliminate``."""
     keys = sorted(var_keys)
     index = {
         c: i for i, c in enumerate(itertools.combinations_with_replacement(keys, k))
     }
     echelon = pr.Echelon()
-
-    def add_rows(g):
+    for g in relations:
         for row in oracle_rows(g, keys, k, index):
             echelon.eliminate(int_row(row))
-        return len(index) - echelon.rank
-
-    for g in relations:
-        add_rows(g)
-    return [len(index) - echelon.rank] + [add_rows(g) for g in extra]
+    return len(index) - echelon.rank
 
 
 def oracle_rows(g, keys, k, index):
@@ -502,17 +518,16 @@ def test_graded_quotient_dims_match_tuple_index_oracle(data):
     # the generators use only some of var_keys; degrees 0..3, zero allowed
     var_keys = data.draw(st.lists(st.integers(0, 40), min_size=2, max_size=5, unique=True))
     used = data.draw(st.lists(st.sampled_from(var_keys), min_size=2, unique=True))
-    gens = st.lists(st.integers(0, 3).flatmap(lambda d: homogeneous(used, d)), max_size=3)
-    rels, extra = data.draw(gens), data.draw(gens)
+    gens = data.draw(st.lists(st.integers(0, 3).flatmap(lambda d: homogeneous(used, d)),
+                              max_size=6))
     # g + s·h lies in the span of g and h; whether the other generators'
     # rows reach it depends on the exact coefficient ratios
     d = data.draw(st.integers(1, 3))
     g, h = data.draw(st.lists(homogeneous(used, d).filter(bool), min_size=2, max_size=2))
-    rels.append(g)
-    extra += [h, g + data.draw(st.sampled_from([Fraction(1, 3), Fraction(-5, 2)])) * h]
+    gens += [g, h, g + data.draw(st.sampled_from([Fraction(1, 3), Fraction(-5, 2)])) * h]
     k = data.draw(st.integers(0, 4))
-    assert pr.graded_quotient_table(rels, extra, var_keys, k)[k] == (
-        graded_quotient_dims_oracle(rels, extra, var_keys, k))
+    assert pr.graded_quotient_dims(gens, var_keys, k)[k] == (
+        graded_quotient_dims_oracle(gens, var_keys, k))
 
 
 def monomial_count(n, k):
@@ -521,7 +536,7 @@ def monomial_count(n, k):
 
 
 def row_total(gens, n, k_max):
-    """Every row ``u·g`` of degree ≤ `k_max`, built or not."""
+    """Every row ``u·g`` of degree ≤ `k_max`."""
     return sum(monomial_count(n, k - g.degree())
                for g in gens for k in range(k_max + 1) if 0 <= g.degree() <= k)
 
@@ -536,8 +551,8 @@ def rows_built(made):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_graded_quotient_table_skips_exactly_the_criterion_rows(data):
-    # relations and extras that are not a regular sequence: the criterion
-    # must leave every dimension as the oracle, which builds every row, has it
+    # generators that are not a regular sequence: the dimensions are the
+    # oracle's, and every row u·g is built exactly once, none skipped
     var_keys = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True))
     gen = st.integers(0, 3).flatmap(lambda d: homogeneous(var_keys, d))
     rels = data.draw(st.lists(gen, max_size=3))
@@ -563,45 +578,41 @@ def test_graded_quotient_table_skips_exactly_the_criterion_rows(data):
         else:
             g = nonzero(k_max + 1)
         extra.insert(data.draw(st.integers(0, len(extra))), g)
+    gens = rels + extra
     with recorded_echelons() as made:
-        table = pr.graded_quotient_table(rels, extra, var_keys, k_max)
+        dims = pr.graded_quotient_dims(gens, var_keys, k_max)
     assert len(made) == k_max + 1
-    assert table == [graded_quotient_dims_oracle(rels, extra, var_keys, k)
-                     for k in range(k_max + 1)]
-    # extra[j]'s row u·g is left out exactly when u leads an element of the
-    # ideal of the earlier groups, so per degree k − deg g as many times as
-    # that ideal's rank there
-    n = len(var_keys)
-    skipped = sum(monomial_count(n, k - g.degree()) - table[k - g.degree()][j]
-                  for j, g in enumerate(extra)
-                  for k in range(k_max + 1) if 0 <= g.degree() <= k)
-    assert rows_built(made) == row_total(rels + extra, n, k_max) - skipped
+    assert dims == [graded_quotient_dims_oracle(gens, var_keys, k)
+                    for k in range(k_max + 1)]
+    assert rows_built(made) == row_total(gens, len(var_keys), k_max)
 
 
 def test_graded_quotient_dims_without_variables():
     two = pr.Poly({pr.ONE: 2})
     for k in (0, 1):
-        assert pr.graded_quotient_table([], [two], [], k)[k] == (
-            graded_quotient_dims_oracle([], [two], [], k)) == [1 - k, 0]
+        assert [pr.graded_quotient_dims(gens, [], k)[k] for gens in ([], [two])] == [
+            graded_quotient_dims_oracle(gens, [], k) for gens in ([], [two])] == [1 - k, 0]
 
 
 def test_graded_quotient_dims_height_table_of_1_at_0():
+    # the last column is the h-vector 1 + 5t + 5t² + t³ of the numerator
     rels, keys, ys = height_forms("(1)@0")
-    assert pr.graded_quotient_table(rels, ys, keys, 4) == [
+    table = prefix_table(rels, keys, ys, 4)
+    assert table == [
         [1] * 12,
         list(range(16, 4, -1)),
         [126, 110, 95, 81, 68, 56, 45, 35, 26, 18, 11, 5],
         [672, 546, 436, 341, 260, 192, 136, 91, 56, 30, 12, 1],
         [2772, 2100, 1554, 1118, 777, 517, 325, 189, 98, 42, 12, 0],
     ]
+    assert [row[0] for row in table] == pr.graded_quotient_dims(rels, keys, 4)
 
 
 def test_graded_quotient_table_of_1_at_1():
     # pinned from the elimination that built every row u·g (88,479
     # eliminate calls, 82,613 of them reducing to zero)
     rels, keys, ys = height_forms("(1)@1")
-    with recorded_echelons() as made:
-        table = pr.graded_quotient_table(rels, ys, keys, 4)
+    table = prefix_table(rels, keys, ys, 4)
     assert table == [
         [1] * 20,
         list(range(32, 12, -1)),
@@ -612,10 +623,14 @@ def test_graded_quotient_table_of_1_at_1():
         [38775, 33687, 29097, 24973, 21284, 18000, 15092, 12532, 10293, 8349,
          6675, 5247, 4042, 3038, 2214, 1550, 1027, 627, 333, 129],
     ]
-    assert sum(e.calls for e in made) == 8185
-    # the height forms are a regular sequence: none of their rows that the
-    # criterion lets through reduces to zero, only the relations' own 2,319
-    assert sum(e.zeros for e in made) == 2319
+    assert [row[0] for row in table] == pr.graded_quotient_dims(rels, keys, 4)
+    # regular_sequence_check reads the first and the last column: 2,319
+    # eliminate calls for the relations, 1,103 for them reduced by the
+    # forms, and every one reduces to zero
+    with recorded_echelons() as made:
+        assert rich.regular_sequence_check(wl.interval(W("(0)@0"), W("(1)@1")), 4)
+    assert sum(e.calls for e in made) == sum(e.zeros for e in made) == 3422
+    assert rows_built(made) == 19980
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8])
@@ -629,20 +644,20 @@ def test_packed_keys_do_not_alias_at_field_boundaries(k):
     monos = [math.prod((x[i] for i in c), start=pr.monomial_poly(pr.ONE))
              for c in itertools.combinations_with_replacement(range(3), k)]
     total = math.comb(k + 3, 3)  # over the four keys 0, 1, 2, 9
-    assert pr.graded_quotient_table([], monos, [0, 1, 2, 9], k)[k] == [
-        total - j for j in range(len(monos) + 1)]
+    assert [pr.graded_quotient_dims(monos[:j], [0, 1, 2, 9], k)[k]
+            for j in range(len(monos) + 1)] == [total - j for j in range(len(monos) + 1)]
     binomial = monos[0] - math.prod([X1] * k)  # x0^k − x1^k
-    for rels, extra, want in (([X0 - X2], [binomial], [k + 1, k]),
-                              ([X0], [X1 * X2 - X1 * X1], [k + 1, min(k + 1, 2)])):
-        assert pr.graded_quotient_table(rels, extra, [0, 1, 2], k)[k] == (
-            graded_quotient_dims_oracle(rels, extra, [0, 1, 2], k)) == want
+    for gens, want in (([X0 - X2, binomial], [k + 1, k]),
+                       ([X0, X1 * X2 - X1 * X1], [k + 1, min(k + 1, 2)])):
+        assert [pr.graded_quotient_dims(gens[:j], [0, 1, 2], k)[k] for j in (1, 2)] == [
+            graded_quotient_dims_oracle(gens[:j], [0, 1, 2], k) for j in (1, 2)] == want
 
 
 def test_graded_quotient_dims_refuse_repeated_var_keys():
-    # counted twice, the key 0 would make [3] of the two variables' [2]
+    # counted twice, the key 0 would make 3 of the two variables' 2
     with pytest.raises(ValueError, match="repeats"):
-        pr.graded_quotient_table([], [], [0, 0, 1], 1)
-    assert pr.graded_quotient_table([], [], [1, 0], 1)[1] == [2]
+        pr.graded_quotient_dims([], [0, 0, 1], 1)
+    assert pr.graded_quotient_dims([], [1, 0], 1)[1] == 2
 
 
 @contextlib.contextmanager
@@ -681,16 +696,16 @@ def pivot_rows(echelon):
     return rows
 
 
-def check_expanded_pivots(relations, extra, var_keys, k_max):
-    """Run :func:`pr.graded_quotient_table` and compare each degree with the
+def check_expanded_pivots(gens, var_keys, k_max):
+    """Run :func:`pr.graded_quotient_dims` and compare each degree with the
     oracle; then read every pivot of the :class:`pr.Echelon` of every degree
     and check it: its smallest column is its own, with a positive entry; its
     entries are nonzero ints of content 1; and it lies in the span of all
     the rows of its degree."""
     with recorded_echelons() as made:
-        table = pr.graded_quotient_table(relations, extra, var_keys, k_max)
-    assert table == [graded_quotient_dims_oracle(relations, extra, var_keys, k)
-                     for k in range(k_max + 1)]
+        dims = pr.graded_quotient_dims(gens, var_keys, k_max)
+    assert dims == [graded_quotient_dims_oracle(gens, var_keys, k)
+                    for k in range(k_max + 1)]
     assert len(made) == k_max + 1
     keys = sorted(var_keys)
     bits = max(1, k_max.bit_length())
@@ -703,9 +718,9 @@ def check_expanded_pivots(relations, extra, var_keys, k_max):
         index = {
             c: i for i, c in enumerate(itertools.combinations_with_replacement(keys, k))
         }
-        assert echelon.rank == len(index) - table[k][-1]
+        assert echelon.rank == len(index) - dims[k]
         span = pr.Echelon()
-        for g in [*relations, *extra]:
+        for g in gens:
             for row in oracle_rows(g, keys, k, index):
                 span.eliminate(int_row(row))
         for col, prow in pivot_rows(echelon).items():
@@ -713,7 +728,7 @@ def check_expanded_pivots(relations, extra, var_keys, k_max):
             assert all(type(v) is int and v for v in prow.values())
             assert math.gcd(*prow.values()) == 1
             assert not span.eliminate({index[monomial_of(c)]: v for c, v in prow.items()})
-    return table
+    return dims
 
 
 @settings(max_examples=150, deadline=None)
@@ -724,8 +739,8 @@ def test_by_reference_pivots_expand_to_echelon_rows(data):
     scales = st.sampled_from([1, 2, -1, -6, Fraction(1, 2), Fraction(-4, 3)])
     gen = st.tuples(st.integers(0, 3).flatmap(lambda d: homogeneous(var_keys, d)),
                     scales).map(lambda gs: gs[0] * gs[1])
-    rels, extra = data.draw(st.lists(gen, max_size=3)), data.draw(st.lists(gen, max_size=3))
-    check_expanded_pivots(rels, extra, var_keys, data.draw(st.integers(0, 4)))
+    gens = data.draw(st.lists(gen, max_size=6))
+    check_expanded_pivots(gens, var_keys, data.draw(st.integers(0, 4)))
 
 
 @pytest.mark.parametrize("relations, extra, k", [
@@ -737,14 +752,14 @@ def test_by_reference_pivots_expand_to_echelon_rows(data):
     ([X0 * X1 * X2, X0 * X0], [X0 - X1, X0 * X1 * X2 * X2], 2),  # degrees above k
 ], ids=["content-2", "negative-lead", "fractions", "constant", "degree-above-k"])
 def test_by_reference_pivots_explicit_cases(relations, extra, k):
-    check_expanded_pivots(relations, extra, [0, 1, 2], k)
+    check_expanded_pivots(relations + extra, [0, 1, 2], k)
 
 
 def test_by_reference_pivot_is_normalised_once():
     # −2·x0² − 4·x0·x1 at k = 2 (content 2, negative lead; packed x0 = 1,
     # x1 = 4) is one row with a free column: stored as (u, terms), unreduced
     with recorded_echelons() as made:
-        assert pr.graded_quotient_table([-2 * X0 * X0 - 4 * X0 * X1], [], [0, 1], 2)[2] == [2]
+        assert pr.graded_quotient_dims([-2 * X0 * X0 - 4 * X0 * X1], [0, 1], 2)[2] == 2
     *lower, echelon = made
     assert [e.pivots for e in lower] == [{}, {}]
     assert echelon.pivots == {2: (0, [(2, 1), (5, 2)])}
@@ -756,8 +771,8 @@ def test_by_reference_pivot_is_normalised_once():
 
 def test_graded_ranks_eliminate_only_colliding_rows():
     # before pivots by reference every row went through eliminate: 16,830
-    # and 12,189 calls.  The relations are one group, so the criterion skips
-    # none of theirs; it leaves 7,084 rows of the height forms unbuilt
+    # calls.  regseq-check builds the rows of the relations and of the
+    # relations reduced by the height forms, each once, and no others
     iv = wl.interval(W("(0)@0"), W("(1)@1"))
     with recorded_echelons() as made:
         assert rich.straightened_law_report(iv, 4)["ok"]
@@ -766,9 +781,10 @@ def test_graded_ranks_eliminate_only_colliding_rows():
     rels, keys, ys = height_forms("(1)@0")
     with recorded_echelons() as made:
         assert rich.regular_sequence_check(wl.interval(W("(0)@0"), W("(1)@0")), 4)
-    assert sum(e.calls for e in made) == 686
-    assert row_total(rels + ys, len(keys), 4) == 12189
-    assert 12189 - rows_built(made) == 7084
+    assert sum(e.calls for e in made) == 368
+    assert rows_built(made) == 1740
+    reduced = [g for g in (pr.reduce(f, ys) for f in rels) if g]
+    assert row_total(rels, len(keys), 4) + row_total(reduced, len(keys) - len(ys), 4) == 1740
 
 
 # ------------------------------------------------------------- sparse rank

@@ -4,9 +4,13 @@ import itertools
 import json
 import random
 import re
+import unittest.mock
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spinlaw.charseries as cs
 import spinlaw.polyring as pr
@@ -383,6 +387,9 @@ class TestObstructions:
         monkeypatch.setattr(
             rich, "_is_clutter_pair", lambda a, b: real(a, b) or (a != b and {a, b} <= tri)
         )
+        monkeypatch.setattr(wl, "clutters", lambda iv: [
+            (a, b) for a, b in itertools.combinations(iv.elements, 2)
+            if rich._is_clutter_pair(a, b)])
         msg = re.escape("clutter triangle at (12)@0, (13)@0, (14)@0")
         for enumerate_ in (rich.enumerate_obstructions, obstructions_oracle):
             with pytest.raises(RuntimeError, match=msg):
@@ -545,6 +552,53 @@ class TestObstructions:
 # -------------------------------------------------------------- dimensions
 
 
+# intervals [lo, hi], lo at level 0 and hi in levels 0..1, of 2..20 elements
+SMALL_INTERVALS = [
+    (wl.format_weight(lo), wl.format_weight(hi))
+    for lo in wl.window_weights((0, 0)) for hi in wl.window_weights((0, 1))
+    if wl.leq(lo, hi) and 2 <= len(wl.interval(lo, hi).elements) <= 20
+]
+
+# relation sets made from an interval's relations and three of its variables
+PERTURBATIONS = {
+    "real": lambda rels, x: rels,
+    "without-last": lambda rels, x: rels[:-1],
+    "without-first": lambda rels, x: rels[1:],
+    "plus-ab": lambda rels, x: rels + [x[0] * x[1]],
+    "plus-aa": lambda rels, x: rels + [x[0] * x[0]],
+    "plus-abc": lambda rels, x: rels + [x[0] * x[1] * x[2]],
+    "plus-ab-2cc": lambda rels, x: rels + [x[0] * x[1] - 2 * x[2] * x[2]],
+}
+
+
+def perturbed_relations(iv, kind, picks):
+    """The interval's relation bodies perturbed by `kind`, on the variables
+    at the positions `picks` (taken modulo the interval's size)."""
+    els = iv.elements
+    return PERTURBATIONS[kind]([r.body for r in rich.build_relations(iv)],
+                               [pr.lam(els[i % len(els)]) for i in picks])
+
+
+def regseq_on(iv, rels, d):
+    """:func:`rich.regular_sequence_check` with `rels` as the relations."""
+    with unittest.mock.patch.object(
+            rich, "build_relations", lambda _iv: [SimpleNamespace(body=g) for g in rels]):
+        return rich.regular_sequence_check(iv, d)
+
+
+def prefix_rule(iv, rels, d):
+    """``dim_k(j) = dim_k(j−1) − dim_{k−1}(j−1)`` for every prefix of the
+    height forms and every ``k ≤ d``, each prefix's dimensions computed with
+    its forms among the generators."""
+    keys = [wl.apos(w) for w in iv.elements]
+    heights = sorted({wl.ht(w) for w in iv.elements})
+    ys = [sum((pr.lam(w) for w in iv.elements if wl.ht(w) == h), pr.Poly.zero())
+          for h in heights]
+    dims = [pr.graded_quotient_dims(rels + ys[:j], keys, d) for j in range(len(ys) + 1)]
+    return all(dims[j][k] == dims[j - 1][k] - (dims[j - 1][k - 1] if k else 0)
+               for j in range(1, len(ys) + 1) for k in range(d + 1))
+
+
 class TestDimensions:
     @pytest.mark.parametrize(
         "lo,hi,want",
@@ -567,6 +621,36 @@ class TestDimensions:
     def test_regular_sequence_precondition(self):
         with pytest.raises(ValueError):
             rich.regular_sequence_check(IV("(0)@0", "(5)@0"), 1)
+
+    def test_regular_sequence_check_matches_the_prefix_rule(self):
+        # perturbed relation sets, through build_relations, against the rule
+        # that every prefix of the forms drops the Hilbert function by (1 − t)
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.sampled_from(SMALL_INTERVALS), st.sampled_from(sorted(PERTURBATIONS)),
+               st.tuples(*[st.integers(0, 19)] * 3), st.sampled_from([2, 3]))
+        @example(("(0)@0", "(1)@0"), "without-last", (0, 0, 0), 3)
+        def check(bounds, kind, picks, d):
+            iv = IV(*bounds)
+            rels = perturbed_relations(iv, kind, picks)
+            got = regseq_on(iv, rels, d)
+            assert got == prefix_rule(iv, rels, d)
+            seen.add(got)
+
+        check()
+        assert seen == {True, False}
+
+    def test_regular_sequence_check_false_branch(self):
+        iv = IV("(0)@0", "(1)@0")
+        rels = perturbed_relations(iv, "without-last", (0, 0, 0))
+        assert [regseq_on(iv, rels, d) for d in (2, 3)] == [True, False]
+        assert [prefix_rule(iv, rels, d) for d in (2, 3)] == [True, False]
+        # λ_(0) is the one height-0 form: times λ_(12) it makes a zero-divisor
+        iv = IV("(0)@0", "(5)@0")
+        rels = [r.body for r in rich.build_relations(iv)] + [
+            pr.lam(W("(0)@0")) * pr.lam(W("(12)@0"))]
+        assert not regseq_on(iv, rels, 2) and not prefix_rule(iv, rels, 2)
 
     def test_standard_monomials_match_character_dims(self):
         import spinlaw.charseries as cs
