@@ -8,7 +8,6 @@ exact character whose pole order matches the chain length.
 """
 
 import spinlaw.charseries as cs
-import spinlaw.cli as cli
 import spinlaw.polyring as pr
 import spinlaw.richardson as rich
 import spinlaw.weightlattice as wl
@@ -54,7 +53,7 @@ for entry in rich.obstruction_coverage(full):
 
 c = cs.character(iv, specialize={"s": 1, "q": 1}).reduced()
 print("\nspecialized character:",
-      f"({cli.format_laurent(c.num)}) / {cli.format_denominator(c.den)}")
+      f"({cs.format_laurent(c.num)}) / {cs.format_denominator(c.den)}")
 print("pole order:", cs.pole_order(c),
       "== chain length:", wl.chain_length(iv))
 print("series:", [int(p.total()) for p in c.series(6)])

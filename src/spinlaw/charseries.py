@@ -71,12 +71,14 @@ product is one int addition, truncation at ``t^k`` one comparison, setting
 the ``s_i`` or ``q`` to 1 one mask, and coefficients stay ``int`` where the
 input is integral.  A :class:`LaurentPoly` holds one such dict, so the
 down-set recursion, ``series()``, the DP oracle, ``reduced()`` and equality
-all work on keys; exponent tuples and ``Fraction`` coefficients appear only
-where terms are read out (``coeffs``, ``sorted_terms()``).  Keys cannot
-alias while every exponent formed has ``|e| < 2³¹``: each entry point,
-product and shift bounds its exponents first and raises ValueError past
-that.  Denominator factors stay exponent tuples.  The tuple-keyed
-arithmetic the kernel replaced serves the tests as its reference.
+all work on keys.  The module renders its own characters:
+:func:`format_laurent` unpacks each key once and prints the kernel's
+coefficient; the ``Fraction``-valued views ``coeffs`` and ``sorted_terms()``
+are for callers outside it.  Keys cannot alias while every exponent formed
+has ``|e| < 2³¹``: each entry point, product and shift bounds its exponents
+first and raises ValueError past that.  Denominator factors stay exponent
+tuples.  The tuple-keyed arithmetic the kernel replaced serves the tests as
+its reference.
 """
 
 from __future__ import annotations
@@ -414,6 +416,61 @@ class _CoeffView(Mapping):
             return _fraction(self._terms[_pack(m)])
         except (KeyError, TypeError, struct.error):
             raise KeyError(m) from None
+
+
+# ---------------------------------------------------------------- rendering
+
+MONO_VARS = ("s1", "s2", "s3", "s4", "s5", "q", "t")
+MONO_VARS_TEX = ("s_1", "s_2", "s_3", "s_4", "s_5", "q", "t")
+
+
+def format_mono(m: Mono, *, tex: bool = False) -> str:
+    """Render an exponent vector: ``(0,…,0,2)`` → ``"t^2"``, zeros → ``"1"``.
+
+    >>> format_mono((0, 0, 0, 0, 0, 0, 2))
+    't^2'
+    >>> format_mono((0,) * 7)
+    '1'
+    >>> format_mono((1, 0, 0, 0, 0, 3, 1), tex=True)
+    's_1q^{3}t'
+    """
+    if tex:
+        parts = [n if e == 1 else f"{n}^{{{e}}}" for n, e in zip(MONO_VARS_TEX, m) if e]
+    else:
+        parts = [n if e == 1 else f"{n}^{e}" for n, e in zip(MONO_VARS, m) if e]
+    return ("" if tex else "*").join(parts) or "1"
+
+
+def format_laurent(p: LaurentPoly, *, tex: bool = False) -> str:
+    """Render a :class:`LaurentPoly` in lexicographic exponent order, one
+    unpack per key: ``1+5t+5t^2+t^3``.
+
+    >>> format_laurent(LaurentPoly({ONE_M: Fraction(1, 2), (-1, 0, 0, 0, 0, 0, 0): -1}))
+    '-s1^-1+1/2'
+    """
+    terms = p._terms
+    if not terms:
+        return "0"
+    out = []
+    for m, c in sorted(zip(map(_unpack, terms), terms.values()), key=itemgetter(0)):
+        mono = format_mono(m, tex=tex)
+        sign = "-" if c < 0 else "+" if out else ""
+        c = abs(c)
+        out.append(sign + (str(c) if mono == "1" else mono if c == 1 else f"{c}{mono}"))
+    return "".join(out)
+
+
+def format_denominator(den, *, tex: bool = False) -> str:
+    """Render a factor multiset: ``{t: 11}`` → ``"(1-t)^11"``, ``{}`` → ``"1"``.
+
+    >>> format_denominator({T_M: 11})
+    '(1-t)^11'
+    """
+    parts = []
+    for m in sorted(den):
+        base, e = f"(1-{format_mono(m, tex=tex)})", den[m]
+        parts.append(base if e == 1 else f"{base}^{{{e}}}" if tex else f"{base}^{e}")
+    return ("" if tex else "*").join(parts) or "1"
 
 
 def _div_one_minus(num: LaurentPoly, m: Mono) -> LaurentPoly | None:

@@ -37,78 +37,8 @@ from . import weightlattice as wl
 
 SCHEMA_VERSION = 1
 
-MONO_VARS = ("s1", "s2", "s3", "s4", "s5", "q", "t")
-MONO_VARS_TEX = ("s_1", "s_2", "s_3", "s_4", "s_5", "q", "t")
-
 
 # -------------------------------------------------------------- rendering
-
-
-def format_mono(m, *, tex: bool = False) -> str:
-    """Render an exponent vector: ``(0,…,0,2)`` → ``"t^2"``, zeros → ``"1"``.
-
-    >>> format_mono((0, 0, 0, 0, 0, 0, 2))
-    't^2'
-    >>> format_mono((0,) * 7)
-    '1'
-    >>> format_mono((1, 0, 0, 0, 0, 3, 1), tex=True)
-    's_1q^{3}t'
-    """
-    parts = []
-    for name, e in zip(MONO_VARS_TEX if tex else MONO_VARS, m):
-        if e == 0:
-            continue
-        if e == 1:
-            parts.append(name)
-        elif tex:
-            parts.append(f"{name}^{{{e}}}")
-        else:
-            parts.append(f"{name}^{e}")
-    if not parts:
-        return "1"
-    return ("" if tex else "*").join(parts)
-
-
-def format_laurent(p, *, tex: bool = False) -> str:
-    """Render a :class:`~spinlaw.charseries.LaurentPoly`: ``1+5t+5t^2+t^3``."""
-    if p.is_zero():
-        return "0"
-    out = []
-    for m, c in p.sorted_terms():
-        mono = format_mono(m, tex=tex)
-        if mono == "1":
-            term = str(c)
-        elif c == 1:
-            term = mono
-        elif c == -1:
-            term = "-" + mono
-        else:
-            term = str(c) + mono
-        out.append(term)
-    return "+".join(out).replace("+-", "-")
-
-
-def format_denominator(den, *, tex: bool = False) -> str:
-    """Render a factor multiset: ``{t: 11}`` → ``"(1-t)^11"``.
-
-    >>> format_denominator({(0, 0, 0, 0, 0, 0, 1): 11})
-    '(1-t)^11'
-    >>> format_denominator({})
-    '1'
-    """
-    if not den:
-        return "1"
-    parts = []
-    for m in sorted(den):
-        e = den[m]
-        base = f"(1-{format_mono(m, tex=tex)})"
-        if e == 1:
-            parts.append(base)
-        elif tex:
-            parts.append(f"{base}^{{{e}}}")
-        else:
-            parts.append(f"{base}^{e}")
-    return ("" if tex else "*").join(parts)
 
 
 def render_json(report: dict) -> str:
@@ -116,11 +46,14 @@ def render_json(report: dict) -> str:
 
 
 def render_csv(rows: list[dict], columns: list[str]) -> str:
+    """``rows`` as CSV: keys outside ``columns`` are dropped, absent ones left empty."""
     import csv
     import io
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer = csv.DictWriter(
+        buf, fieldnames=columns, lineterminator="\n", extrasaction="ignore"
+    )
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
@@ -199,15 +132,8 @@ def cmd_hasse(args, window):
     if args.format == "dot":
         return data, wl.hasse_dot(data)
     if args.format == "csv":
-        rows = [
-            {"kind": "node", "id": n["id"], "tag": n["tag"],
-             "level": n["level"], "ht": n["ht"], "dst": ""}
-            for n in data["nodes"]
-        ] + [
-            {"kind": "edge", "id": e["src"], "tag": "", "level": "",
-             "ht": "", "dst": e["dst"]}
-            for e in data["edges"]
-        ]
+        rows = [{"kind": "node", **n} for n in data["nodes"]]
+        rows += [{"kind": "edge", "id": e["src"], **e} for e in data["edges"]]
         return data, render_csv(rows, ["kind", "id", "tag", "level", "ht", "dst"])
     return {
         "node_count": len(data["nodes"]),
@@ -238,19 +164,10 @@ def cmd_relations(args, iv):
         "ok": all(row["straightening_shape"] for row in rows),
     }
     if args.format == "csv":
-        flat = [
-            {
-                "s": row["s"],
-                "l": row["l"],
-                "clutter_lo": row["clutter"][0],
-                "clutter_hi": row["clutter"][1],
-                "straightening_shape": row["straightening_shape"],
-                "body": row["body"],
-            }
-            for row in rows
-        ]
+        for row in rows:
+            row["clutter_lo"], row["clutter_hi"] = row["clutter"]
         return report, render_csv(
-            flat, ["s", "l", "clutter_lo", "clutter_hi", "straightening_shape", "body"]
+            rows, ["s", "l", "clutter_lo", "clutter_hi", "straightening_shape", "body"]
         )
     return report, None
 
@@ -326,19 +243,11 @@ def cmd_obstructions(args, iv):
         )
     report = {"pair_count": len(entries), "pairs": entries, "ok": True}
     if args.format == "csv":
-        flat = [
-            {
-                "label": row["label"],
-                "route": row["route"],
-                "outer_1": row["pair"][0][0],
-                "inner_1": " ".join(row["pair"][0][1]),
-                "outer_2": row["pair"][1][0],
-                "inner_2": " ".join(row["pair"][1][1]),
-            }
-            for row in entries
-        ]
+        for row in entries:
+            for i, (outer, inner) in enumerate(row["pair"], 1):
+                row[f"outer_{i}"], row[f"inner_{i}"] = outer, " ".join(inner)
         return report, render_csv(
-            flat, ["label", "route", "outer_1", "inner_1", "outer_2", "inner_2"]
+            entries, ["label", "route", "outer_1", "inner_1", "outer_2", "inner_2"]
         )
     return report, None
 
@@ -359,19 +268,19 @@ def cmd_character(args, iv):
     c = cs.character(iv, specialize=spec or None).reduced()
     if args.format == "latex":
         tex = "\\frac{%s}{%s}\n" % (
-            format_laurent(c.num, tex=True),
-            format_denominator(c.den, tex=True),
+            cs.format_laurent(c.num, tex=True),
+            cs.format_denominator(c.den, tex=True),
         )
         return {"ok": True}, tex
     report = {
         "specialize": {k: 1 for k in sorted(spec)},
-        "numerator": format_laurent(c.num),
-        "denominator": format_denominator(c.den),
+        "numerator": cs.format_laurent(c.num),
+        "denominator": cs.format_denominator(c.den),
         "pole_order": cs.pole_order(c),
         "ok": True,
     }
     if args.series is not None:
-        report["series"] = [format_laurent(p) for p in c.series(args.series)]
+        report["series"] = [cs.format_laurent(p) for p in c.series(args.series)]
     return report, None
 
 

@@ -414,7 +414,7 @@ def regular_sequence_check(iv: Interval, d_max: int) -> bool:
     tips = {pr.tip(y)[0] for y in ys}
     h0 = pr.graded_quotient_dims(rels, keys, d_max)
     hn = pr.graded_quotient_dims(
-        [g for g in (pr.reduce(f, ys) for f in rels) if g],
+        [g for g in map(pr._reducer(ys), rels) if g],
         [k for k in keys if k not in tips], d_max)
     n = len(ys)
     return all(

@@ -237,6 +237,89 @@ def test_coeffs_view_is_read_only():
     assert p == tpoly([1, 0, -2])
 
 
+# ------------------------------------------------------------- rendering
+#
+# The tuple route the renderers replaced: every term unpacked to an exponent
+# tuple and a Fraction, rendered, joined by "+", then "+-" folded to "-".
+
+ORACLE_VARS = {False: ("s1", "s2", "s3", "s4", "s5", "q", "t"),
+               True: ("s_1", "s_2", "s_3", "s_4", "s_5", "q", "t")}
+
+
+def oracle_mono(m, tex):
+    parts = []
+    for name, e in zip(ORACLE_VARS[tex], m):
+        if e == 0:
+            continue
+        if e == 1:
+            parts.append(name)
+        elif tex:
+            parts.append(f"{name}^{{{e}}}")
+        else:
+            parts.append(f"{name}^{e}")
+    if not parts:
+        return "1"
+    return ("" if tex else "*").join(parts)
+
+
+def oracle_laurent(p, tex):
+    if p.is_zero():
+        return "0"
+    out = []
+    for m, c in p.sorted_terms():
+        mono = oracle_mono(m, tex)
+        if mono == "1":
+            term = str(c)
+        elif c == 1:
+            term = mono
+        elif c == -1:
+            term = "-" + mono
+        else:
+            term = str(c) + mono
+        out.append(term)
+    return "+".join(out).replace("+-", "-")
+
+
+def oracle_denominator(den, tex):
+    if not den:
+        return "1"
+    parts = []
+    for m in sorted(den):
+        e = den[m]
+        base = f"(1-{oracle_mono(m, tex)})"
+        if e == 1:
+            parts.append(base)
+        elif tex:
+            parts.append(f"{base}^{{{e}}}")
+        else:
+            parts.append(f"{base}^{e}")
+    return ("" if tex else "*").join(parts)
+
+
+# exponents of one and two digits, either sign; coefficients ±1, other ints
+# and Fractions; zeros allowed, so the polynomial may be zero
+RENDER_EXP = st.tuples(*[st.sampled_from([-12, -2, -1, 0, 0, 0, 1, 2, 12])] * 7)
+RENDER_COEFF = st.one_of(
+    st.sampled_from([1, -1, 0]),
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 10])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.dictionaries(RENDER_EXP, RENDER_COEFF, max_size=8),
+       den=st.dictionaries(RENDER_EXP, st.integers(1, 12), max_size=4),
+       tex=st.booleans())
+@example(num={}, den={}, tex=False)
+@example(num={cs.ONE_M: -1}, den={T: 1}, tex=True)
+@example(num={cs.ONE_M: Fraction(-1, 2), T: -1, (-1, 0, 0, 0, 0, 0, 0): 1}, den={T: 11},
+         tex=False)
+def test_renderers_match_tuple_route(num, den, tex):
+    p = cs.LaurentPoly(num)
+    assert cs.format_laurent(p, tex=tex) == oracle_laurent(p, tex)
+    assert cs.format_denominator(den, tex=tex) == oracle_denominator(den, tex)
+
+
 def test_rational_char_reduce_and_series():
     # (1 - t^2)/(1 - t) reduces to 1 + t
     c = cs.RationalChar(
@@ -420,8 +503,8 @@ def test_rational_char_drops_zero_multiplicities():
     c = cs.RationalChar(ONE, Counter({T: 0, m: 2}))
     plain = cs.RationalChar(ONE, Counter({m: 2}))
     assert list(c.den.items()) == [(m, 2)] and c == plain
-    assert cli.format_denominator(c.den) == cli.format_denominator(plain.den)
-    assert "^0" not in cli.format_denominator(c.den)
+    assert cs.format_denominator(c.den) == cs.format_denominator(plain.den)
+    assert "^0" not in cs.format_denominator(c.den)
 
 
 def test_div_one_minus_below_the_factor_degree():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import spinlaw.charseries as cs
 import spinlaw.cli as cli
 import spinlaw.richardson as rich
 import spinlaw.spinalg as sa
@@ -76,8 +77,8 @@ class TestCharacter:
     def test_latex_format_renders_only_what_it_writes(self, tmp_path, capsys, monkeypatch):
         # the numerator once, in TeX: no plain text, series or pole order
         calls = []
-        real = cli.format_laurent
-        monkeypatch.setattr(cli, "format_laurent",
+        real = cs.format_laurent
+        monkeypatch.setattr(cs, "format_laurent",
                             lambda p, **kw: calls.append(kw) or real(p, **kw))
         code, text, artifact = run(
             ["character", "--lo", "(0)@0", "--hi", "(1)@0",
@@ -316,13 +317,21 @@ class TestChecks:
              "97d45c56399c31f4e734ff53d5b6ae31a71296f4e9738579672b3dbe59c81784"),
             (["regseq-check", "--lo", "(0)@0", "--hi", "(1)@1", "--d-max", "4"],
              "f0f36d1467c8a830383043319d9587b41d64e83e0618d4e68a8b0195c86bff94"),
+            (["character", "--lo", "(0)@0", "--hi", "(1)@1"],
+             "ce4ddf3c97ad69baf2e7342d7ee5eb0f2dd399aecd98553004808fd7eb5f7fa7"),
+            (["character", "--lo", "(0)@0", "--hi", "(1)@1", "--format", "latex"],
+             "b9f6c88ef355d0469ec2635f20caaf83e1f30e7b6af64bb3aaf82ac5fd36e810"),
+            (["character", "--lo", "(0)@0", "--hi", "(1)@0", "--specialize", "q=1",
+              "--format", "latex"],
+             "e92f5167ff5a31b1546f89ba2ec7dd20a382446b8be53605740e13962b168efe"),
         ],
         ids=["groebner-(1)@3", "fierz-0..3", "weyl-0..3", "straightened-(1)@1",
              "relations-(1)@2-csv", "regseq-(1)@0-d4", "relations-(1)@2",
              "obstructions-(1)@3", "hasse-(-1..2)-csv", "character-(1)@1-q1",
              "character-(14)@0-(14)@2-s1", "character-(1)@1-s1", "character-(5)@1",
              "character-(23)@0-(5)@2-s1-series4", "character-(1)@90000000-s1",
-             "obstructions-(1)@1-csv", "character-(1)@1-s1-latex", "regseq-(1)@1-d4"],
+             "obstructions-(1)@1-csv", "character-(1)@1-s1-latex", "regseq-(1)@1-d4",
+             "character-(1)@1", "character-(1)@1-latex", "character-(1)@0-q1-latex"],
     )
     def test_check_artifacts_pinned(self, argv, digest, tmp_path, capsys):
         # SHA-256s of the artifacts written by the sort-every-step reduce,
@@ -334,7 +343,9 @@ class TestChecks:
         # relations and the second walk for the pole order; and of the
         # characters reduced under the modular screen the line sums replaced,
         # the latex character that built the JSON report too and the regular
-        # sequence read off the table over every prefix of the forms
+        # sequence read off the table over every prefix of the forms; and of
+        # the characters rendered from exponent tuples and Fractions, joined
+        # by "+" with "+-" folded to "-" afterwards
         code, text, artifact = run(argv, tmp_path, capsys)
         assert code == 0 and text == artifact
         assert hashlib.sha256(artifact.encode()).hexdigest() == digest

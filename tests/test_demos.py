@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from spinlaw import cli
+from spinlaw import charseries as cs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,6 +89,6 @@ def test_readme_library_example_runs():
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
     assert len(ns["rels"]) == 10 and shown == [True, 16]
     c = ns["c"]
-    assert cli.format_laurent(c.num) == "1+5t+5t^2+t^3"
-    assert cli.format_denominator(c.den) == "(1-t)^11"
+    assert cs.format_laurent(c.num) == "1+5t+5t^2+t^3"
+    assert cs.format_denominator(c.den) == "(1-t)^11"
     assert [layer.total() for layer in c.series(4)] == [1, 16, 126, 672, 2772]

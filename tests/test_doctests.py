@@ -1,10 +1,13 @@
-"""Checks that walk every spinlaw module: its docstring examples and its caches."""
+"""Checks that walk every spinlaw module: its docstring examples, its caches
+and which of them reads the packed character kernel."""
 
 from __future__ import annotations
 
 import doctest
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +41,20 @@ def test_every_cache_is_bounded():
     ]
     unbounded = [k for k, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+def test_only_charseries_reads_packed_keys():
+    # characters are rendered where they are packed: no other module reads
+    # a kernel dict, unpacks a key or sorts a character's terms to print them
+    import spinlaw.cli as cli
+
+    src = Path(spinlaw.__file__).parent
+    readers = {
+        path.name: hits
+        for path in sorted(src.glob("*.py"))
+        if path.name != "charseries.py"
+        if (hits := re.findall(r"\.sorted_terms\(|\._terms|_unpack", path.read_text()))
+    }
+    assert readers == {}
+    moved = ("format_mono", "format_laurent", "format_denominator", "MONO_VARS", "MONO_VARS_TEX")
+    assert [name for name in moved if hasattr(cli, name)] == []

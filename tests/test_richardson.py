@@ -618,6 +618,24 @@ class TestDimensions:
         assert rich.regular_sequence_check(IV("(0)@0", "(1)@0"), 2)
         assert rich.regular_sequence_check(IV("(0)@0", "(1)@1"), 4)
 
+    @pytest.mark.parametrize("hi, rels", [("(1)@0", 10), ("(1)@1", 30)])
+    def test_regular_sequence_check_builds_one_reducer(self, hi, rels, monkeypatch):
+        # every relation is reduced by the same forms, whose tips, tails and
+        # buckets are worked out once per call, not once per relation
+        bases = []
+        real = pr._reducer
+
+        def counting(basis):
+            bases.append(list(basis))
+            return real(basis)
+
+        monkeypatch.setattr(pr, "_reducer", counting)
+        iv = IV("(0)@0", hi)
+        assert rich.regular_sequence_check(iv, 2)
+        assert len(rich.build_relations(iv)) == rels
+        heights = {wl.ht(w) for w in iv.elements}
+        assert len(bases) == 1 and len(bases[0]) == len(heights)
+
     def test_regular_sequence_precondition(self):
         with pytest.raises(ValueError):
             rich.regular_sequence_check(IV("(0)@0", "(5)@0"), 1)
