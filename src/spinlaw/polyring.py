@@ -281,62 +281,175 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     return left - right
 
 
-def _desc_key(m: Monomial) -> tuple:
-    """:func:`monomial_sort_key` negated: the largest monomial sorts first."""
-    return (-len(m), *[-k for k in m])
+class _Packing:
+    """Monomials in fixed variables as ints, one exponent field per variable.
+
+    Variable ``keys[i]`` (sorted, ``n`` of them) owns the field of ``bits``
+    bits at ``bits·(n − 1 − i)``, so the smallest key is the most
+    significant, and the bits above all fields hold minus the degree.  An
+    ascending sort of the ints is then grevlex descending: a higher degree
+    is a smaller int, and within one degree the first key where exponents
+    differ is the most significant field that differs, the smaller exponent
+    there being the larger monomial.  A product is the sum of the ints and
+    a quotient their difference.  ``bits`` leaves a guard bit above every
+    exponent up to ``degree``, so with ``guard`` the sum of those bits a
+    monomial ``t`` divides ``m`` exactly when ``((m | guard) − t) & guard``
+    is ``guard``: no field borrows from the next (the packed exponent
+    vectors of Monagan & Pearce, "Polynomial division using dynamic arrays,
+    heaps, and packed exponent vectors", CASC 2007).
+
+    >>> pk = _Packing([0, 2], 3)
+    >>> [pk.unpack(p) for p in sorted(map(pk.pack, [(0, 2), (2, 2), (0, 0), (0,)]))]
+    [(2, 2), (0, 2), (0, 0), (0,)]
+    """
+
+    __slots__ = ("keys", "degree", "top", "guard", "one", "fields", "rest")
+
+    def __init__(self, keys, degree: int):
+        self.keys = frozenset(keys)
+        self.degree = degree
+        bits = degree.bit_length() + 1
+        n = len(self.keys)
+        self.top = bits * n
+        shifts = {k: bits * (n - 1 - i) for i, k in enumerate(sorted(self.keys))}
+        self.one = {k: 1 << s for k, s in shifts.items()}
+        self.guard = sum(one << (bits - 1) for one in self.one.values())
+        # by bit length b: the key and shift of the field holding bit b − 1,
+        # and the mask of the fields below it
+        self.fields = [None] * (self.top + 1)
+        self.rest = [0] * (self.top + 1)
+        for k, s in shifts.items():
+            self.fields[s + 1:s + bits + 1] = [(k, s)] * bits
+            self.rest[s + 1:s + bits + 1] = [(1 << s) - 1] * bits
+
+    def pack(self, m: Monomial) -> int:
+        one = self.one
+        return sum([one[k] for k in m]) - (len(m) << self.top)
+
+    def unpack(self, p: int) -> Monomial:
+        fields = self.fields
+        low = p & ((1 << self.top) - 1)
+        out: list[int] = []
+        while low:
+            k, s = fields[low.bit_length()]
+            e = low >> s
+            out += [k] * e
+            low -= e << s
+        return tuple(out)
 
 
-def _reducer(basis):
-    """:func:`reduce` by a fixed ordered basis as ``run(f, track)``, with the
-    tips, leading coefficients and tails (the other terms) worked out once."""
-    basis = list(basis)
-    tips = [tip(g) for g in basis]
-    lcs = [g.coeffs[t] for g, t in zip(basis, tips)]
-    tails = [[(m, c) for m, c in g.coeffs.items() if m != t]
-             for g, t in zip(basis, tips)]
-    # a tip divides only monomials holding its smallest key; a constant, all
-    const = next((i for i, t in enumerate(tips) if not t), None)
-    buckets: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
-    for i, t in enumerate(tips):
-        if t:
-            counts = [(k, t.count(k)) for k in dict.fromkeys(t)]
-            buckets.setdefault(t[0], []).append((i, counts))
+class _Reducer:
+    """:func:`reduce` by a fixed ordered basis (see :func:`reducer`): the
+    tips and leading coefficients once, the basis packed once per packing."""
 
-    def run(f: Poly, track: bool = False):
-        r = dict(f.coeffs)
-        heap = [(_desc_key(m), m) for m in r]
+    __slots__ = ("basis", "tips", "lcs", "const", "packing", "ptips", "tails",
+                 "buckets")
+
+    def __init__(self, basis):
+        self.basis = list(basis)
+        self.tips = [tip(g) for g in self.basis]
+        self.lcs = [g.coeffs[t] for g, t in zip(self.basis, self.tips)]
+        # a constant tip divides every monomial; n stands for "no element"
+        self.const = next((i for i, t in enumerate(self.tips) if not t), len(self.basis))
+        self.packing = None
+
+    def _layout(self, keys, degree: int) -> _Packing:
+        """The packing, grown to cover `keys` and `degree` with the basis's
+        own, and the basis packed into it: its tips and tails (the other
+        terms), and the tips bucketed by bit length over their smallest
+        key's field."""
+        pk = self.packing
+        if pk is not None:
+            if degree <= pk.degree and pk.keys >= keys:
+                return pk
+            keys, degree = pk.keys | keys, max(degree, pk.degree)
+        basis = self.basis
+        keys = set(keys).union(*[k for g in basis for k in g.coeffs])
+        degree = max(degree, *[g.degree() for g in basis], 0)
+        self.packing = pk = _Packing(keys, degree)
+        pack = pk.pack
+        self.ptips = [pack(t) for t in self.tips]
+        self.tails = [[(pack(m), c) for m, c in g.coeffs.items() if m != t]
+                      for g, t in zip(basis, self.tips)]
+        # a tip divides only monomials holding its smallest key
+        self.buckets = [()] * (pk.top + 1)
+        by_key: dict[int, list[tuple[int, int]]] = {}
+        for i, t in enumerate(self.tips):
+            if t:
+                by_key.setdefault(t[0], []).append((i, self.ptips[i]))
+        for b, field in enumerate(pk.fields):
+            if field is not None and field[0] in by_key:
+                self.buckets[b] = by_key[field[0]]
+        return pk
+
+    def _run(self, r: dict, quotients: list | None = None) -> dict:
+        """Reduce the packed remainder `r` in place; each rewrite at ``m``
+        by element ``i`` records ``quotients[i][m − tip] = q`` if asked."""
+        pk = self.packing
+        mask, guard, rest, buckets = (1 << pk.top) - 1, pk.guard, pk.rest, self.buckets
+        ptips, lcs, tails, const = self.ptips, self.lcs, self.tails, self.const
+        none = len(lcs)
+        heap = list(r)
         heapq.heapify(heap)
-        quotients: list[dict] = [{} for _ in basis]
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            m = heapq.heappop(heap)[1]
+            m = pop(heap)
             c = r[m]
             if not c:
                 continue  # left as a zero: it is never pushed again
             i = const  # the first element whose tip divides m
-            for k in set(m):
-                for j, t in buckets.get(k, ()):
-                    if i is not None and j >= i:
+            mg = m | guard
+            low = m & mask
+            while low:  # over the fields of m, most significant first
+                b = low.bit_length()
+                for j, t in buckets[b]:
+                    if j >= i:
                         break
-                    if all(m.count(kt) >= e for kt, e in t):
+                    if (mg - t) & guard == guard:
                         i = j
                         break
-            if i is None:
+                low &= rest[b]
+            if i == none:
                 continue
             del r[m]
             lead = lcs[i]
             exact = type(c) is type(lead) is int and not c % lead
             q = c // lead if exact else Fraction(c, lead)
-            qm = monomial_div(m, tips[i])
+            qm = m - ptips[i]
             for tm, tc in tails[i]:
-                mm = monomial_mul(qm, tm)
-                if mm not in r:
-                    heapq.heappush(heap, (_desc_key(mm), mm))
-                r[mm] = r.get(mm, 0) - q * tc
-            quotients[i][qm] = q
-        rem = Poly._of(r)
-        return (rem, [Poly._of(qs) for qs in quotients]) if track else rem
+                mm = qm + tm
+                if mm in r:
+                    r[mm] -= q * tc
+                else:
+                    r[mm] = -q * tc
+                    push(heap, mm)
+            if quotients is not None:
+                quotients[i][qm] = q
+        return r
 
-    return run
+    def _poly(self, r: dict) -> Poly:
+        unpack = self.packing.unpack
+        return Poly._of({unpack(m): c for m, c in r.items() if c})
+
+    def __call__(self, f: Poly, track: bool = False):
+        self._layout({k for m in f.coeffs for k in m}, f.degree())
+        pack = self.packing.pack
+        r = {pack(m): c for m, c in f.coeffs.items()}
+        quotients = [{} for _ in self.basis] if track else None
+        rem = self._poly(self._run(r, quotients))
+        return (rem, [self._poly(qs) for qs in quotients]) if track else rem
+
+
+def reducer(basis):
+    """:func:`reduce` by a fixed ordered basis, as ``run(f, track=False)``.
+
+    Monomials run as packed ints (:class:`_Packing`) over the variables of
+    the basis and of the inputs seen so far, up to the largest degree among
+    them: the basis is packed once, each input once per run, and an input
+    with a variable or a degree the packing lacks widens it and packs the
+    basis again, so no key or degree is refused.
+    """
+    return _Reducer(basis)
 
 
 def reduce(f: Poly, basis, *, track: bool = False):
@@ -348,14 +461,15 @@ def reduce(f: Poly, basis, *, track: bool = False):
     any tip.  With ``track=True`` the quotients are returned as well, so
     that ``f == sum(q[i] * basis[i]) + remainder`` exactly.
 
-    The remainder is a dict plus a max-heap of its monomials: pop the
-    largest, leave it if no tip divides it, else subtract ``q·tail`` in place
-    and push only monomials new to the dict.  A rewrite at ``m`` adds only
-    monomials below ``m`` (grevlex is a monomial order), so the largest
-    reducible monomial is always the next one popped: the steps are those of
-    re-sorting the remainder before each one.
+    The remainder is a dict plus a heap of its packed monomials, the
+    smallest int (the largest monomial) on top: pop it, leave it if no tip
+    divides it, else subtract ``q·tail`` in place and push only monomials
+    new to the dict.  A rewrite at ``m`` adds only monomials below ``m``
+    (grevlex is a monomial order), so the largest reducible monomial is
+    always the next one popped: the steps are those of re-sorting the
+    remainder before each one.
     """
-    return _reducer(basis)(f, track)
+    return reducer(basis)(f, track)
 
 
 def buchberger_check(basis) -> dict[tuple[int, int], Poly]:
@@ -365,17 +479,30 @@ def buchberger_check(basis) -> dict[tuple[int, int], Poly]:
     Returns ``{(i, j): remainder}`` over those pairs; the rewriting system
     is confluent at this stage exactly when every remainder is zero.  Pairs
     with coprime leading monomials are skipped (their S-polynomials reduce
-    to zero automatically).  One reducer serves every pair, so the tips are
-    worked out once; the remainders are those of :func:`reduce`.
+    to zero automatically).  One :func:`reducer` serves every pair, packed
+    up to the largest degree of an lcm of tips, and each S-polynomial
+    (:func:`s_polynomial`) is built on the packed tails, as its two tip
+    terms cancel; the remainders are those of :func:`reduce`.
     """
-    basis = list(basis)
-    run = _reducer(basis)
-    keys = [set(tip(g)) for g in basis]
+    red = reducer(basis)
+    tips = red.tips
+    keys = [set(t) for t in tips]
+    pairs = {(i, j): monomial_lcm(tips[i], tips[j])
+             for i in range(len(tips)) for j in range(i + 1, len(tips))
+             if not keys[i].isdisjoint(keys[j])}
+    pk = red._layout(frozenset(), max(map(len, pairs.values()), default=0))
+    tails, ptips, lcs = red.tails, red.ptips, red.lcs
     out: dict[tuple[int, int], Poly] = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if not keys[i].isdisjoint(keys[j]):
-                out[(i, j)] = run(s_polynomial(basis[i], basis[j]))
+    for (i, j), big in pairs.items():
+        t = pk.pack(big)
+        # lc(f)·(T / tip(g))·g − lc(g)·(T / tip(f))·f, less lc(f)·lc(g)·T twice
+        u, cf = t - ptips[j], lcs[i]
+        s = {u + m: cf * c for m, c in tails[j]}
+        u, cg = t - ptips[i], lcs[j]
+        for m, c in tails[i]:
+            m += u
+            s[m] = s[m] - cg * c if m in s else -cg * c
+        out[(i, j)] = red._poly(red._run(_canonical(s)))
     return out
 
 

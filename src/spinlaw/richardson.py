@@ -219,6 +219,14 @@ def straightened_law_report(iv: Interval, k_max: int) -> dict:
     ``shapes_ok`` that every relation passes
     :func:`straightening_shape_check`.  ``ok`` is all three.
 
+    ``buchberger_ok`` with ``shapes_ok`` proves the law in every degree, not
+    only for ``k ≤ k_max``: the shape puts every other term of a relation
+    below its clutter monomial, which is therefore its tip, and zero
+    remainders make the relations a Gröbner basis.  So the initial ideal is
+    spanned by the clutters' products, and the standard monomials, those no
+    clutter divides, are the multichains; the graded dimensions are the
+    independent second route.
+
     >>> rep = straightened_law_report(
     ...     interval(parse_weight("(0)@0"), parse_weight("(15)@0")), 4)
     >>> rep["ok"], rep["relation_count"], rep["dimensions"][4]
@@ -414,7 +422,7 @@ def regular_sequence_check(iv: Interval, d_max: int) -> bool:
     tips = {pr.tip(y)[0] for y in ys}
     h0 = pr.graded_quotient_dims(rels, keys, d_max)
     hn = pr.graded_quotient_dims(
-        [g for g in map(pr._reducer(ys), rels) if g],
+        [g for g in map(pr.reducer(ys), rels) if g],
         [k for k in keys if k not in tips], d_max)
     n = len(ys)
     return all(

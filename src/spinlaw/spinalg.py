@@ -215,15 +215,22 @@ def _generic_even() -> dict:
     return {(wl.TAG_SUBSET[t], 0): pr.lam((t, 0)) for t in TAGS}
 
 
-def _wedge(a: dict, b: dict) -> dict:
-    """a ∧ b, from θ_S z^r ∧ b = z^r v_{s₁}(v_{s₂}(⋯ v_{s_k}(b))), s₁ < ⋯ < s_k."""
-    acc: dict = {}
+def _top_wedge(a: dict, b: dict, zero=0):
+    """The coefficient of the top state θ_{12345} z⁰ in a ∧ b (`zero` if none).
+
+    Only θ_S z^r ∧ θ_T z^{−r} with T the complement of S reaches it, and
+    θ_S ∧ θ_T = v_{s₁} ∧ ⋯ ∧ v_{s_k} ∧ θ_T (s₁ < ⋯ < s_k) is
+    (−1)^{#(s, t): s ∈ S, t ∈ T, s > t} θ_{12345}: the sign of sorting the
+    generators of S, put before those of T.
+    """
+    top = zero
     for (sub, lvl), c in a.items():
-        y = z_shift(b, lvl)
-        for i in sorted(sub, reverse=True):
-            y = clifford_apply(f"v{i}", y)
-        acc = _add(acc, {s: c * d for s, d in y.items()})
-    return acc
+        d = b.get((FULL - sub, -lvl))
+        if d is None:
+            continue
+        swaps = sum(s > t for s in sub for t in FULL - sub)
+        top = top - c * d if swaps % 2 else top + c * d
+    return top
 
 
 def _tau(a: dict) -> dict:
@@ -258,13 +265,12 @@ def gamma_quadrics() -> dict[str, Poly]:
     θ_(k); see :func:`u_stability_check`.
     """
     u = _generic_even()
-    top = (FULL, 0)
     out: dict[str, Poly] = {}
     half = Fraction(1, 2)
     for m in range(1, 6):
-        g = _wedge(u, clifford_apply(f"v{m}", u)).get(top, Poly.zero())
+        g = _top_wedge(u, clifford_apply(f"v{m}", u), Poly.zero())
         out[str(m)] = half * g
-        g = _wedge(_tau(u), clifford_apply(f"v{m}*", u)).get(top, Poly.zero())
+        g = _top_wedge(_tau(u), clifford_apply(f"v{m}*", u), Poly.zero())
         out[f"{m}*"] = half * g
     for s, text in GAMMA_REFERENCE_TEXT.items():
         if out[s] != pr.parse_poly(text):
@@ -652,6 +658,37 @@ def weyl_hasse_check(window: tuple[int, int]) -> dict:
     }
 
 
+def _pair_orbit(generators, start, levels: tuple[int, int]):
+    """The orbit of the ψ-node pair `start` under `generators` on the nodes
+    whose level lies in ``levels = (lo, hi)``: an image pair whose nodes
+    coincide, or one of which leaves the levels, is dropped.
+
+    A node is its index among the ψ-images of the levels, each generator is
+    one table of node images (−1 outside the levels), and the unordered
+    pair of indices a < b is the int ``a·n + b``, n the number of nodes.
+    Returns ``(index, orbit)``: the node-to-index dict and the pair ints.
+    """
+    lo, hi = levels
+    nodes = [psi((t, lvl)) for lvl in range(lo, hi + 1) for t in TAGS]
+    index = {x: i for i, x in enumerate(nodes)}
+    n = len(nodes)
+    tables = [[index.get(g.apply(x), -1) for x in nodes] for g in generators]
+    a, b = sorted(index[x] for x in start)
+    seen = {a * n + b}
+    stack = [a * n + b]
+    while stack:
+        a, b = divmod(stack.pop(), n)
+        for image in tables:
+            x, y = image[a], image[b]
+            if x == y or x < 0 or y < 0:
+                continue
+            pair = x * n + y if x < y else y * n + x
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return index, seen
+
+
 def weyl_orbit_check(window: tuple[int, int] = (0, 1)) -> dict:
     """Check that every clutter lies in a single orbit on unordered pairs.
 
@@ -659,47 +696,31 @@ def weyl_orbit_check(window: tuple[int, int] = (0, 1)) -> dict:
     ψ-image of all ten incomparable pairs of E.  Affine part: the orbit of
     ψ((14)^lo),ψ((23)^lo) under s₁..s₆, explored inside the window widened
     by two levels on each side, contains the ψ-image of every clutter of
-    [ (0)^lo, (1)^hi ].
+    [ (0)^lo, (1)^hi ].  Both orbits are walked by :func:`_pair_orbit`.
     """
     lo, hi = window
 
-    def orbit(gens, level, level_ok):
-        start = frozenset((psi(("(14)", level)), psi(("(23)", level))))
-        images = [(g.apply, {}) for g in gens]  # one node-image memo per generator
-        seen = {start}
-        stack = [start]
-        while stack:
-            pair = stack.pop()
-            for apply, memo in images:
-                img = frozenset(
-                    memo[x] if x in memo else memo.setdefault(x, apply(x)) for x in pair
-                )
-                if len(img) == 2 and img not in seen:
-                    if all(level_ok(x) for x in img):
-                        seen.add(img)
-                        stack.append(img)
-        return seen
+    def orbit(gens, level, levels, clutters):
+        """The orbit's size, and whether it holds every clutter's ψ-pair."""
+        start = (psi(("(14)", level)), psi(("(23)", level)))
+        index, pairs = _pair_orbit(gens, start, levels)
+        n = len(index)
+        keys = (sorted((index[psi(a)], index[psi(b)])) for a, b in clutters)
+        return len(pairs), all(x * n + y in pairs for x, y in keys)
 
-    finite_orbit = orbit(FINITE_GENERATORS, 0, lambda x: x[1] == 0)
-    m_pairs = {
-        frozenset((psi(a), psi(b)))
-        for a, b in wl.clutters(wl.interval(("(0)", 0), ("(1)", 0)))
-    }
-    affine_orbit = orbit(AFFINE_GENERATORS, lo, lambda x: lo - 2 <= x[1] <= hi + 2)
-    window_clutters = {
-        frozenset((psi(a), psi(b)))
-        for a, b in wl.clutters(wl.interval(("(0)", lo), ("(1)", hi)))
-    }
+    m_pairs = wl.clutters(wl.interval(("(0)", 0), ("(1)", 0)))
+    finite_size, finite_ok = orbit(FINITE_GENERATORS, 0, (0, 0), m_pairs)
+    affine_size, affine_ok = orbit(AFFINE_GENERATORS, lo, (lo - 2, hi + 2),
+                                   wl.clutters(wl.interval(("(0)", lo), ("(1)", hi))))
     l_image = {
-        tuple((u + v) % 2 for u, v in zip(a[0], b[0]))
-        for a, b in (tuple(p) for p in m_pairs)
+        tuple((u + v) % 2 for u, v in zip(psi(a)[0], psi(b)[0]))
+        for a, b in m_pairs
     }
     five = {tuple(1 if i != k else 0 for i in range(5)) for k in range(5)}
     return {
-        "finite_orbit_size": len(finite_orbit),
-        "finite_ok": m_pairs <= finite_orbit,
-        "affine_orbit_size": len(affine_orbit),
-        "affine_ok": window_clutters <= affine_orbit,
+        "finite_orbit_size": finite_size,
+        "finite_ok": finite_ok,
+        "affine_orbit_size": affine_size,
+        "affine_ok": affine_ok,
         "l_image_ok": l_image == five,
     }
-

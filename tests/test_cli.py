@@ -42,6 +42,18 @@ def run(argv, tmp_path, capsys, name="out"):
     return code, text, out.read_text() if out.exists() else None
 
 
+_PINNED_RUNS: dict = {}
+
+
+def run_pinned(argv, tmp_path, capsys):
+    """:func:`run`, once per argv in the session: the pinned-artifact tests
+    that name the same command share its run."""
+    key = tuple(argv)
+    if key not in _PINNED_RUNS:
+        _PINNED_RUNS[key] = run(argv, tmp_path, capsys)
+    return _PINNED_RUNS[key]
+
+
 class TestCharacter:
     def test_finite_closed_form(self, tmp_path, capsys):
         code, text, artifact = run(
@@ -135,7 +147,8 @@ class TestCharacter:
     def test_full_flagship_character_artifact_pinned(self, tmp_path, capsys):
         # 10,518 numerator terms over 32 factors; the SHA-256 is that of the
         # artifact the transfer climb with reduced() wrote
-        code, text, artifact = run(
+        # the run is shared with test_check_artifacts_pinned[character-(1)@1]
+        code, text, artifact = run_pinned(
             ["character", "--lo", "(0)@0", "--hi", "(1)@1"], tmp_path, capsys
         )
         assert code == 0 and text == artifact
@@ -346,7 +359,7 @@ class TestChecks:
         # sequence read off the table over every prefix of the forms; and of
         # the characters rendered from exponent tuples and Fractions, joined
         # by "+" with "+-" folded to "-" afterwards
-        code, text, artifact = run(argv, tmp_path, capsys)
+        code, text, artifact = run_pinned(argv, tmp_path, capsys)
         assert code == 0 and text == artifact
         assert hashlib.sha256(artifact.encode()).hexdigest() == digest
 

@@ -376,6 +376,47 @@ def test_reduce_matches_sort_every_step_oracle(data):
     assert all(canonical(p) for p in [r, *q])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduce_matches_oracle_past_the_basis_variables_and_degree(data):
+    # one reducer, several inputs: f in variables no basis element holds, f
+    # with one variable to the 9th power, and a Fraction lead next to a
+    # constant element; each input the packing does not cover widens it
+    basis = data.draw(st.lists(polys(min_size=1, max_size=4), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(basis) - 1))
+        g = basis[i]
+        basis[i] = g * (data.draw(st.sampled_from([Fraction(1, 3), Fraction(-5, 2)])) / pr.lc(g))
+        const = pr.Poly({pr.ONE: data.draw(st.sampled_from([1, -3, Fraction(2, 5)]))})
+        basis.insert(i + data.draw(st.integers(0, 1)), const)
+    run = pr.reducer(basis)
+    for _ in range(data.draw(st.integers(1, 3))):
+        f = data.draw(polys(KEYS, max_size=8))
+        if data.draw(st.booleans()):
+            x9 = (data.draw(st.sampled_from(KEYS)),) * 9
+            f = f + pr.monomial_poly(x9, data.draw(st.sampled_from([1, -2, Fraction(3, 4)])))
+        want_r, want_q = reduce_oracle(fr(f), [fr(g) for g in basis])
+        r, q = run(f, True)
+        assert fr(r) == want_r and [fr(p) for p in q] == want_q
+        assert run(f) == r == pr.reduce(f, basis)
+        assert all(canonical(p) for p in [r, *q])
+
+
+def test_reduce_widens_the_packing_for_new_variables_and_degrees():
+    # the basis holds x0..x2 in degree 2; x13 is foreign and x2^9 past its
+    # degree, and the reducer keeps serving inputs it covered before
+    basis = [X2 * X2 - X0 * X0, X0 * X2]
+    x13 = pr.variable(13)
+    run = pr.reducer(basis)
+    cases = [X0 * X2 * X2, x13 * X2 * X2 + X1, pr.monomial_poly((2,) * 9),
+             pr.monomial_poly((2, 2) + (13,) * 9) - X0, X0 * X2 * X2]
+    for f in cases:
+        want_r, want_q = reduce_oracle(fr(f), [fr(g) for g in basis])
+        r, q = run(f, True)
+        assert fr(r) == want_r and [fr(p) for p in q] == want_q
+    assert run(x13) == x13 and run(pr.monomial_poly((2,) * 9)).is_zero()
+
+
 def test_reduce_by_a_constant_and_by_repeated_tips():
     # x0·x1 has no divisor but the constant; x2 is the tip of x2 − x0
     r, q = pr.reduce(X0 * X1 + 3 * X2, [X2 - X0, pr.Poly({pr.ONE: 2})], track=True)
@@ -384,6 +425,18 @@ def test_reduce_by_a_constant_and_by_repeated_tips():
     # both elements have tip x2; the first in list order divides
     r, q = pr.reduce(X1 * X2, [X2 - X0, 2 * X2 + X1], track=True)
     assert r == X0 * X1 and q[1].is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(polys(min_size=1, max_size=4), min_size=2, max_size=4))
+def test_buchberger_check_matches_tuple_s_polynomials(basis):
+    # the S-polynomials built on packed terms, against s_polynomial on
+    # tuples, on bases whose remainders are mostly not zero
+    tips = [set(pr.tip(g)) for g in basis]
+    want = {(i, j): pr.reduce(pr.s_polynomial(basis[i], basis[j]), basis)
+            for i in range(len(basis)) for j in range(i + 1, len(basis))
+            if tips[i] & tips[j]}
+    assert pr.buchberger_check(basis) == want
 
 
 @pytest.mark.parametrize("r", range(4))

@@ -149,6 +149,24 @@ class TestBuildRelations:
         assert r.body == want
         assert r.clutter == (W("(14)@0"), W("(23)@0"))
 
+    def test_each_relation_leads_with_its_clutter(self):
+        # grevlex puts the clutter monomial above every other term, so the
+        # tips the reducer buckets are the clutters: with buchberger_ok the
+        # relations are a Gröbner basis whose initial ideal the clutters span
+        rng = random.Random(20261020)
+        highs = [(t, lvl) for t in wl.TAGS for lvl in (0, 1, 2)]
+        picked = [IV("(0)@0", "(1)@2")]
+        while len(picked) < 40:
+            lo, hi = (rng.choice(wl.TAGS), 0), rng.choice(highs)
+            if wl.leq(lo, hi):
+                picked.append(wl.interval(lo, hi))
+        count = 0
+        for iv in picked:
+            for r in rich.build_relations(iv):
+                assert pr.tip(r.body) == pr.monomial_from_weights(r.clutter)
+                count += 1
+        assert count > 40 * 10
+
     def test_chain_intervals_have_no_relations(self):
         assert rich.build_relations(IV("(0)@0", "(15)@0")) == []
         assert rich.build_relations(IV("(0)@0", "(0)@0")) == []
@@ -623,13 +641,13 @@ class TestDimensions:
         # every relation is reduced by the same forms, whose tips, tails and
         # buckets are worked out once per call, not once per relation
         bases = []
-        real = pr._reducer
+        real = pr.reducer
 
         def counting(basis):
             bases.append(list(basis))
             return real(basis)
 
-        monkeypatch.setattr(pr, "_reducer", counting)
+        monkeypatch.setattr(pr, "reducer", counting)
         iv = IV("(0)@0", hi)
         assert rich.regular_sequence_check(iv, 2)
         assert len(rich.build_relations(iv)) == rels

@@ -12,6 +12,7 @@ import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,52 @@ def test_quadrics_match_reference():
         assert len(gammas[s].coeffs) == 4
         assert all(len(m) == 2 for m in gammas[s].coeffs)
         assert all(c in (1, -1) for c in gammas[s].coeffs.values())
+
+
+def wedge(a, b):
+    """The full a ∧ b, from θ_S z^r ∧ b = z^r v_{s₁}(v_{s₂}(⋯ v_{s_k}(b))),
+    s₁ < ⋯ < s_k: every component, as the quadrics were once read off."""
+    acc: dict = {}
+    for (sub, lvl), c in a.items():
+        y = sa.z_shift(b, lvl)
+        for i in sorted(sub, reverse=True):
+            y = sa.clifford_apply(f"v{i}", y)
+        acc = sa._add(acc, {s: c * d for s, d in y.items()})
+    return acc
+
+
+def test_top_wedge_is_the_top_component_on_the_quadric_inputs():
+    u, zero = sa._generic_even(), pr.Poly.zero()
+    for m in range(1, 6):
+        for a, b in ((u, sa.clifford_apply(f"v{m}", u)),
+                     (sa._tau(u), sa.clifford_apply(f"v{m}*", u))):
+            top = sa._top_wedge(a, b, zero)
+            assert top == wedge(a, b).get((sa.FULL, 0), zero) and len(top.coeffs) == 4
+
+
+def elements(subsets=ALL_SUBSETS):
+    """Elements of ΛW[z, z⁻¹] with int coefficients, levels −1..1."""
+    return st.dictionaries(
+        st.tuples(st.sampled_from(subsets), st.integers(-1, 1)),
+        st.integers(-3, 3).filter(bool), max_size=8)
+
+
+EVEN_SUBSETS = [sub for sub in ALL_SUBSETS if len(sub) % 2 == 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements(EVEN_SUBSETS), elements(EVEN_SUBSETS),
+       st.sampled_from([f"v{i}{star}" for i in range(1, 6) for star in ("", "*")]),
+       st.booleans(), elements(), elements())
+def test_top_wedge_is_the_top_component_on_random_even_elements(x, y, gen, twist, a, b):
+    # the quadrics' shape (even, twisted or not, by a generator on even),
+    # and any two elements
+    top = (sa.FULL, 0)
+    u, v = sa._tau(x) if twist else x, sa.clifford_apply(gen, y)
+    assert sa._top_wedge(u, v) == wedge(u, v).get(top, 0)
+    assert sa._top_wedge(a, b) == wedge(a, b).get(top, 0)
+    # two even elements have no top component
+    assert sa._top_wedge(x, y) == 0 == wedge(x, y).get(top, 0)
 
 
 def test_quadrics_pfaffian_route():
@@ -559,6 +606,72 @@ def test_m_translation_identities():
 def test_weyl_hasse_check():
     rep = sa.weyl_hasse_check((0, 1))
     assert rep == {"nodes": 32, "edges": 44, "finite_only_edges": 40}
+
+
+def orbit_oracle(gens, level, level_ok):
+    """The frozenset walk the pair orbit replaced: pairs of ψ-nodes, each
+    generator's node images memoised, images that coincide or fail
+    `level_ok` dropped."""
+    start = frozenset((sa.psi(("(14)", level)), sa.psi(("(23)", level))))
+    images = [(g.apply, {}) for g in gens]
+    seen = {start}
+    stack = [start]
+    while stack:
+        pair = stack.pop()
+        for apply, memo in images:
+            img = frozenset(
+                memo[x] if x in memo else memo.setdefault(x, apply(x)) for x in pair
+            )
+            if len(img) == 2 and img not in seen:
+                if all(level_ok(x) for x in img):
+                    seen.add(img)
+                    stack.append(img)
+    return seen
+
+
+def pair_orbit(gens, level, levels):
+    """:func:`sa._pair_orbit` seeded at ψ((14)^level), ψ((23)^level), as a
+    set of frozenset node pairs."""
+    start = (sa.psi(("(14)", level)), sa.psi(("(23)", level)))
+    index, orbit = sa._pair_orbit(gens, start, levels)
+    nodes = list(index)
+    return {frozenset((nodes[k // len(nodes)], nodes[k % len(nodes)])) for k in orbit}
+
+
+@pytest.mark.parametrize("window", [(0, 1), (0, 3), (1, 2), (3, 6)])
+@pytest.mark.parametrize("gens", [sa.FINITE_GENERATORS, sa.AFFINE_GENERATORS],
+                         ids=["finite", "affine"])
+def test_pair_orbit_matches_frozenset_walk(gens, window):
+    lo, hi = window
+    want = orbit_oracle(gens, lo, lambda x: lo - 2 <= x[1] <= hi + 2)
+    assert pair_orbit(gens, lo, (lo - 2, hi + 2)) == want
+    if gens is sa.FINITE_GENERATORS:
+        assert len(want) == 40
+        assert pair_orbit(gens, 0, (0, 0)) == orbit_oracle(gens, 0, lambda x: x[1] == 0)
+
+
+def test_pair_orbit_drops_coinciding_images():
+    # a map that folds the two ψ-nodes of the seed onto one node, and sends
+    # the rest to the level above: neither image pair is kept
+    seed = (sa.psi(("(14)", 0)), sa.psi(("(23)", 0)))
+    fold = SimpleNamespace(apply=lambda x: seed[0] if x in seed else (x[0], x[1] + 1))
+    for gens in ((fold,), (fold, sa.S1)):
+        got = pair_orbit(gens, 0, (0, 1))
+        assert got == orbit_oracle(gens, 0, lambda x: 0 <= x[1] <= 1)
+        assert frozenset(seed) in got and all(len(p) == 2 for p in got)
+    assert len(pair_orbit((fold,), 0, (0, 1))) == 1
+
+
+def test_wrong_affine_translation_changes_the_orbit(monkeypatch):
+    # s₆ translating by 2e₄ instead of e₄ + e₅ halves the orbit, and the
+    # clutters of the window leave it
+    gens = (*sa.FINITE_GENERATORS, sa.S6._replace(trans=(0, 0, 0, 2, 0)))
+    got = pair_orbit(gens, 0, (-2, 5))
+    assert got == orbit_oracle(gens, 0, lambda x: -2 <= x[1] <= 5)
+    assert len(got) == 1280 and len(pair_orbit(sa.AFFINE_GENERATORS, 0, (-2, 5))) == 2560
+    monkeypatch.setattr(sa, "AFFINE_GENERATORS", gens)
+    rep = sa.weyl_orbit_check((0, 3))
+    assert rep["affine_orbit_size"] == 1280 and not rep["affine_ok"] and rep["finite_ok"]
 
 
 def test_weyl_orbit_check():
