@@ -23,9 +23,10 @@ them:
   lattice (Hibi; Stanley's P-partitions).  The numerator for ``[lo, x]``
   depends on ``[lo, x]`` alone, so one walk from ``lo`` gives the character
   of every requested top; :func:`character` is its one-top call.
-  :func:`character_series` runs the same walk truncated at ``t^k_max``,
+  The walk can drop every numerator term above ``t^k_max`` as it goes,
   which is exact: each step multiplies by ``1 − e t`` or ``e t``, neither of
-  negative ``t``-degree;
+  negative ``t``-degree.  :func:`character_series` expands each top's
+  series from that truncated walk;
 * :func:`transfer_matrix` — the 2×2 transfer matrices, one per height (the
   poset has exactly two elements per height), each built from the height
   pairs by a ladder rule of four shapes.  Climbing the height ladder with
@@ -35,7 +36,9 @@ them:
   the height pairs (:func:`lower_bound_recursions_check`);
 * :func:`recursion_check_J` — four three-term recursions along the
   distinguished sequence ``J = {(15), (5), (0)¹, (1), (15)¹, …}``
-  (:func:`j_sequence`), on the series of one truncated walk.
+  (:func:`j_sequence`), on the numerators of one truncated walk, compared
+  modulo ``t^{k_max+1}`` over each recursion's least common denominator;
+  no series is expanded.
 
 Specializing all ``s_i`` and ``q`` to 1 collapses ``C`` to the ordinary
 Hilbert series.  Along ``J`` the specialized series are
@@ -62,8 +65,8 @@ provides truncated expansions for oracle comparisons.
 A truncated series has one format: a list of ``t``-free :class:`LaurentPoly`
 layers, entry ``k`` the coefficient of ``t^k``, as
 :meth:`RationalChar.series` and :func:`chain_series_direct` return it.  The
-recursion checks multiply such lists layer by layer and compare them layer
-by layer; no expansion is keyed by ``t``.
+lower-system check multiplies such lists layer by layer and compares them
+layer by layer; no expansion is keyed by ``t``.
 
 All arithmetic runs on dicts keyed by one int per monomial: seven 32-bit
 fields, ``s₁..s₅, q`` biased by 2³¹ and ``t`` signed on top.  A monomial
@@ -244,6 +247,25 @@ def _series_mul_into(acc: list[dict], a: list[LaurentPoly], b: list[LaurentPoly]
     for i, p in enumerate(a[:n]):
         for j, r in enumerate(b[: n - i]):
             _mul_into(acc[i + j], p, r)
+
+
+def _times_factors(
+    terms: dict, reach: int, factors, cap: int | None = None
+) -> tuple[dict, int]:
+    """``terms · Π (1 − x^m)`` over the factor multiset ``factors`` (its
+    elements, multiplied in the order given), and the product's ``reach``;
+    ``reach`` bounds the exponents of ``terms``.  With ``cap``, each step
+    drops the keys ``≥ cap``, which is exact when ``terms`` has none: no
+    factor has negative ``t``-degree.  The empty multiset returns ``terms``
+    itself.  Raises ValueError before any step whose keys could alias."""
+    factors = list(factors)
+    reach += sum(_span([m]) for m in factors)
+    _check_reach(reach)
+    for m in factors:
+        nxt = dict(terms)
+        _add_into(nxt, terms, _delta(m), -1)
+        terms = _pruned(nxt, cap)
+    return terms, reach
 
 
 # ---------------------------------------------------------- Laurent algebra
@@ -516,10 +538,7 @@ def _line_screen(num: LaurentPoly):
 
 def _factors_poly(fac: Counter) -> LaurentPoly:
     """Expand a (small) multiset of factors ``Π (1 - x^m)``."""
-    out = LaurentPoly.one()
-    for m in sorted(fac.elements()):
-        out = out * LaurentPoly({ONE_M: 1, m: -1})
-    return out
+    return LaurentPoly._of(*_times_factors({_ONE_KEY: 1}, 0, sorted(fac.elements())))
 
 
 class RationalChar:
@@ -985,30 +1004,28 @@ def _walk(
             )
             for y in reads[x]:
                 last.setdefault(y, x)
-    # num[x] is the kernel dict of N_x.  The apos order is a linear
+    # num[x] is the kernel dict of N_x and bound[x] its reach, kept step by
+    # step: at most the sum over z ∈ [lo, x) of the largest |exponent| of
+    # e_z t, so within the reach checked above.  The apos order is a linear
     # extension, so x comes after everything below it.
-    num = {lo: {_ONE_KEY: 1}}
+    num, bound = {lo: {_ONE_KEY: 1}}, {lo: 0}
     for x in els[1:]:
         if x not in steps:
             continue
         step = steps[x]
         if isinstance(step, Tail):
-            num[x] = num[step.below]
+            num[x], bound[x] = num[step.below], bound[step.below]
         else:
             # [lo, x) = [lo, b] ⊔ {a} with [lo, a) = [lo, m], so
             # N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z ∈ [lo, b]∖[lo, m]} (1 − e_z t)
             a, (b, m) = step.tail, reads[x]
-            prod = num[m]
-            for z in els:
-                if leq(z, b) and not leq(z, m):
-                    nxt = dict(prod)
-                    _add_into(nxt, prod, _delta(wm[z]), -1)
-                    prod = _pruned(nxt, cap)
+            fresh = [wm[z] for z in els if leq(z, b) and not leq(z, m)]
+            prod, r = _times_factors(num[m], bound[m], fresh, cap)
             d_a = _delta(wm[a])
             acc = dict(num[b])
             _add_into(acc, num[b], d_a, -1)
             _add_into(acc, prod, d_a)
-            num[x] = _pruned(acc, cap)
+            num[x], bound[x] = _pruned(acc, cap), _span([wm[a]]) + max(bound[b], r)
         for y in reads[x]:
             if last[y] == x:
                 del num[y]
@@ -1098,13 +1115,17 @@ def _j_recursion_sides(
 def recursion_check_J(r_max: int, k_max: int) -> bool:
     """Verify the four three-term recursions along J for ``1 ≤ r ≤ r_max``.
 
-    Both sides are expanded as series in ``t`` to order ``k_max`` with full
-    ``(s, q)`` weights and compared coefficient by coefficient; the right
-    side is assembled by convolving the series of its two products, so the
-    deep interval characters are never multiplied out as rational functions.
-    Every side's ``A^w`` comes from one :func:`character_series` walk over
-    the distinct tops, truncated at ``t^k_max``: ``(5)¹`` is a left side
-    and the tail ``d`` of kind ``(1)``, and is expanded once.
+    Each recursion ``A^δ = c₁·A^a + c₂·A^d`` is checked modulo
+    ``t^{k_max+1}`` with full ``(s, q)`` weights, on numerators, with no
+    series expanded.  Write ``A^w = N_w/D_w`` and ``L`` for the least common
+    multiple of ``D_δ``, ``den(c₁)·D_a`` and ``den(c₂)·D_d`` (not ``D_δ``:
+    the ``a``-term's denominator has a factor it lacks).  ``L`` has constant
+    term 1, a unit among power series, so the check is
+    ``N_δ·L/D_δ ≡ Σᵢ num(cᵢ)·N_w·L/(den(cᵢ)·D_w)``.  No multiplier has
+    negative ``t``-degree, so each product is truncated as it is formed, and
+    the ``N_w`` come from one walk over the distinct tops truncated at
+    ``t^k_max``, as in :func:`character_series`: ``(5)¹`` is a left side
+    and the tail ``d`` of kind ``(1)``, and is built once.
 
     >>> recursion_check_J(1, 0)    # every side has constant term 1
     True
@@ -1114,13 +1135,24 @@ def recursion_check_J(r_max: int, k_max: int) -> bool:
     sides = [
         _j_recursion_sides(kind, r) for r in range(1, r_max + 1) for kind in _J_RECURSIONS
     ]
-    tops = [w for top, terms in sides for w in (top, *(w for _, w in terms))]
-    series = character_series(("(0)", 0), tops, k_max)
+    cap = (k_max + 1) << _T_SHIFT
+    iv, tops = _walk_interval(
+        ("(0)", 0), [w for top, terms in sides for w in (top, *(w for _, w in terms))]
+    )
+    chars = _walk(iv, tops, None, cap)
+
+    def over(den: Counter, num: LaurentPoly, lcm: Counter) -> LaurentPoly:
+        """``num · lcm/den``, truncated at ``t^k_max``."""
+        terms, reach = _times_factors(num._terms, num.reach, (lcm - den).elements(), cap)
+        return LaurentPoly._of(terms, reach)
+
     for top, terms in sides:
-        rhs: list[dict] = [{} for _ in range(k_max + 1)]
-        for coeff, w in terms:
-            _series_mul_into(rhs, coeff.series(k_max), series[w])
-        if [p._terms for p in series[top]] != list(map(_pruned, rhs)):
+        lhs = chars[top]
+        lcm = reduce(Counter.__or__, (c.den + chars[w].den for c, w in terms), lhs.den)
+        rhs: dict = {}
+        for c, w in terms:
+            _mul_into(rhs, c.num, over(c.den + chars[w].den, chars[w].num, lcm))
+        if over(lhs.den, lhs.num, lcm)._terms != _pruned(rhs, cap):
             return False
     return True
 

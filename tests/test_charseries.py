@@ -4,8 +4,8 @@ The down-set recursion behind `character` is cross-checked against an
 independent dynamic-programming oracle (`chain_series_direct`) and against a
 test-side transfer-matrix climb, the transfer matrices' zero pattern and
 eight-height period against the order, the Delannoy polynomials against a
-square-array grid recurrence, and the ladder recursions against series
-expansion with full torus weights.  The packed-key `LaurentPoly` and its
+square-array grid recurrence, and the J-ladder recursions' numerator check
+against the series route kept here, with full torus weights.  The packed-key `LaurentPoly` and its
 trial division are checked against the tuple-keyed arithmetic kept here as
 their oracle, and the line sums that screen `reduced()` against division.
 """
@@ -590,6 +590,33 @@ def test_series_matches_laurent_expansion(num, den, other, other_den, k):
     ] == [p.coeffs for p in conv]
 
 
+@settings(max_examples=150, deadline=None)
+@given(num=LAURENT, factors=st.lists(FACTOR, max_size=4),
+       k=st.one_of(st.none(), st.integers(-1, 4)))
+@example(num={T: 1}, factors=[], k=None)
+@example(num={T: 1, cs.ONE_M: 2}, factors=[], k=0)
+def test_times_factors_matches_repeated_products(num, factors, k):
+    p = cs.LaurentPoly(num)
+    want = p
+    for m in factors:
+        want = want * cs.LaurentPoly({cs.ONE_M: 1, m: -1})
+    cap = None if k is None else (k + 1) << cs._T_SHIFT
+
+    def below_cap(terms: dict) -> dict:
+        return terms if cap is None else {key: c for key, c in terms.items() if key < cap}
+
+    terms = below_cap(p._terms)
+    got, reach = cs._times_factors(terms, p.reach, factors, cap)
+    assert got == below_cap(want._terms) and reach == want.reach
+    if not factors:  # the empty multiset is a no-op
+        assert got is terms and reach == p.reach
+    # the same product is refused once its reach would be 2^31
+    added = reach - p.reach
+    assert cs._times_factors(terms, 2**31 - 1 - added, factors, cap)[0] == got
+    with pytest.raises(ValueError, match="packed range"):
+        cs._times_factors(terms, 2**31 - added, factors, cap)
+
+
 def plain_chain_series(iv: wl.Interval, k: int) -> list[dict]:
     """Oracle for chain_series_direct: the same DP in tuple-keyed arithmetic."""
     wm = {x: TupleLaurent({cs.weight_mono(x, 0): 1}) for x in iv.elements}
@@ -674,6 +701,10 @@ def test_exponent_range_guard():
     assert q(-(2**31 - 2), 1).subs_t_qt(-1) == q(-(2**31 - 1), 1)
     with pytest.raises(ValueError, match="packed range"):
         q(2**31 - 2, 1).subs_t_qt(2)
+    # the down-set recursion runs wherever its bound passes, 15 steps of
+    # q^143000000 t short of 2^31; no product within it refuses
+    near = wl.interval(W("(0)@143000000"), W("(1)@143000000"))
+    assert cs.character(near, specialize={"s": 1}).num.reach == 15 * 143000000
     # the down-set recursion and the DP refuse before packing, too
     far = wl.interval(W("(0)@200000000"), W("(1)@200000000"))
     with pytest.raises(ValueError, match="packed range"):
@@ -1014,6 +1045,8 @@ def test_recursion_check_J_fails_on_a_wrong_weight(monkeypatch):
     assert cs.recursion_check_J(1, 1)
     # at k_max 0 every side is its constant term 1, which no weight moves
     assert cs.recursion_check_J(1, 0)
+    for k in (3, 1, 0):
+        assert cs.recursion_check_J(1, k) == recursion_check_J_by_series(1, k)
 
 
 def test_lower_bound_recursions_fail_on_a_wrong_entry(monkeypatch):
@@ -1059,13 +1092,85 @@ def test_recursion_check_J_builds_each_interval_once(monkeypatch):
     walks = counting(monkeypatch, "_walk")
     assert cs.recursion_check_J(1, 4)
     # 4 left sides and 8 tails, 8 distinct tops among them: (5)@1 is both;
-    # one walk over them, truncated at t^4, and no one-top character
-    assert singles == []
-    [(lo, tops, k_max)] = series
-    assert lo == W("(0)@0") and len(tops) == 12 and len(set(tops)) == 8 and k_max == 4
-    [(_, walked, _, cap)] = walks
-    assert set(walked) == set(tops) and cap is not None
+    # one walk over them, truncated at t^4, and no one-top character or series
+    assert singles == [] and series == []
+    [(iv, tops, spec, cap)] = walks
+    sides = [cs._j_recursion_sides(kind, 1) for kind in cs._J_RECURSIONS]
+    want = {w for top, terms in sides for w in (top, *(w for _, w in terms))}
+    assert iv.lo == W("(0)@0") and len(tops) == len(set(tops)) == 8 and set(tops) == want
+    assert spec is None and cap == 5 << cs._T_SHIFT
     assert cs.recursion_check_J(2, 3)
+
+
+def test_recursion_check_J_expands_no_series(monkeypatch):
+    calls: list = []
+    real = cs.RationalChar._layers
+
+    def counted(self, k_max):
+        calls.append(k_max)
+        return real(self, k_max)
+
+    monkeypatch.setattr(cs.RationalChar, "_layers", counted)
+    assert cs.recursion_check_J(1, 4)
+    assert calls == []
+
+
+def recursion_check_J_by_series(r_max: int, k_max: int) -> bool:
+    """Oracle for recursion_check_J: both sides of each recursion expanded
+    as series to t^k_max, the right side by convolving the series of its
+    two products, compared layer by layer."""
+    sides = [
+        cs._j_recursion_sides(kind, r)
+        for r in range(1, r_max + 1)
+        for kind in cs._J_RECURSIONS
+    ]
+    tops = [w for top, terms in sides for w in (top, *(w for _, w in terms))]
+    series = cs.character_series(W("(0)@0"), tops, k_max)
+    for top, terms in sides:
+        rhs: list[dict] = [{} for _ in range(k_max + 1)]
+        for coeff, w in terms:
+            cs._series_mul_into(rhs, coeff.series(k_max), series[w])
+        if [p._terms for p in series[top]] != list(map(cs._pruned, rhs)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("r_max", [1, 2])
+def test_recursion_check_J_matches_series_route(r_max):
+    for k in range(6):
+        assert cs.recursion_check_J(r_max, k) is True
+        assert recursion_check_J_by_series(r_max, k) is True
+    # the common denominator is not D_δ: each a-term's denominator has one
+    # factor that the left side's lacks
+    for kind in cs._J_RECURSIONS:
+        top, ((c1, a), _) = cs._j_recursion_sides(kind, r_max)
+        chars = cs.characters(W("(0)@0"), [top, a])
+        assert sum((c1.den + chars[a].den - chars[top].den).values()) == 1
+
+
+def other_tag(w: tuple) -> tuple:
+    """``w`` with another tag at the same relative level."""
+    return ("(2)" if w[0] != "(2)" else "(3)", w[1])
+
+
+MUTANTS = {
+    "a": lambda facs, a, b, c, d: (facs, other_tag(a), b, c, d),
+    "c": lambda facs, a, b, c, d: (facs, a, b, other_tag(c), d),
+    "d": lambda facs, a, b, c, d: (facs, a, b, c, other_tag(d)),
+    "factor": lambda facs, a, b, c, d: ((other_tag(facs[0]), *facs[1:]), a, b, c, d),
+    "b<->c": lambda facs, a, b, c, d: (facs, a, c, b, d),
+}
+
+
+@pytest.mark.parametrize("part", list(MUTANTS))
+@pytest.mark.parametrize("kind", list(cs._J_RECURSIONS))
+def test_recursion_check_J_matches_series_route_on_mutants(kind, part, monkeypatch):
+    monkeypatch.setitem(cs._J_RECURSIONS, kind, MUTANTS[part](*cs._J_RECURSIONS[kind]))
+    verdicts = [cs.recursion_check_J(1, k) for k in range(4)]
+    assert verdicts == [recursion_check_J_by_series(1, k) for k in range(4)]
+    # e_b e_c is symmetric, so a b/c swap passes; every other change shows
+    # by t^2 (a c changed from t^2 on, the rest from t on)
+    assert verdicts[0] and verdicts[2] == verdicts[3] == (part == "b<->c")
 
 
 def test_recursion_check_J_r_3():
