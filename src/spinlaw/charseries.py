@@ -536,11 +536,6 @@ def _line_screen(num: LaurentPoly):
     return line_sum
 
 
-def _factors_poly(fac: Counter) -> LaurentPoly:
-    """Expand a (small) multiset of factors ``Π (1 - x^m)``."""
-    return LaurentPoly._of(*_times_factors({_ONE_KEY: 1}, 0, sorted(fac.elements())))
-
-
 class RationalChar:
     """Rational character ``num / Π (1 − x^m)`` with a factored denominator.
 
@@ -614,10 +609,12 @@ class RationalChar:
         if other.is_zero():
             return self
         lcm = self.den | other.den
-        num = self.num * _factors_poly(lcm - self.den) + other.num * _factors_poly(
-            lcm - other.den
-        )
-        return RationalChar(num, lcm)
+        # the empty multiset returns the numerator's own dict: add into a copy
+        acc, reach = _times_factors(self.num._terms, self.num.reach, (lcm - self.den).elements())
+        acc = dict(acc)
+        rest, r = _times_factors(other.num._terms, other.num.reach, (lcm - other.den).elements())
+        _add_into(acc, rest, 0)
+        return RationalChar(LaurentPoly._of(_pruned(acc), max(reach, r)), lcm)
 
     def __neg__(self) -> "RationalChar":
         return RationalChar(-self.num, self.den)

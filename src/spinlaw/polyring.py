@@ -22,7 +22,8 @@ each of the defining quadrics is its pair of incomparable weights.  The key is
 ``(len(m), m)``: if two sorted tuples of one length first differ at index i
 with a[i] < b[i], then a[i] is the first key where their exponents differ, and
 a holds more of it, so a is the smaller monomial.  Ranks are integer
-eliminations (:class:`Echelon`), graded ones over packed monomials.
+eliminations (:class:`Echelon`); the reducer and the graded ranks share one
+packing of monomials into ints whose order is this grevlex (:class:`_Packing`).
 
 Text syntax
 -----------
@@ -282,7 +283,8 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 
 
 class _Packing:
-    """Monomials in fixed variables as ints, one exponent field per variable.
+    """Monomials in fixed variables as ints, one exponent field per variable;
+    the one layout of :func:`reducer` and :func:`graded_quotient_dims`.
 
     Variable ``keys[i]`` (sorted, ``n`` of them) owns the field of ``bits``
     bits at ``bits·(n − 1 − i)``, so the smallest key is the most
@@ -509,6 +511,15 @@ def buchberger_check(basis) -> dict[tuple[int, int], Poly]:
 # ------------------------------------------------------- graded dimension
 
 
+def _primitive(terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Nonzero int `terms` sorted by column, divided by their content and
+    with the first entry made positive: the one form of a pivot's terms."""
+    g = math.gcd(*[v for _, v in terms])
+    if terms[0][1] < 0:
+        g = -g
+    return terms if g == 1 else [(c, v // g) for c, v in terms]
+
+
 class Echelon:
     """Row echelon form over the integers, grown one row at a time.
 
@@ -522,9 +533,9 @@ class Echelon:
     A pivot has one form, ``(offset, terms)``: the row ``{offset + c: v for
     c, v in terms}``, with ``terms`` sorted by column, so the first is the
     lead, at the pivot's own column.  Its entries are nonzero ints of
-    content 1 and its lead is positive.  :meth:`eliminate` stores the row it
-    ends with as ``(0, terms)``; :func:`graded_quotient_dims` stores a row
-    ``u·g`` whose leading column is free as ``(u, terms of g)``, unreduced.
+    content 1 and its lead is positive (:func:`_primitive`).  :meth:`eliminate`
+    stores the row it ends with as ``(0, terms)``; :func:`graded_quotient_dims`
+    stores a row ``u·g`` whose leading column is free as ``(u, terms of g)``.
 
     >>> e = Echelon()
     >>> [e.eliminate(r) for r in ({0: -2, 1: 4}, {0: 1, 1: -2}, {0: 3, 2: 6})]
@@ -553,11 +564,7 @@ class Echelon:
             col = min(row)
             prow = pivots.get(col)
             if prow is None:
-                terms = sorted(row.items())
-                g = math.gcd(*row.values())
-                if terms[0][1] < 0:
-                    g = -g
-                pivots[col] = (0, terms if g == 1 else [(c, v // g) for c, v in terms])
+                pivots[col] = (0, _primitive(sorted(row.items())))
                 return True
             offset, terms = prow
             a, b = terms[0][1], row[col]
@@ -603,13 +610,13 @@ def graded_quotient_dims(relations, var_keys, k_max: int) -> list[int]:
     the ideal's degree-`k` slice, spanned by all products u·g, u a monomial
     of degree k − deg g; each degree has one :class:`Echelon`.
 
-    Monomials are packed ints, variable ``i`` (in key order) being the field
-    ``1 << (bits·i)``, ``bits = max(1, k_max.bit_length())``: no exponent up
-    to degree `k_max` reaches ``2**bits``, so keys cannot alias, and the key
-    of u·m is the sum of theirs.  Each generator's terms are packed, sorted,
-    cleared of denominators and divided by their content once, with the
-    lowest column's entry made positive; packing keeps order, so the leading
-    column of u·g is ``u + t₀``, ``t₀`` the smallest term key.  A degree's
+    Monomials are the reducer's packed ints, ``_Packing(var_keys,
+    k_max).pack``, so a column is the int of a monomial of degree ≤ `k_max`
+    and the column of u·m is the sum of theirs.  Each generator's terms are
+    packed, sorted, cleared of denominators and made primitive
+    (:func:`_primitive`) once.  The packing's int order is grevlex, so the
+    leading column of u·g is ``u + t₀``, ``t₀`` the smallest term key: the
+    packed ``u·tip(g)``, the reducer's leading monomial.  A degree's
     rows go in two passes: each u·g whose leading column has no pivot yet
     becomes the pivot ``(u, terms)`` as it is, then only the rows that
     collided go through :meth:`Echelon.eliminate`.  Rows with distinct free
@@ -632,20 +639,12 @@ def graded_quotient_dims(relations, var_keys, k_max: int) -> list[int]:
             raise ValueError("relation uses a variable outside var_keys")
     if k_max < 0:
         return []
-    bits = max(1, k_max.bit_length())
-    field = {kk: 1 << (bits * i) for i, kk in enumerate(keys)}
+    pack = _Packing(keys, k_max).pack
 
     def packed(g):
         den = math.lcm(*[c.denominator for c in g.coeffs.values()])
-        terms = sorted(
-            (sum(field[kk] for kk in m), c.numerator * (den // c.denominator))
-            for m, c in g.coeffs.items())
-        content = math.gcd(*[c for _, c in terms])
-        if terms[0][1] < 0:
-            content = -content
-        if content != 1:
-            terms = [(t, c // content) for t, c in terms]
-        return g.degree(), terms
+        return g.degree(), _primitive(sorted(
+            (pack(m), c.numerator * (den // c.denominator)) for m, c in g.coeffs.items()))
 
     gens = [packed(g) for g in relations if 0 <= g.degree() <= k_max]
     multipliers: dict[int, list[int]] = {}  # by degree, packed once per call
@@ -658,8 +657,8 @@ def graded_quotient_dims(relations, var_keys, k_max: int) -> list[int]:
             if d > k:
                 continue
             if k - d not in multipliers:
-                cwr = itertools.combinations_with_replacement(field.values(), k - d)
-                multipliers[k - d] = [sum(c) for c in cwr]
+                cwr = itertools.combinations_with_replacement(keys, k - d)
+                multipliers[k - d] = [pack(u) for u in cwr]
             t0 = terms[0][0]
             for u in multipliers[k - d]:
                 if u + t0 in pivots:

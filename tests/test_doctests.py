@@ -3,6 +3,7 @@ and which of them reads the packed character kernel."""
 
 from __future__ import annotations
 
+import ast
 import doctest
 import importlib
 import pkgutil
@@ -58,3 +59,24 @@ def test_only_charseries_reads_packed_keys():
     assert readers == {}
     moved = ("format_mono", "format_laurent", "format_denominator", "MONO_VARS", "MONO_VARS_TEX")
     assert [name for name in moved if hasattr(cli, name)] == []
+
+
+def test_only_packing_sizes_polyring_fields():
+    # one monomial layout: polyring takes a field width from a bit length only
+    # in _Packing, and reads other bit lengths only off packed monomials
+    # (unpacking, and the reducer's scan of a monomial's fields)
+    tree = ast.parse((Path(spinlaw.__file__).parent / "polyring.py").read_text())
+    sites = {}
+    for node in tree.body:
+        for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+            name = getattr(fn, "name", "")
+            if fn is not node:
+                name = f"{node.name}.{name}"
+            if calls := [ast.unparse(n.value) for n in ast.walk(fn)
+                         if isinstance(n, ast.Attribute) and n.attr == "bit_length"]:
+                sites[name] = calls
+    assert sites == {
+        "_Packing.__init__": ["degree"],
+        "_Packing.unpack": ["low"],
+        "_Reducer._run": ["low"],
+    }

@@ -688,11 +688,12 @@ def test_graded_quotient_table_of_1_at_1():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8])
 def test_packed_keys_do_not_alias_at_field_boundaries(k):
-    # k is where the field width k.bit_length() steps.  One bit less makes
-    # x0^k and x0^(k−w)·x1 collide, w = 2^(width−1), at k = 1, 3, 7; at
-    # k = 2, 4, 8 it leaves base k, still alias-free in degree k.  Every
-    # degree-k monomial of x0, x1, x2 (x_i^k among them) added one at a time
-    # drops the dimension by one, and x0^k also arises as x0^(k−1) · x0
+    # k is where the field width k.bit_length() + 1 steps: the bits of an
+    # exponent up to k and a guard bit above them.  At k = 1, 3, 7 an
+    # exponent k sets every bit below the guard; at k = 2, 4, 8 the width has
+    # just grown by one.  Every degree-k monomial of x0, x1, x2 (x_i^k among
+    # them) added one at a time drops the dimension by one, and x0^k also
+    # arises as x0^(k−1) · x0
     x = [X0, X1, X2]
     monos = [math.prod((x[i] for i in c), start=pr.monomial_poly(pr.ONE))
              for c in itertools.combinations_with_replacement(range(3), k)]
@@ -761,11 +762,7 @@ def check_expanded_pivots(gens, var_keys, k_max):
                     for k in range(k_max + 1)]
     assert len(made) == k_max + 1
     keys = sorted(var_keys)
-    bits = max(1, k_max.bit_length())
-
-    def monomial_of(col):  # the inverse of the packing
-        return tuple(kk for i, kk in enumerate(keys)
-                     for _ in range(col >> (bits * i) & (1 << bits) - 1))
+    monomial_of = pr._Packing(keys, k_max).unpack
 
     for k, echelon in enumerate(made):
         index = {
@@ -809,17 +806,31 @@ def test_by_reference_pivots_explicit_cases(relations, extra, k):
 
 
 def test_by_reference_pivot_is_normalised_once():
-    # −2·x0² − 4·x0·x1 at k = 2 (content 2, negative lead; packed x0 = 1,
-    # x1 = 4) is one row with a free column: stored as (u, terms), unreduced
+    # −4·x0·x1 − 2·x0² at k = 2 (content 2, negative lead: x0·x1 is the
+    # grevlex tip) is one row with a free column: stored as (u, terms), unreduced
     with recorded_echelons() as made:
         assert pr.graded_quotient_dims([-2 * X0 * X0 - 4 * X0 * X1], [0, 1], 2)[2] == 2
     *lower, echelon = made
     assert [e.pivots for e in lower] == [{}, {}]
-    assert echelon.pivots == {2: (0, [(2, 1), (5, 2)])}
+    pack = pr._Packing([0, 1], 2).pack
+    xy, xx = pack((0, 1)), pack((0, 0))
+    assert echelon.pivots == {xy: (0, [(xy, 2), (xx, 1)])}
     # a row reaching that column reduces to zero against it, which stays as is
-    assert not echelon.eliminate({2: -3, 5: -6})
-    assert echelon.pivots == {2: (0, [(2, 1), (5, 2)])}
-    assert pivot_rows(echelon) == {2: {2: 1, 5: 2}}
+    assert not echelon.eliminate({xx: -3, xy: -6})
+    assert echelon.pivots == {xy: (0, [(xy, 2), (xx, 1)])}
+    assert pivot_rows(echelon) == {xy: {xy: 2, xx: 1}}
+
+
+def test_graded_ranks_lead_with_the_reducers_tips():
+    # both routes pack monomials one way: the pivot columns of the degree-2
+    # quadrics of [(0)@0, (1)@1] are the reducer's packed grevlex tips
+    rels, keys, _ = height_forms("(1)@1")
+    with recorded_echelons() as made:
+        pr.graded_quotient_dims(rels, keys, 2)
+    red = pr.reducer(rels)
+    red._layout(set(keys), 2)
+    assert len(rels) == len(made[2].pivots) == 30
+    assert sorted(made[2].pivots) == sorted(red.ptips)
 
 
 def test_graded_ranks_eliminate_only_colliding_rows():
