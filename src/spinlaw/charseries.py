@@ -105,7 +105,6 @@ from .weightlattice import (
     interval,
     join,
     leq,
-    meet,
     torus_weight,
 )
 
@@ -996,9 +995,7 @@ def _walk(
     for x in reversed(els[1:]):
         if x in last:
             s = steps[x] = decompose_below(iv, x)
-            reads[x] = (
-                (s.below,) if isinstance(s, Tail) else (s.other, meet(s.tail, s.other))
-            )
+            reads[x] = (s.below,) if isinstance(s, Tail) else (s.other, s.meet)
             for y in reads[x]:
                 last.setdefault(y, x)
     # num[x] is the kernel dict of N_x and bound[x] its reach, kept step by
@@ -1015,7 +1012,7 @@ def _walk(
         else:
             # [lo, x) = [lo, b] ⊔ {a} with [lo, a) = [lo, m], so
             # N_x = (1 − e_a t)·N_b + e_a t·N_m·Π_{z ∈ [lo, b]∖[lo, m]} (1 − e_z t)
-            a, (b, m) = step.tail, reads[x]
+            a, b, m = step
             fresh = [wm[z] for z in els if leq(z, b) and not leq(z, m)]
             prod, r = _times_factors(num[m], bound[m], fresh, cap)
             d_a = _delta(wm[a])

@@ -84,10 +84,6 @@ def parse_window(text: str) -> tuple[int, int]:
     return window
 
 
-def parse_interval(args) -> wl.Interval:
-    return wl.interval(wl.parse_weight(args.lo), wl.parse_weight(args.hi))
-
-
 def parse_specialize(text: str) -> dict:
     """``"s=1,q=1"`` → ``{"s": 1, "q": 1}``; :func:`spinlaw.charseries.character`
     decides which names and values it accepts."""
@@ -413,7 +409,7 @@ def _artifact_path(args, text) -> str:
 def _parsed_input(args):
     """The command's parsed interval or window, and its envelope entry."""
     if hasattr(args, "lo"):
-        iv = parse_interval(args)
+        iv = wl.interval(wl.parse_weight(args.lo), wl.parse_weight(args.hi))
         return iv, {"interval": [wl.format_weight(iv.lo), wl.format_weight(iv.hi)]}
     if hasattr(args, "window"):
         window = parse_window(args.window)

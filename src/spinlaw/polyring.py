@@ -195,9 +195,6 @@ class Poly:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
 
@@ -341,8 +338,8 @@ class _Packing:
 
 
 class _Reducer:
-    """:func:`reduce` by a fixed ordered basis (see :func:`reducer`): the
-    tips and leading coefficients once, the basis packed once per packing."""
+    """:func:`reducer`'s run by a fixed ordered basis: the tips and leading
+    coefficients once, the basis packed once per packing."""
 
     __slots__ = ("basis", "tips", "lcs", "const", "packing", "ptips", "tails",
                  "buckets")
@@ -443,19 +440,8 @@ class _Reducer:
 
 
 def reducer(basis):
-    """:func:`reduce` by a fixed ordered basis, as ``run(f, track=False)``.
-
-    Monomials run as packed ints (:class:`_Packing`) over the variables of
-    the basis and of the inputs seen so far, up to the largest degree among
-    them: the basis is packed once, each input once per run, and an input
-    with a variable or a degree the packing lacks widens it and packs the
-    basis again, so no key or degree is refused.
-    """
-    return _Reducer(basis)
-
-
-def reduce(f: Poly, basis, *, track: bool = False):
-    """Fully reduce `f` modulo an ordered list of nonzero polynomials.
+    """Full reduction by an ordered list of nonzero polynomials, as
+    ``run(f, track=False)``.
 
     At each step the largest monomial of the remainder divisible by some
     leading monomial is rewritten using the first basis element (in list
@@ -470,8 +456,14 @@ def reduce(f: Poly, basis, *, track: bool = False):
     (grevlex is a monomial order), so the largest reducible monomial is
     always the next one popped: the steps are those of re-sorting the
     remainder before each one.
+
+    Monomials run as packed ints (:class:`_Packing`) over the variables of
+    the basis and of the inputs seen so far, up to the largest degree among
+    them: the basis is packed once, each input once per run, and an input
+    with a variable or a degree the packing lacks widens it and packs the
+    basis again, so no key or degree is refused.
     """
-    return reducer(basis)(f, track)
+    return _Reducer(basis)
 
 
 def buchberger_check(basis) -> dict[tuple[int, int], Poly]:
@@ -484,7 +476,7 @@ def buchberger_check(basis) -> dict[tuple[int, int], Poly]:
     to zero automatically).  One :func:`reducer` serves every pair, packed
     up to the largest degree of an lcm of tips, and each S-polynomial
     (:func:`s_polynomial`) is built on the packed tails, as its two tip
-    terms cancel; the remainders are those of :func:`reduce`.
+    terms cancel; the remainders are those of ``reducer(basis)``.
     """
     red = reducer(basis)
     tips = red.tips

@@ -310,12 +310,6 @@ def gamma_coeff(s: str, alpha: Weight, beta: Weight) -> int | Fraction:
     return c if alpha == beta or not c else Fraction(c, 2)
 
 
-def gamma_monomial_coeff(s: str, alpha: Weight, beta: Weight) -> int:
-    """Full coefficient of the monomial λ^α λ^β in Γ^s (twice gamma_coeff
-    off the diagonal); the Fierz tables are written with these ±1 entries."""
-    return gamma_quadrics()[s][pr.monomial_from_weights([alpha, beta])]
-
-
 @lru_cache(maxsize=512)
 def gamma_affine(s: str, l: int, window: tuple[int, int]) -> Poly:
     """Mode l of the affinized quadric Γ^{s^l}, projected to a level window.

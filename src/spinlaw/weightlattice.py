@@ -352,19 +352,21 @@ class Tail(namedtuple("Tail", "below")):
     __slots__ = ()
 
 
-class Pair(namedtuple("Pair", "tail other")):
-    """Decomposition step: two maximal elements below the top.
+class Pair(namedtuple("Pair", "tail other meet")):
+    """Decomposition step: two maximal elements below the top, and their meet.
 
-    ``tail`` is a side whose lower set ``[lo, tail)`` equals
-    ``[lo, meet(tail, other)]`` — the property the chain-counting recursion
-    needs.  When both sides qualify the :func:`apos`-smaller one is chosen.
+    ``tail`` is a side whose lower set ``[lo, tail)`` equals ``[lo, meet]``,
+    with ``meet = meet(tail, other)`` — the property the chain-counting
+    recursion needs.  When both sides qualify the :func:`apos`-smaller one
+    is chosen.
     """
 
     __slots__ = ()
 
 
 def decompose_below(iv: Interval, top: Weight | None = None) -> Tail | Pair:
-    """Classify the maximal elements of ``[lo, top)`` as a Tail or a Pair."""
+    """Classify the maximal elements of ``[lo, top)`` as a Tail or a Pair;
+    a Pair carries the meet of its two sides, computed once here."""
     if top is None:
         top = iv.hi
     if top == iv.lo:
@@ -379,7 +381,7 @@ def decompose_below(iv: Interval, top: Weight | None = None) -> Tail | Pair:
     # lower covers above lo, are m alone.
     for x, y in ((a, b), (b, a)):
         if [z for z in covers_down(x) if leq(iv.lo, z)] == [m]:
-            return Pair(tail=x, other=y)
+            return Pair(tail=x, other=y, meet=m)
     raise ValueError(f"no tail side below {format_weight(top)}")
 
 

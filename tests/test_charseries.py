@@ -1102,6 +1102,24 @@ def test_recursion_check_J_builds_each_interval_once(monkeypatch):
     assert cs.recursion_check_J(2, 3)
 
 
+def test_walk_takes_one_meet_per_pair_step(monkeypatch):
+    # decompose_below hands each Pair step its meet and the walk computes
+    # none of its own: one meet per Pair step
+    calls: list = []
+    real = wl.meet
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(wl, "meet", counted)
+    assert cs.recursion_check_J(1, 4)
+    assert len(calls) == 13
+    calls.clear()
+    cs.character(wl.interval(W("(0)@0"), W("(1)@2")), specialize={"s": 1, "q": 1})
+    assert len(calls) == 21
+
+
 def test_recursion_check_J_expands_no_series(monkeypatch):
     calls: list = []
     real = cs.RationalChar._layers

@@ -265,8 +265,9 @@ def test_gamma_coeff_convention():
     assert sa.gamma_coeff("1", ("(1)", 0), ("(0)", 0)) == half
     assert sa.gamma_coeff("1", ("(12)", 0), ("(13)", 0)) == 0
     assert sa.gamma_coeff("1", ("(0)", 0), ("(0)", 0)) == 0
-    assert sa.gamma_monomial_coeff("5", ("(14)", 0), ("(23)", 0)) == 1
-    assert sa.gamma_monomial_coeff("5", ("(13)", 0), ("(24)", 0)) == -1
+    # the full ±1 coefficient of the monomial, twice gamma_coeff off the diagonal
+    assert sa.gamma_quadrics()["5"][pr.monomial_from_weights([("(14)", 0), ("(23)", 0)])] == 1
+    assert sa.gamma_quadrics()["5"][pr.monomial_from_weights([("(13)", 0), ("(24)", 0)])] == -1
     # every entry is an exact ±½ off the diagonal or an int 0, never a float
     for s in sa.GAMMA_LABELS:
         for a in wl.TAGS:

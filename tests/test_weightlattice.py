@@ -364,7 +364,7 @@ def test_decompose_below_examples():
         W("(34)@0")
     )
     assert wl.decompose_below(wl.interval(W("(0)@0"), W("(4)@0"))) == wl.Pair(
-        tail=W("(5)@0"), other=W("(35)@0")
+        tail=W("(5)@0"), other=W("(35)@0"), meet=W("(34)@0")
     )
 
     iv = wl.interval(W("(0)@0"), W("(4)@0"))
@@ -373,16 +373,17 @@ def test_decompose_below_examples():
 
 
 def test_decompose_below_tail_property_everywhere():
-    # in every Pair the designated tail side satisfies [lo, tail) = [lo, meet]
+    # in every Pair the designated tail side satisfies [lo, tail) = [lo, meet],
+    # and the meet it carries is the one meet() computes on its own
     iv = wl.interval(W("(0)@0"), W("(1)@1"))
     for top in iv.elements:
         if top == iv.lo:
             continue
         d = wl.decompose_below(iv, top)
         if isinstance(d, wl.Pair):
-            m = wl.meet(d.tail, d.other)
+            assert d.meet == wl.meet(d.tail, d.other)
             strict = {w for w in iv.elements if wl.leq(w, d.tail) and w != d.tail}
-            closed = {w for w in iv.elements if wl.leq(w, m)}
+            closed = {w for w in iv.elements if wl.leq(w, d.meet)}
             assert strict == closed
 
 
